@@ -1,13 +1,14 @@
-(* Analysis-guided autotuning over the full pipeline design space
-   (ROADMAP item: close the loop between bottleneck attribution and the
-   search).
+(* Analysis-guided autotuning over the full pipeline design space: the
+   one design-space search loop.
 
    A configuration is a point in cut sets x per-queue capacities x stage
    replication x scan-chaining x core count (the SMT mapping follows the
    core count: threads are packed [Config.smt_threads] per core). The
    search is a beam-limited wave expansion: wave 0 seeds the frontier
-   with the serial configuration plus every PGO cut set (so the tuned
-   result can never lose to cut-set-only PGO); each later wave simulates
+   with the serial configuration plus every PGO cut set. Run alone (a
+   budget of exactly the seed count), wave 0 *is* the paper's
+   profile-guided search (Sec. V, Fig. 8); otherwise it guarantees the
+   tuned result never loses to cut-set-only PGO. Each later wave simulates
    the frontier in parallel over the pool, reads each candidate's
    bottleneck report, and expands the wave's best survivors with moves
    *directed* by the diagnosis — deepen the backpressured queue,
@@ -60,9 +61,10 @@ type status =
       ok_verdict : string;
       ok_headroom : float;
       ok_diagnosis : string list;
+      ok_stages : int; (* threads + RAs, as Fig. 13 counts them *)
     }
-  | Run_rejected of string (* illegal cuts, over budget, bad result, no fit *)
-  | Run_failed of string (* deadlock / livelock / runtime error *)
+  | Run_rejected of string (* illegal cuts, bad result, no fit *)
+  | Run_failed of string (* deadlock / livelock / op budget / runtime error *)
 
 type attempt = {
   t_id : int;
@@ -101,10 +103,27 @@ let move_to_string = function
   | M_replicate r -> Printf.sprintf "replicate(%d)" r
   | M_cores n -> Printf.sprintf "cores(%d)" n
 
-(* Canonical content key of a configuration, same canonical-string-then-
-   MD5 scheme as the serve protocol (which lives above this library in
-   the dependency order, so the approach is mirrored, not imported). Two
-   configs collide exactly when they would simulate identically. *)
+(* Canonical digest of a cut set, insensitive to list order (subsets are
+   always re-sorted to program order anyway) and to the float score, which
+   is a ranking artifact rather than part of the cut's identity. Same
+   canonical-string-then-MD5 scheme as the serve protocol's content key
+   (which lives above this library in the dependency order, so the
+   approach is mirrored, not imported): two cut sets collide exactly when
+   they decouple identically. *)
+let cut_set_key (cuts : Costmodel.cut list) : string =
+  let canon =
+    cuts
+    |> List.map (fun (c : Costmodel.cut) ->
+           Printf.sprintf "[%s]%b"
+             (String.concat "," (List.map string_of_int c.cut_loads))
+             c.cut_prefetch)
+    |> List.sort compare
+    |> String.concat ";"
+  in
+  Digest.to_hex (Digest.string canon)
+
+(* Canonical content key of a configuration, same scheme. Two configs
+   collide exactly when they would simulate identically. *)
 let config_digest (c : config) : string =
   let caps =
     List.sort compare c.at_queue_caps
@@ -113,10 +132,37 @@ let config_digest (c : config) : string =
   in
   let canon =
     Printf.sprintf "cuts=%s;caps=%s;chain=%b;replicas=%d;cores=%d"
-      (Search.cut_set_key c.at_cuts)
+      (cut_set_key c.at_cuts)
       caps c.at_chain c.at_replicas c.at_cores
   in
   Digest.to_hex (Digest.string canon)
+
+(* All non-empty subsets of the top-k cuts with at most [max_cuts] members,
+   each subset ordered by program position. The cost model can rank the
+   same decoupling point more than once (e.g. with and without an equal
+   neighbor), so subsets are deduplicated by canonical digest — profiling
+   the same pipeline twice would only waste training runs. *)
+let enumerate_cut_sets ?(top_k = 6) ?(max_cuts = 3) (serial : pipeline) :
+    Costmodel.cut list list =
+  let cuts = Compile.candidates serial in
+  let top = List.filteri (fun i _ -> i < top_k) cuts in
+  let rec subsets = function
+    | [] -> [ [] ]
+    | c :: rest ->
+      let without = subsets rest in
+      List.map (fun s -> c :: s) without @ without
+  in
+  let seen = Hashtbl.create 64 in
+  subsets top
+  |> List.filter (fun s -> s <> [] && List.length s <= max_cuts)
+  |> List.map (List.sort (fun a b -> compare (cut_id a) (cut_id b)))
+  |> List.filter (fun s ->
+         let k = cut_set_key s in
+         if Hashtbl.mem seen k then false
+         else begin
+           Hashtbl.add seen k ();
+           true
+         end)
 
 (* ---------- directed move generation ---------- *)
 
@@ -209,22 +255,24 @@ let moves (sp : space) (c : config) (r : Pipette.Analysis.report) :
 (* ---------- evaluation ---------- *)
 
 type eval_ctx = {
-  e_serial : pipeline;
-  e_training : ((string * value array) list * Phloem_ir.Interp.result) list;
-      (* per training input: bindings and the serial functional result *)
+  e_training :
+    (pipeline * (string * value array) list * Phloem_ir.Interp.result) list;
+      (* per training input: its serial pipeline (serial pipelines bake in
+         input sizes, so every input compiles its own candidate), bindings,
+         and the serial functional result *)
   e_serial_cycles : int list;
   e_cfg : Pipette.Config.t;
   e_check : string list;
   e_flags : Decouple.flags;
 }
 
-let pipeline_of (ctx : eval_ctx) (c : config) : pipeline =
+let pipeline_of (ctx : eval_ctx) (serial : pipeline) (c : config) : pipeline =
   let p =
-    if c.at_cuts = [] then ctx.e_serial
+    if c.at_cuts = [] then serial
     else
       Compile.with_cuts
         ~flags:{ ctx.e_flags with Decouple.f_chain = c.at_chain }
-        ctx.e_serial c.at_cuts
+        serial c.at_cuts
   in
   if c.at_replicas > 1 then
     Replicate.apply p
@@ -238,17 +286,26 @@ let pipeline_of (ctx : eval_ctx) (c : config) : pipeline =
 
 (* Simulate one configuration on every training input. Returns the status
    plus the first input's bottleneck report (the move generator's food).
-   Any exception — illegal cuts, validation, runtime divergence, deadlock
-   — lands in the status; evaluation never aborts a wave. *)
+   The ways a candidate is expected to die — illegal cuts, validation, a
+   wrong result, the op budget, a runtime error, deadlock — land in the
+   status, so evaluation never aborts a wave; any other exception is a bug
+   and propagates. *)
 let eval (ctx : eval_ctx) (c : config) : status * Pipette.Analysis.report option
     =
-  match pipeline_of ctx c with
+  match
+    List.map
+      (fun (serial, inputs, serial_fr) ->
+        (pipeline_of ctx serial c, inputs, serial_fr))
+      ctx.e_training
+  with
   | exception Decouple.Reject msg -> (Run_rejected ("decouple: " ^ msg), None)
   | exception Phloem_ir.Validate.Invalid msg ->
     (Run_rejected ("validate: " ^ msg), None)
-  | exception e -> (Run_failed (Printexc.to_string e), None)
-  | p -> (
-    let n_threads = List.length p.p_stages in
+  | candidates -> (
+    (* the thread-fit check, the stage count and the report come from the
+       first input's candidate *)
+    let p0, _, _ = List.hd candidates in
+    let n_threads = List.length p0.p_stages in
     let cfg = Pipette.Config.with_cores ctx.e_cfg c.at_cores in
     if n_threads > cfg.Pipette.Config.n_cores * cfg.Pipette.Config.smt_threads
     then
@@ -257,7 +314,10 @@ let eval (ctx : eval_ctx) (c : config) : status * Pipette.Analysis.report option
              cfg.Pipette.Config.n_cores cfg.Pipette.Config.smt_threads),
         None )
     else
-      let run_one (inputs, (serial_fr : Phloem_ir.Interp.result)) =
+      let run_one (p, inputs, (serial_fr : Phloem_ir.Interp.result)) =
+        (* a candidate that runs away (e.g. an inconsistent control-value
+           protocol that spins forever) is killed at a multiple of the
+           serial instruction count *)
         let budget = max 2_000_000 (8 * serial_fr.Phloem_ir.Interp.r_instrs) in
         let fr =
           Phloem_ir.Interp.with_max_ops budget (fun () ->
@@ -275,12 +335,15 @@ let eval (ctx : eval_ctx) (c : config) : status * Pipette.Analysis.report option
           let r = Pipette.Sim.simulate ~cfg ~queue_caps:c.at_queue_caps p fr in
           Ok r
       in
-      match List.map run_one ctx.e_training with
+      match List.map run_one candidates with
       | exception Phloem_ir.Forensics.Pipeline_failure f ->
         ( Run_failed
             (Phloem_ir.Forensics.kind_name f.Phloem_ir.Forensics.fr_kind),
           None )
-      | exception e -> (Run_failed (Printexc.to_string e), None)
+      | exception
+          ((Phloem_ir.Interp.Budget_exceeded | Phloem_ir.Interp.Runtime_error _)
+           as e) ->
+        (Run_failed (Printexc.to_string e), None)
       | results -> (
         match
           List.find_map (function Error m -> Some m | Ok _ -> None) results
@@ -297,33 +360,23 @@ let eval (ctx : eval_ctx) (c : config) : status * Pipette.Analysis.report option
               ctx.e_serial_cycles cycles
           in
           let report =
-            match runs with
-            | r0 :: _ ->
-              Some
-                (Pipette.Sim.analyze
-                   ~stage_names:(Pipette.Sim.stage_names p)
-                   r0)
-            | [] -> None
-          in
-          let verdict, headroom, diagnosis =
-            match report with
-            | Some r ->
-              ( Pipette.Analysis.verdict_to_string
-                  (Pipette.Analysis.classify r),
-                r.Pipette.Analysis.r_headroom,
-                r.Pipette.Analysis.r_diagnosis )
-            | None -> ("balanced", 1.0, [])
+            Pipette.Sim.analyze
+              ~stage_names:(Pipette.Sim.stage_names p0)
+              (List.hd runs)
           in
           ( Run_ok
               {
                 ok_cycles = cycles;
                 ok_speedups = speedups;
                 ok_gmean = Phloem_util.Stats.gmean speedups;
-                ok_verdict = verdict;
-                ok_headroom = headroom;
-                ok_diagnosis = diagnosis;
+                ok_verdict =
+                  Pipette.Analysis.verdict_to_string
+                    (Pipette.Analysis.classify report);
+                ok_headroom = report.Pipette.Analysis.r_headroom;
+                ok_diagnosis = report.Pipette.Analysis.r_diagnosis;
+                ok_stages = n_threads + List.length p0.p_ras;
               },
-            report )))
+            Some report )))
 
 (* ---------- the search loop ---------- *)
 
@@ -397,7 +450,7 @@ let tune ?(flags = Decouple.all_passes) ?(cfg = Pipette.Config.default)
     match metrics with None -> () | Some m -> M.set (M.gauge m name) v
   in
   let serial0 = fst (List.hd training) in
-  let cut_sets = Search.enumerate_cut_sets ~top_k ~max_cuts serial0 in
+  let cut_sets = enumerate_cut_sets ~top_k ~max_cuts serial0 in
   let sp =
     {
       sp_cut_pool =
@@ -416,16 +469,17 @@ let tune ?(flags = Decouple.all_passes) ?(cfg = Pipette.Config.default)
     pmap
       (fun (serial, inputs) ->
         let r = Pipette.Sim.run ~cfg ~inputs serial in
-        (inputs, r))
+        (serial, inputs, r))
       training
   in
   let ctx =
     {
-      e_serial = serial0;
       e_training =
-        List.map (fun (i, r) -> (i, r.Pipette.Sim.sr_functional)) serial_runs;
+        List.map
+          (fun (s, i, r) -> (s, i, r.Pipette.Sim.sr_functional))
+          serial_runs;
       e_serial_cycles =
-        List.map (fun (_, r) -> Pipette.Sim.cycles r) serial_runs;
+        List.map (fun (_, _, r) -> Pipette.Sim.cycles r) serial_runs;
       e_cfg = cfg;
       e_check = check_arrays;
       e_flags = flags;

@@ -4,9 +4,12 @@
     core, so the core count is the thread-mapping knob).
 
     The search is a beam-limited wave expansion. Wave 0 seeds the
-    frontier with the serial configuration plus every cut set PGO would
-    enumerate — the tuned result can therefore never lose to cut-set-only
-    PGO on the same training inputs. Each wave simulates its frontier in
+    frontier with the serial configuration plus every cut set of
+    {!enumerate_cut_sets}. Run alone — a [budget] of exactly the seed
+    count — wave 0 is the paper's profile-guided search (Sec. V, Fig. 8),
+    with [o_cut_only] as its recipe; otherwise it guarantees the
+    tuned result never loses to cut-set-only PGO on the same training
+    inputs. Each wave simulates its frontier in
     parallel over the pool, classifies every candidate's bottleneck
     report ({!Pipette.Analysis.classify}), and expands the wave's best
     [beam] survivors with moves directed by the diagnosis: a
@@ -60,10 +63,14 @@ type status =
       ok_verdict : string;
       ok_headroom : float;
       ok_diagnosis : string list;
+      ok_stages : int;
+          (** threads + RAs of the first input's pipeline, as Fig. 13
+              counts them; not serialized *)
     }
   | Run_rejected of string
       (** illegal cuts, thread-fit failure, or result mismatch *)
-  | Run_failed of string  (** deadlock, livelock, or runtime error *)
+  | Run_failed of string
+      (** deadlock, livelock, exhausted op budget, or runtime error *)
 
 type attempt = {
   t_id : int;
@@ -91,9 +98,20 @@ type outcome = {
   o_trace : attempt list;  (** every attempt, in evaluation order *)
 }
 
+val cut_set_key : Costmodel.cut list -> string
+(** Canonical hex digest of a cut set: insensitive to list order and to
+    the float ranking score. Two sets share a key exactly when they
+    decouple the program identically. *)
+
 val config_digest : config -> string
 (** Canonical hex content key: two configs collide exactly when they
     would simulate identically. *)
+
+val enumerate_cut_sets :
+  ?top_k:int -> ?max_cuts:int -> Phloem_ir.Types.pipeline -> Costmodel.cut list list
+(** Wave 0's cut sets: non-empty subsets of the top-[top_k] ranked cuts
+    with at most [max_cuts] members, in program order, deduplicated by
+    {!cut_set_key}. *)
 
 val moves :
   space -> config -> Pipette.Analysis.report -> (move * config) list
@@ -122,6 +140,7 @@ val tune :
   outcome
 (** Run the search. [beam] (default 4) bounds how many survivors each
     wave expands; [budget] (default 64) caps total simulations;
+    [top_k]/[max_cuts] (defaults 6 and 3) shape the seed cut sets;
     [max_queue_cap] defaults to [8 * cfg.queue_depth]. With the same
     arguments the outcome is byte-identical whether [pool] is absent,
     single-job, or many-job (the pool preserves submission order).
@@ -130,6 +149,13 @@ val tune :
     [autotune_waves] / [autotune_rejected] / [autotune_deduped], and
     gauges [autotune_best_gmean] / [autotune_best_cycles] — observation
     only, never affects the outcome.
+
+    Each training input compiles its own candidate from its own serial
+    pipeline, which bakes in the input's sizes. A candidate's expected
+    failures — illegal cuts, failed validation, a result that differs
+    from serial on [check_arrays], an exhausted op budget, a runtime
+    error, deadlock or livelock — are recorded in its attempt; any other
+    exception propagates (from the lowest-index candidate under a pool).
     @raise Invalid_argument on empty training or a non-positive
     beam/budget. *)
 

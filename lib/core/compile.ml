@@ -3,11 +3,11 @@
    [static_flow] implements the static compilation mode (paper Fig. 8,
    upper right): pick the (n-1) highest-ranked decoupling points with the
    cost model and emit one pipeline. [with_cuts] compiles an explicit cut
-   selection (used by the profile-guided search in Search). Both are thin
-   wrappers over [Pass.Manager] running the registered pass list from
-   [Passes.standard]; the [_report] variants expose the manager's per-pass
-   timing/op-count report and accept [Pass.options] for per-pass
-   verification and IR snapshots. *)
+   selection (used by Autotune, whose seed wave is the profile-guided
+   search). Both are thin wrappers over [Pass.Manager] running the
+   registered pass list from [Passes.standard]; the [_report] variants
+   expose the manager's per-pass timing/op-count report and accept
+   [Pass.options] for per-pass verification and IR snapshots. *)
 
 open Phloem_ir.Types
 

@@ -161,16 +161,13 @@ let graph_bound name g =
   | _ -> invalid_arg name
 
 let pgo_recipe ?pool ~scale bench =
-  let training = training_graphs ~scale in
-  match bench with
-  | "SpMM" ->
-    let bounds =
+  let bounds =
+    match bench with
+    | "SpMM" ->
       List.map (fun (_, a, bt) -> Spmm.bind a bt) (spmm_pairs ~scale `Training)
-    in
-    (try Some (Runner.pgo_cuts ?pool bounds).Phloem.Search.best with _ -> None)
-  | _ ->
-    let bounds = List.map (fun (_, g) -> graph_bound bench g) training in
-    (try Some (Runner.pgo_cuts ?pool bounds).Phloem.Search.best with _ -> None)
+    | _ -> List.map (fun (_, g) -> graph_bound bench g) (training_graphs ~scale)
+  in
+  fst (Runner.pgo_cuts ?pool bounds)
 
 (* Progress lines route through the structured diagnostics sink at Info so a
    caller can silence or capture them; [run_all_experiments] raises the
@@ -192,7 +189,7 @@ let run_benchmark ?pool ?only_inputs ?(pgo = true) ?faults ?retries ~scale bench
   let pgo =
     if pgo then begin
       progress "[fig9-11] %s: profile-guided search..." bench;
-      pgo_recipe ?pool ~scale bench
+      Some (pgo_recipe ?pool ~scale bench)
     end
     else None
   in
@@ -510,13 +507,16 @@ let fig13 ?pool ?(scale = default_scale ()) () =
     match
       Runner.pgo_cuts ~top_k:6 ~max_cuts:3 ?pool bounds
     with
-    | outcome ->
+    | _, outcome ->
       let by_len = Hashtbl.create 8 in
       List.iter
-        (fun (c : Phloem.Search.candidate) ->
-          let cur = try Hashtbl.find by_len c.ca_stages with Not_found -> [] in
-          Hashtbl.replace by_len c.ca_stages (c.ca_gmean :: cur))
-        outcome.Phloem.Search.all;
+        (fun (a : Phloem.Autotune.attempt) ->
+          match a.t_status with
+          | Run_ok ok when a.t_config.at_cuts <> [] ->
+            let cur = try Hashtbl.find by_len ok.ok_stages with Not_found -> [] in
+            Hashtbl.replace by_len ok.ok_stages (ok.ok_gmean :: cur)
+          | _ -> ())
+        outcome.Phloem.Autotune.o_trace;
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_len []
       |> List.sort compare
       |> List.iter (fun (len, gs) ->

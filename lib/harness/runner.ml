@@ -284,13 +284,34 @@ let run_all ?(cfg = Pipette.Config.default) ?(threads = 4) ?pgo_cuts ?pool
     }
   | _ -> assert false
 
-(* PGO across a benchmark's training bindings; returns the best cut recipe. *)
+(* Profile-guided search across a benchmark's training bindings (paper
+   Sec. V, Fig. 8): Autotune's seed wave alone — the serial configuration
+   plus every enumerated cut set, each profiled on every training input.
+   Returns the recipe, the best surviving cut set ([] = run serial), with
+   the outcome, whose trace holds every profiled candidate (Fig. 13). *)
 let pgo_cuts ?(cfg = Pipette.Config.default) ?(top_k = 6) ?(max_cuts = 3) ?pool
-    (training : Workload.bound list) : Phloem.Search.outcome =
+    (training : Workload.bound list) :
+    Phloem.Costmodel.cut list * Phloem.Autotune.outcome =
   match training with
   | [] -> invalid_arg "pgo_cuts: no training bounds"
   | b0 :: _ ->
-    Phloem.Search.pgo ~cfg ~top_k ~max_cuts ?pool
-      ~check_arrays:b0.Workload.b_check_arrays
-      ~training:(List.map (fun b -> b.Workload.b_serial) training)
-      ()
+    let module A = Phloem.Autotune in
+    let cut_sets =
+      A.enumerate_cut_sets ~top_k ~max_cuts (fst b0.Workload.b_serial)
+    in
+    let o =
+      A.tune ~cfg ~top_k ~max_cuts ~budget:(1 + List.length cut_sets) ?pool
+        ~check_arrays:b0.Workload.b_check_arrays
+        ~training:(List.map (fun b -> b.Workload.b_serial) training)
+        ()
+    in
+    (match o.A.o_cut_only with
+    | Some (c, _, _) -> (c.A.at_cuts, o)
+    | None ->
+      (* degrade to the serial (no-cut) recipe instead of aborting the
+         whole sweep *)
+      Log.warn ~component:"search"
+        "pgo: no legal candidate pipelines among %d cut sets; falling back \
+         to the serial (no-cut) configuration"
+        (List.length cut_sets);
+      ([], o))

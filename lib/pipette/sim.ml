@@ -205,13 +205,17 @@ let cache_counters () =
     cc_trace_entries = trace_entries;
     cc_capacity = capacity;
   }
-let pipeline_digest (p : Types.pipeline) = Digest.string (Marshal.to_string p [])
+
+(* Memo key of a pipeline or of input bindings. It is structural:
+   [No_sharing] keeps physical sharing (a subexpression built once and
+   used twice) out of the bytes, so equal values always digest equally. *)
+let digest v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ])
 
 let prepare (p : Types.pipeline) : Phloem_ir.Flat.program array =
   Validate.check p;
   if not (cache_enabled ()) then Phloem_ir.Flat.compile p
   else
-    let key = pipeline_digest p in
+    let key = digest p in
     match cache_find program_cache key with
     | Some progs ->
       Atomic.incr program_hits;
@@ -228,11 +232,7 @@ let functional ?(inputs = []) (p : Types.pipeline) : Interp.result =
   else
     (* The op budget changes which executions complete, so it is part of
        the key; failed runs raise before the insert and are never cached. *)
-    let key =
-      pipeline_digest p
-      ^ Digest.string (Marshal.to_string inputs [])
-      ^ string_of_int (Interp.max_ops ())
-    in
+    let key = digest p ^ digest inputs ^ string_of_int (Interp.max_ops ()) in
     match cache_find trace_cache key with
     | Some r ->
       Atomic.incr trace_hits;

@@ -202,14 +202,14 @@ let test_config_digest () =
 
 let test_cut_set_key () =
   let a = [ mk_cut 0; mk_cut 3 ] and b = [ mk_cut 3; mk_cut 0 ] in
-  Alcotest.(check string) "order-insensitive" (Search.cut_set_key a)
-    (Search.cut_set_key b);
+  Alcotest.(check string) "order-insensitive" (Autotune.cut_set_key a)
+    (Autotune.cut_set_key b);
   Alcotest.(check bool) "different sets differ" true
-    (Search.cut_set_key a <> Search.cut_set_key [ mk_cut 0 ])
+    (Autotune.cut_set_key a <> Autotune.cut_set_key [ mk_cut 0 ])
 
 (* --- PGO serial fallback ------------------------------------------- *)
 
-(* A kernel with no loads has no decoupling candidates: pgo must degrade
+(* A kernel with no loads has no decoupling candidates: PGO must degrade
    to the serial recipe instead of raising. *)
 let test_pgo_serial_fallback () =
   let open Phloem_ir.Builder in
@@ -224,14 +224,25 @@ let test_pgo_serial_fallback () =
           ];
       ]
   in
-  let outcome = Search.pgo ~check_arrays:[] ~training:[ (tiny, []) ] () in
-  Alcotest.(check int) "empty recipe" 0 (List.length outcome.Search.best);
-  Alcotest.(check int) "no candidates" 0 (List.length outcome.Search.all);
+  let bound =
+    {
+      Phloem_workloads.Workload.b_name = "tiny";
+      b_serial = (tiny, []);
+      b_data_parallel = (fun ~threads:_ -> (tiny, []));
+      b_manual = None;
+      b_check_arrays = [];
+      b_reference = [];
+      b_float_tolerance = 0.0;
+    }
+  in
+  let recipe, outcome = Phloem_harness.Runner.pgo_cuts [ bound ] in
+  Alcotest.(check int) "empty recipe" 0 (List.length recipe);
+  Alcotest.(check bool) "no cut set survived" true (outcome.Autotune.o_cut_only = None);
+  Alcotest.(check int) "only the serial seed ran" 1 outcome.Autotune.o_simulated;
   Alcotest.(check int) "serial baseline still measured" 1
-    (List.length outcome.Search.serial_cycles);
-  (* and the harness maps the empty recipe back to the serial pipeline *)
+    (List.length outcome.Autotune.o_serial_cycles);
   Alcotest.(check bool) "empty training still raises" true
-    (match Search.pgo ~check_arrays:[] ~training:[] () with
+    (match Phloem_harness.Runner.pgo_cuts [] with
     | exception Invalid_argument _ -> true
     | _ -> false)
 

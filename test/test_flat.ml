@@ -640,6 +640,40 @@ let test_sim_cache_capacity_churn () =
         c.Sim.cc_trace_entries;
       Alcotest.(check int) "shrink trims programs too" 2 c.Sim.cc_program_entries)
 
+(* The memo keys are structural: two equal pipelines that differ only in
+   physical sharing (a subexpression built once and used twice, or built
+   twice) compile and trace once. *)
+let test_sim_cache_ignores_sharing () =
+  let initial = Sim.cache_enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sim.set_cache_enabled initial;
+      Sim.clear_caches ())
+    (fun () ->
+      Sim.set_cache_enabled true;
+      Sim.clear_caches ();
+      let pipe x y =
+        pipeline "share"
+          ~arrays:[ int_array "out" 8 ]
+          [
+            stage "s"
+              [ for_ "i" (int 0) (int 8) [ store "out" (v "i") (x +! y) ] ];
+          ]
+      in
+      let square () = v "i" *! v "i" in
+      let e = square () in
+      let shared = pipe e e and copied = pipe (square ()) (square ()) in
+      Alcotest.(check bool) "structurally equal" true (shared = copied);
+      ignore (Sim.run shared);
+      ignore (Sim.run copied);
+      let c = Sim.cache_counters () in
+      Alcotest.(check (pair int int))
+        "program cache: 1 miss, 1 hit" (1, 1)
+        (c.Sim.cc_program_misses, c.Sim.cc_program_hits);
+      Alcotest.(check (pair int int))
+        "trace cache: 1 miss, 1 hit" (1, 1)
+        (c.Sim.cc_trace_misses, c.Sim.cc_trace_hits))
+
 (* A two-stage producer/consumer whose queue is the fault target. [n] is
    larger than the queue depth so occupancy faults bite. *)
 let faulty_pipe n =
@@ -738,6 +772,8 @@ let () =
             test_sim_cache_toggle;
           Alcotest.test_case "cache capacity under churn" `Quick
             test_sim_cache_capacity_churn;
+          Alcotest.test_case "cache keys ignore sharing" `Quick
+            test_sim_cache_ignores_sharing;
           Alcotest.test_case "fault perturbation" `Quick
             test_sim_fault_perturbed;
           Alcotest.test_case "fault deadlock" `Quick test_sim_fault_deadlock;

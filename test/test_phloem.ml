@@ -163,33 +163,78 @@ let test_spmm_rejects_merge_cuts () =
 
 (* --- search --- *)
 
-let test_search_finds_candidates () =
+(* The profiled cut-set candidates of a PGO outcome with their gmeans:
+   its non-serial successful attempts, in evaluation order. *)
+let pgo_candidates (o : Autotune.outcome) =
+  List.filter_map
+    (fun (a : Autotune.attempt) ->
+      match a.t_status with
+      | Autotune.Run_ok ok when a.t_config.at_cuts <> [] -> Some (a, ok.ok_gmean)
+      | _ -> None)
+    o.o_trace
+
+(* Two BFS training inputs of different sizes (a 10x8 grid and an R-MAT
+   graph), so every candidate must be compiled per input. *)
+let bfs_pair () =
   let g1 = Phloem_graph.Gen.grid ~width:10 ~height:8 ~seed:7 in
   let g2 = Phloem_graph.Gen.rmat ~scale:7 ~edge_factor:2 ~seed:8 in
-  let bounds = [ Phloem_workloads.Bfs.bind g1; Phloem_workloads.Bfs.bind g2 ] in
-  let outcome = Phloem_harness.Runner.pgo_cuts ~top_k:4 ~max_cuts:3 bounds in
-  Alcotest.(check bool) "several candidates profiled" true
-    (List.length outcome.Search.all >= 3);
+  [ Phloem_workloads.Bfs.bind g1; Phloem_workloads.Bfs.bind g2 ]
+
+let test_search_finds_candidates () =
+  let bounds = bfs_pair () in
+  let recipe, outcome = Phloem_harness.Runner.pgo_cuts ~top_k:4 ~max_cuts:3 bounds in
+  (* the exact outcome, pinned: every one of the 14 cut sets is legal, and
+     the best is cuts 1, 3 and 4 *)
+  Alcotest.(check int) "legal cut-set candidates" 14
+    (List.length (pgo_candidates outcome));
+  Alcotest.(check (list int)) "recipe" [ 1; 3; 4 ]
+    (List.map (fun (c : Costmodel.cut) -> List.hd c.cut_loads) recipe);
+  (match outcome.o_cut_only with
+  | Some (_, cycles, gmean) ->
+    Alcotest.(check (list int)) "recipe cycles" [ 3607; 2720 ] cycles;
+    Alcotest.(check (float 5e-4)) "recipe gmean" 2.096 gmean
+  | None -> Alcotest.fail "no cut set survived");
   (* the chosen recipe compiles and validates on a fresh input *)
   let g3 = Phloem_graph.Gen.grid ~width:14 ~height:6 ~seed:9 in
   let b3 = Phloem_workloads.Bfs.bind g3 in
   let serial, inputs = b3.Phloem_workloads.Workload.b_serial in
-  let p = Compile.with_cuts serial outcome.Search.best in
+  let p = Compile.with_cuts serial recipe in
   let r = Pipette.Sim.run ~inputs p in
   Alcotest.(check bool) "recipe transfers to new input" true
     (Phloem_workloads.Workload.check b3 r.Pipette.Sim.sr_functional)
 
+(* Autotune's seed wave on inputs of different sizes: each input compiles
+   its own candidate, so all 15 seeds (serial + 14 cut sets) run. *)
+let test_seed_wave_compiles_per_input () =
+  let bounds = bfs_pair () in
+  let o =
+    Autotune.tune ~top_k:4 ~max_cuts:3 ~budget:15
+      ~check_arrays:(List.hd bounds).Phloem_workloads.Workload.b_check_arrays
+      ~training:(List.map (fun b -> b.Phloem_workloads.Workload.b_serial) bounds)
+      ()
+  in
+  Alcotest.(check int) "one wave" 1 o.o_waves;
+  Alcotest.(check int) "15 seed attempts" 15 (List.length o.o_trace);
+  List.iter
+    (fun (a : Autotune.attempt) ->
+      match a.t_status with
+      | Autotune.Run_ok _ -> ()
+      | Autotune.Run_rejected m | Autotune.Run_failed m ->
+        Alcotest.failf "seed #%d (%s) dropped: %s" a.t_id
+          (Autotune.config_to_string a.t_config)
+          m)
+    o.o_trace
+
 let test_search_best_is_max () =
   let g = Phloem_graph.Gen.grid ~width:10 ~height:8 ~seed:7 in
   let bounds = [ Phloem_workloads.Bfs.bind g ] in
-  let o = Phloem_harness.Runner.pgo_cuts ~top_k:4 ~max_cuts:2 bounds in
-  let best_g =
-    List.fold_left (fun acc c -> max acc c.Search.ca_gmean) 0.0 o.Search.all
+  let recipe, o = Phloem_harness.Runner.pgo_cuts ~top_k:4 ~max_cuts:2 bounds in
+  let candidates = pgo_candidates o in
+  let best_g = List.fold_left (fun acc (_, g) -> max acc g) 0.0 candidates in
+  let _, chosen =
+    List.find (fun ((a : Autotune.attempt), _) -> a.t_config.at_cuts = recipe) candidates
   in
-  let chosen =
-    List.find (fun c -> c.Search.ca_cuts = o.Search.best) o.Search.all
-  in
-  Alcotest.(check (float 1e-9)) "best picked" best_g chosen.Search.ca_gmean
+  Alcotest.(check (float 1e-9)) "best picked" best_g chosen
 
 (* --- replication --- *)
 
@@ -312,6 +357,8 @@ let suite =
     Alcotest.test_case "prefetch cut keeps RMW together" `Quick test_prefetch_cut_for_rmw_array;
     Alcotest.test_case "SpMM merge cuts rejected" `Quick test_spmm_rejects_merge_cuts;
     Alcotest.test_case "search finds candidates" `Quick test_search_finds_candidates;
+    Alcotest.test_case "seed wave compiles per input" `Quick
+      test_seed_wave_compiles_per_input;
     Alcotest.test_case "search best is max" `Quick test_search_best_is_max;
     Alcotest.test_case "replicate independent" `Quick test_replicate_independent;
     Alcotest.test_case "replicate distribute" `Quick test_replicate_distribute;
