@@ -315,7 +315,8 @@ let eval (ctx : eval_ctx) (c : config) : status * Pipette.Analysis.report option
         None )
     else
       let run_one (p, inputs, (serial_fr : Phloem_ir.Interp.result)) =
-        (* a candidate that runs away (e.g. an inconsistent control-value
+        (* a backstop: illegal cut sets are rejected at compile time, but a
+           candidate that still runs away (e.g. an inconsistent control-value
            protocol that spins forever) is killed at a multiple of the
            serial instruction count *)
         let budget = max 2_000_000 (8 * serial_fr.Phloem_ir.Interp.r_instrs) in

@@ -77,6 +77,18 @@ let add_use d x s origin =
 
 let needs_of d k = match Hashtbl.find_opt d.d_needs k with Some l -> !l | None -> []
 
+(* The stages that evaluate control node k's condition or bounds: those
+   that need it, minus the ones that elide the If or run the For as a
+   converted or merged loop (see Emit). *)
+let cond_stages d k =
+  List.filter
+    (fun s ->
+      not
+        (Hashtbl.mem d.d_elided (s, k)
+        || Hashtbl.mem d.d_converted (s, k)
+        || Hashtbl.mem d.d_merged (s, k)))
+    (needs_of d k)
+
 (* Returns true when the need was new. *)
 let add_need d k s =
   let l =

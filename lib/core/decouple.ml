@@ -70,4 +70,5 @@ let split ?(flags = all_passes) (serial : Phloem_ir.Types.pipeline)
   let ctx = Stage_assign.build_context ~flags ~params tree n_keys cuts in
   if ctx.Stage_assign.n_stages < 2 then reject "no cuts selected";
   let d = decide ctx cuts in
+  Stage_assign.check_cursors ctx ~cond_stages:(Commplan.cond_stages d);
   Emit.emit ctx d ~orig:serial

@@ -256,27 +256,87 @@ let def_keys_of ctx x = try Hashtbl.find ctx.def_keys x with Not_found -> []
 let nonrep_defs ctx x =
   List.filter (fun k -> not (Hashtbl.mem ctx.replicated_keys k)) (def_keys_of ctx x)
 
+(* A cursor: x's non-replicated defs [ks] span exactly two stages t < u and
+   every def in t is a cut load (SpMM's merge indices: loaded in an early
+   stage, advanced by a later one). Returns (t, u). *)
+let cursor_stages ctx ks =
+  match List.sort_uniq compare (List.map (fun k -> ctx.stage_of.(k)) ks) with
+  | [ t; u ]
+    when List.for_all (fun k -> ctx.stage_of.(k) <> t || Hashtbl.mem ctx.cut_head_keys k) ks
+    ->
+    Some (t, u)
+  | _ -> None
+
 (* The stage that produces x for communication purposes. Normally all
-   non-replicated defs live in one stage. A cursor initialized by a cut load
-   in an early stage and updated locally by one later stage (SpMM's merge
-   indices) is also fine: the early defs are communicated, the later ones
-   are local. Anything else is rejected. *)
+   non-replicated defs live in one stage. A cursor is also fine: its early
+   defs are communicated, the later ones are local (and [check_cursors]
+   makes sure no other stage reads the stale copy). Anything else is
+   rejected. *)
 let def_stage_of ctx x =
   match nonrep_defs ctx x with
   | [] -> None
-  | ks ->
-    let stages = List.sort_uniq compare (List.map (fun k -> ctx.stage_of.(k)) ks) in
-    (match stages with
+  | ks -> (
+    match List.sort_uniq compare (List.map (fun k -> ctx.stage_of.(k)) ks) with
     | [ s ] -> Some s
-    | [ t; u ] when t < u ->
-      let early_defs = List.filter (fun k -> ctx.stage_of.(k) = t) ks in
-      if List.for_all (fun k -> Hashtbl.mem ctx.cut_head_keys k) early_defs then Some t
-      else
+    | stages -> (
+      match cursor_stages ctx ks with
+      | Some (t, _) -> Some t
+      | None ->
         Pass.reject "variable %s is defined in multiple stages %s" x
-          (String.concat "," (List.map string_of_int stages))
-    | _ ->
-      Pass.reject "variable %s is defined in multiple stages %s" x
-        (String.concat "," (List.map string_of_int stages)))
+          (String.concat "," (List.map string_of_int stages))))
+
+(* The cursor rule. Only the advancing stage u updates its copy of a
+   cursor, so any other stage that reads it inside a loop enclosing one of
+   u's defs sees a stale value: with SpMM's merge loop cut between its two
+   loads, one stage evaluates [i1 < e1 && j1 < e2] on copies it never
+   advances and never stops. A read is a statement's operand in its owner
+   stage or a control node's condition in the [cond_stages] that evaluate
+   it; a While's own condition counts as inside it, a For's bounds do not.
+   Only variables with defs in two or more stages can be cursors. They are
+   checked in name order, nodes in program order, so the reported
+   violation is deterministic. *)
+let check_cursors ctx ~cond_stages =
+  let vars =
+    Hashtbl.fold
+      (fun x stages acc -> match stages with _ :: _ :: _ -> x :: acc | _ -> acc)
+      ctx.def_stages []
+    |> List.sort compare
+  in
+  List.iter
+    (fun x ->
+      let ks = nonrep_defs ctx x in
+      match cursor_stages ctx ks with
+      | None -> ()
+      | Some (t, u) ->
+        let loops =
+          List.concat_map
+            (fun k -> if ctx.stage_of.(k) = u then Hashtbl.find ctx.parent_loops k else [])
+            ks
+        in
+        K.iter_list
+          (fun node ->
+            let k = K.key node in
+            let inside =
+              List.exists (fun l -> List.mem l loops) (Hashtbl.find ctx.parent_loops k)
+              || match node with K.Kwhile _ -> List.mem k loops | _ -> false
+            in
+            if inside then
+              let readers =
+                match node with
+                | K.Kstmt (_, stmt) ->
+                  if List.mem x (K.stmt_uses stmt) then [ ctx.stage_of.(k) ] else []
+                | K.Kif _ | K.Kwhile _ | K.Kfor _ ->
+                  if List.mem x (node_cond_vars node) then cond_stages k else []
+              in
+              match List.find_opt (fun s -> s <> u) readers with
+              | Some s ->
+                Pass.reject
+                  "cursor %s from stage %d is advanced only by stage %d but read by \
+                   stage %d inside that loop"
+                  x t u s
+              | None -> ())
+          ctx.tree)
+    vars
 
 (* The def keys that feed x's communication channel (the producer stage's). *)
 let channel_defs ctx x =

@@ -11,8 +11,18 @@ let fmt = Table.fmt_float
 
 let default_scale () =
   match Sys.getenv_opt "PHLOEM_SCALE" with
-  | Some s -> (try float_of_string s with _ -> 1.0)
+  | Some s -> (try float_of_string s with Failure _ -> 1.0)
   | None -> 1.0
+
+(* The ways a compiled or simulated variant is expected to fail, the
+   kinds Autotune.eval records; a figure renders such a cell as "-" and
+   lets anything else (a bug) propagate. *)
+let expected_failure = function
+  | Phloem.Decouple.Reject _ | Phloem_ir.Validate.Invalid _
+  | Phloem_ir.Forensics.Pipeline_failure _ | Phloem_ir.Interp.Budget_exceeded
+  | Phloem_ir.Interp.Runtime_error _ ->
+    true
+  | _ -> false
 
 let section title =
   Printf.printf "\n==== %s ====\n%!" title
@@ -113,14 +123,14 @@ let fig6 ?(scale = default_scale ()) () =
               b.Workload.b_manual
           with
           | c -> c
-          | exception _ -> None)
+          | exception e when expected_failure e -> None)
         | _, Some flags -> (
           match
             let p = Phloem.Compile.static_flow ~flags ~stages:4 serial_p in
             Pipette.Sim.cycles (Pipette.Sim.run ~inputs p)
           with
           | c -> Some c
-          | exception _ -> None)
+          | exception e when expected_failure e -> None)
         | _, None -> None
       in
       match cycles with
@@ -563,7 +573,7 @@ let fig14 ?(scale = default_scale ()) () =
              graphs)
       with
       | v -> fmt v
-      | exception _ -> "-"
+      | exception e when expected_failure e -> "-"
     in
     Table.add_row t [ name; speedups dp_of; speedups rep_of; speedups man_of ]
   in

@@ -344,9 +344,12 @@ let handle_request t (c : client) (line : string) =
     send t c (Protocol.ok_response ~id ~cached:false
                 (Json.to_string (stats_json t)))
   | Ok (Protocol.Shutdown { id }) ->
+    (* stop before acknowledging, so a client holding the ack can rely on
+       [stopped]; [run] closes connections under their write locks, so the
+       ack still goes out *)
     Atomic.incr t.t_ok;
-    send t c (Protocol.ok_response ~id ~cached:false "\"shutting-down\"");
-    stop t
+    stop t;
+    send t c (Protocol.ok_response ~id ~cached:false "\"shutting-down\"")
   | Ok (Protocol.Simulate { id; job }) -> (
     let key = Protocol.content_key job in
     match reader_span "cache-lookup" (fun () -> Cache.find t.t_cache key) with
@@ -466,7 +469,9 @@ let run t =
   Mutex.unlock t.t_clients_lock;
   List.iter
     (fun c ->
-      try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+      (* under the write lock: a response being written finishes first *)
+      Mutex.protect c.c_wlock (fun () ->
+          try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()))
     cs;
   Log.info ~component:"phloemd" "shut down cleanly (%d requests served)"
     (Atomic.get t.t_requests)

@@ -223,6 +223,114 @@ let test_manager_logs_debug () =
   Alcotest.(check bool) "pass component logged" true
     (List.exists (fun r -> r.Log.r_component = "pass") records)
 
+(* --- the cursor rule --- *)
+
+let cut_head (c : Phloem.Costmodel.cut) = List.hd c.Phloem.Costmodel.cut_loads
+let by_head = List.sort (fun a b -> compare (cut_head a) (cut_head b))
+
+let names_var msg x = List.mem x (String.split_on_char ' ' msg)
+
+let banded_spmm () =
+  let m = Phloem_sparse.Gen.banded ~n:24 ~bandwidth:5 ~nnz_per_row:4 ~seed:9 in
+  Phloem_workloads.Spmm.bind m (Phloem_sparse.Csr_matrix.transpose m)
+
+(* Cutting SpMM's merge loop between its two cursor loads (cuts 0 and 2)
+   and after acol[i1] (cut 4) leaves a stage that evaluates the merge
+   condition on copies of i1/j1 only a later stage advances. *)
+let test_stale_merge_cursor_rejected () =
+  let serial = fst (banded_spmm ()).Phloem_workloads.Workload.b_serial in
+  let cuts =
+    by_head
+      (List.filter
+         (fun c -> List.mem (cut_head c) [ 0; 2; 4 ])
+         (Phloem.Compile.candidates serial))
+  in
+  Alcotest.(check (list int)) "cuts 0, 2 and 4 are candidates" [ 0; 2; 4 ]
+    (List.map cut_head cuts);
+  match Phloem.Compile.with_cuts serial cuts with
+  | _ -> Alcotest.fail "a stage reading a stale merge cursor was accepted"
+  | exception Phloem.Decouple.Reject msg ->
+    Alcotest.(check bool) ("names i1 or j1: " ^ msg) true
+      (names_var msg "i1" || names_var msg "j1")
+
+(* A cursor read only by an inline while condition: the middle stage runs
+   the loop for its own load but never advances p. *)
+let segment_src =
+  "#pragma phloem\n\
+   void seg(int n, int *restrict ptr, int *restrict w, int *restrict out) {\n\
+   for (int r = 0; r < n; r++) {\n\
+   int p = ptr[r];\n\
+   int e = ptr[r + 1];\n\
+   int s = 0;\n\
+   while (p < e) {\n\
+   int x = w[r];\n\
+   s = s + x;\n\
+   p = p + 1;\n\
+   }\n\
+   out[r] = s;\n\
+   }\n\
+   }"
+
+let test_stale_cursor_in_condition_rejected () =
+  let n = 6 in
+  let lw = Phloem_minic.Lower.of_source segment_src in
+  let serial, _ =
+    Phloem_minic.Lower.to_serial_pipeline lw
+      ~arrays:
+        [
+          ("ptr", Array.init (n + 1) (fun i -> Vint (2 * i)));
+          ("w", Array.init n (fun i -> Vint i));
+          ("out", Array.make n (Vint 0));
+        ]
+      ~scalars:[ ("n", Vint n) ]
+  in
+  let cuts = by_head (Phloem.Compile.candidates serial) in
+  Alcotest.(check (list int)) "cuts at ptr[r] and w[r]" [ 0; 2 ] (List.map cut_head cuts);
+  (* the cursor alone is legal: only its advancing stage runs the loop *)
+  ignore (Phloem.Compile.with_cuts serial [ List.hd cuts ]);
+  match Phloem.Compile.with_cuts serial cuts with
+  | _ -> Alcotest.fail "a stage testing a stale cursor was accepted"
+  | exception Phloem.Decouple.Reject msg ->
+    Alcotest.(check bool) ("names p: " ^ msg) true (names_var msg "p")
+
+(* Every seed-wave cut set the decoupler accepts, chained or not, finishes
+   its functional run within Autotune's op budget. It may still deadlock
+   or compute a wrong result (Autotune records both); it may not spin. *)
+let test_accepted_cut_sets_terminate () =
+  let g = Phloem_graph.Gen.grid ~width:10 ~height:8 ~seed:5 in
+  let open Phloem_workloads in
+  List.iter
+    (fun (name, (b : Workload.bound)) ->
+      let serial, inputs = b.Workload.b_serial in
+      let serial_fr = Pipette.Sim.functional ~inputs serial in
+      let budget = max 2_000_000 (8 * serial_fr.Phloem_ir.Interp.r_instrs) in
+      List.iter
+        (fun cuts ->
+          List.iter
+            (fun chain ->
+              let flags = { Phloem.Pass.all_passes with f_chain = chain } in
+              match Phloem.Compile.with_cuts ~flags serial cuts with
+              | exception (Phloem.Decouple.Reject _ | Phloem_ir.Validate.Invalid _) -> ()
+              | p -> (
+                match
+                  Phloem_ir.Interp.with_max_ops budget (fun () ->
+                      Pipette.Sim.functional ~inputs p)
+                with
+                | _ | (exception Phloem_ir.Forensics.Pipeline_failure _) -> ()
+                | exception Phloem_ir.Interp.Budget_exceeded ->
+                  Alcotest.failf "%s cuts [%s] chain=%b ran to the op budget" name
+                    (String.concat ";" (List.map (fun c -> string_of_int (cut_head c)) cuts))
+                    chain))
+            [ true; false ])
+        (Phloem.Autotune.enumerate_cut_sets serial))
+    [
+      ("bfs", Bfs.bind g);
+      ("cc", Cc.bind g);
+      ("prd", Prd.bind g);
+      ("radii", Radii.bind g);
+      ("spmm", banded_spmm ());
+    ]
+
 let suite =
   [
     Alcotest.test_case "workloads compile under verify-each" `Quick
@@ -237,6 +345,12 @@ let suite =
     Alcotest.test_case "log level filtering" `Quick test_log_levels;
     Alcotest.test_case "log capture restores state" `Quick test_log_capture_restores;
     Alcotest.test_case "manager emits debug diagnostics" `Quick test_manager_logs_debug;
+    Alcotest.test_case "stale merge cursor rejected" `Quick
+      test_stale_merge_cursor_rejected;
+    Alcotest.test_case "stale cursor in loop condition rejected" `Quick
+      test_stale_cursor_in_condition_rejected;
+    Alcotest.test_case "accepted cut sets terminate" `Quick
+      test_accepted_cut_sets_terminate;
   ]
 
 let () = Alcotest.run "passes" [ ("passes", suite) ]
