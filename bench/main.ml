@@ -152,7 +152,7 @@ let compare_reports ~warn old_file new_file =
   let module R = Phloem_harness.Regress in
   Printf.printf "==== Benchmark comparison: %s -> %s ====\n" old_file new_file;
   match R.compare_files ~old_file ~new_file () with
-  | exception Pipette.Telemetry.Json.Parse_error msg ->
+  | exception Phloem_util.Json.Parse_error msg ->
     Printf.eprintf "error: malformed report: %s\n" msg;
     exit 2
   | exception Sys_error msg ->
@@ -185,7 +185,7 @@ let pre_refactor_serial_s = 1.21287
 let wall_benchmark ~jobs ~scale ?only_inputs ~pgo ~file ~json_file () =
   let module E = Phloem_harness.Experiments in
   let module P = Phloem_harness.Phases in
-  let module Json = Pipette.Telemetry.Json in
+  let module Json = Phloem_util.Json in
   Printf.printf "==== Wall-clock benchmark: standard sweep, --jobs 1 vs --jobs %d ====\n%!"
     jobs;
   let time f =

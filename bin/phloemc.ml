@@ -92,7 +92,7 @@ let compile_cmd src_file stages length list_cuts flags_off time_passes verify_ea
     print_string (Phloem.Autotune.summary outcome);
     (match autotune_json with
     | Some file ->
-      Pipette.Telemetry.Json.to_file file
+      Phloem_util.Json.to_file file
         (Phloem.Autotune.json_of_outcome outcome);
       Printf.printf ";; search trace written to %s\n" file
     | None -> ());

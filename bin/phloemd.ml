@@ -18,7 +18,7 @@ module Serve = Phloem_serve
 let write_stats file server =
   (* Atomic like the Obs writers: stats are also scraped while live. *)
   let tmp = file ^ ".tmp" in
-  Pipette.Telemetry.Json.to_file tmp (Serve.Server.stats_json server);
+  Phloem_util.Json.to_file tmp (Serve.Server.stats_json server);
   Sys.rename tmp file
 
 let serve socket tcp jobs queue_limit batch cache_entries sim_cache max_request
@@ -29,7 +29,7 @@ let serve socket tcp jobs queue_limit batch cache_entries sim_cache max_request
     Printf.eprintf "phloemd: unknown log level %s\n" log_level;
     exit 2);
   (* A daemon serving many distinct pipelines needs more memo room than the
-     sweep default; PHLOEM_TRACE_CACHE still sets the initial on/off. *)
+     sweep default of 64. *)
   Pipette.Sim.set_cache_capacity sim_cache;
   let obs =
     if metrics_out <> None || trace_out <> None || slow_ms <> None then

@@ -32,7 +32,7 @@ let fault_plan inject fault_key =
 (* --- --remote SOCK: replay this CLI invocation against a phloemd ------- *)
 
 let run_remote sock (job : Serve.Protocol.job) json_out =
-  let module Json = Pipette.Telemetry.Json in
+  let module Json = Phloem_util.Json in
   (* Measured client-side on purpose: the ok envelope must stay a pure
      function of the job (cache hits splice raw payload bytes), so the
      daemon cannot embed per-request timings in it. *)
@@ -115,7 +115,7 @@ let run_remote sock (job : Serve.Protocol.job) json_out =
 
 let run_autotune bench input scale json_out jobs beam search_budget max_replicas
     max_cores =
-  let module Json = Pipette.Telemetry.Json in
+  let module Json = Phloem_util.Json in
   let b =
     try Serve.Jobs.bind ~bench ~input ~scale
     with Serve.Jobs.Bad_job msg -> failwith msg
@@ -234,7 +234,7 @@ let rec simulate bench variant input scale json_out trace_out sample_interval
     print_string (Phloem_ir.Forensics.render fr);
     (match json_out with
     | Some file ->
-      let open Pipette.Telemetry.Json in
+      let open Phloem_util.Json in
       let flt =
         match faults with
         | Some f -> [ ("faults", Pipette.Faults.json_of_counters f) ]
@@ -325,7 +325,7 @@ and report bench variant input scale json_out trace_out profile faults telemetry
   (match json_out with
   | None -> ()
   | Some file ->
-    let open Pipette.Telemetry.Json in
+    let open Phloem_util.Json in
     let meta =
       [
         ("bench", Str bench);

@@ -26,7 +26,8 @@
 
 open Phloem_ir.Types
 module Log = Phloem_util.Log
-module Json = Pipette.Telemetry.Json
+module Json = Phloem_util.Json
+module Key = Phloem_util.Key
 
 type config = {
   at_cuts : Costmodel.cut list; (* program order *)
@@ -105,11 +106,8 @@ let move_to_string = function
 
 (* Canonical digest of a cut set, insensitive to list order (subsets are
    always re-sorted to program order anyway) and to the float score, which
-   is a ranking artifact rather than part of the cut's identity. Same
-   canonical-string-then-MD5 scheme as the serve protocol's content key
-   (which lives above this library in the dependency order, so the
-   approach is mirrored, not imported): two cut sets collide exactly when
-   they decouple identically. *)
+   is a ranking artifact rather than part of the cut's identity. Two cut
+   sets collide exactly when they decouple identically. *)
 let cut_set_key (cuts : Costmodel.cut list) : string =
   let canon =
     cuts
@@ -120,7 +118,7 @@ let cut_set_key (cuts : Costmodel.cut list) : string =
     |> List.sort compare
     |> String.concat ";"
   in
-  Digest.to_hex (Digest.string canon)
+  Key.of_string canon
 
 (* Canonical content key of a configuration, same scheme. Two configs
    collide exactly when they would simulate identically. *)
@@ -135,7 +133,7 @@ let config_digest (c : config) : string =
       (cut_set_key c.at_cuts)
       caps c.at_chain c.at_replicas c.at_cores
   in
-  Digest.to_hex (Digest.string canon)
+  Key.of_string canon
 
 (* All non-empty subsets of the top-k cuts with at most [max_cuts] members,
    each subset ordered by program position. The cost model can rank the

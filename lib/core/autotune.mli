@@ -161,9 +161,9 @@ val tune :
 
 val move_to_string : move -> string
 val config_to_string : config -> string
-val json_of_config : config -> Pipette.Telemetry.Json.t
+val json_of_config : config -> Phloem_util.Json.t
 
-val json_of_outcome : outcome -> Pipette.Telemetry.Json.t
+val json_of_outcome : outcome -> Phloem_util.Json.t
 (** Machine-readable best config + full search trace (per-attempt cycles,
     speedups, verdict, diagnosis, move provenance) plus the search
     counters, including [simulated] vs [exhaustive_lower_bound]. *)

@@ -263,8 +263,8 @@ let gmean_of sel (runs : bench_runs list) =
    cells and single variants alike — is aggregated into the top-level
    "errors" array (variant "*" marks a whole cell). *)
 let json_of_collection (all : (string * bench_runs list) list) :
-    Pipette.Telemetry.Json.t =
-  let open Pipette.Telemetry.Json in
+    Phloem_util.Json.t =
+  let open Phloem_util.Json in
   let errors =
     List.concat_map
       (fun (bench, runs) ->
@@ -336,7 +336,7 @@ let json_of_collection (all : (string * bench_runs list) list) :
 let write_json_report ?pool ?benches ?only_inputs ?pgo ?faults ?retries
     ?(scale = default_scale ()) ~file () =
   let all = collect ?pool ?benches ?only_inputs ?pgo ?faults ?retries ~scale () in
-  Pipette.Telemetry.Json.to_file file (json_of_collection all);
+  Phloem_util.Json.to_file file (json_of_collection all);
   progress "[json] evaluation report written to %s" file;
   all
 

@@ -81,13 +81,13 @@ let ratio a b =
     if Float.is_finite r then r else 0.0
 
 let snapshot () =
-  let hits, misses = Pipette.Sim.cache_stats () in
+  let cc = Pipette.Sim.cache_counters () in
   with_lock (fun () ->
       {
         ph_compile_s = !compile_s;
         ph_trace_s = !trace_s;
         ph_simulate_s = !simulate_s;
         ph_ops = !ops;
-        ph_trace_hits = hits;
-        ph_trace_misses = misses;
+        ph_trace_hits = cc.Pipette.Sim.cc_trace_hits;
+        ph_trace_misses = cc.Pipette.Sim.cc_trace_misses;
       })

@@ -4,7 +4,7 @@
    This is the substrate behind `bench/main.exe --compare OLD NEW` and the
    CI baseline check against BENCH_baseline.json. *)
 
-module Json = Pipette.Telemetry.Json
+module Json = Phloem_util.Json
 module Table = Phloem_util.Table
 
 type thresholds = {

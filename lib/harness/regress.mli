@@ -41,8 +41,8 @@ val regressed : outcome -> bool
 
 val compare_json :
   ?thresholds:thresholds ->
-  old_j:Pipette.Telemetry.Json.t ->
-  new_j:Pipette.Telemetry.Json.t ->
+  old_j:Phloem_util.Json.t ->
+  new_j:Phloem_util.Json.t ->
   unit ->
   outcome
 (** Metrics compared per [benchmark/input/variant] series: [cycles],
@@ -55,7 +55,7 @@ val compare_json :
 
 val compare_files :
   ?thresholds:thresholds -> old_file:string -> new_file:string -> unit -> outcome
-(** @raise Pipette.Telemetry.Json.Parse_error on malformed input
+(** @raise Phloem_util.Json.Parse_error on malformed input
     @raise Sys_error if a file cannot be read *)
 
 val render : ?all:bool -> outcome -> string

@@ -45,8 +45,8 @@ let of_run ~variant ~serial_cycles ~ok (r : Pipette.Sim.run) =
   }
 
 (* Machine-readable form of a measurement, for --json reports and CI. *)
-let json_of_measurement (m : measurement) : Pipette.Telemetry.Json.t =
-  let open Pipette.Telemetry.Json in
+let json_of_measurement (m : measurement) : Phloem_util.Json.t =
+  let open Phloem_util.Json in
   let e = m.m_energy in
   Obj
     [
@@ -103,8 +103,8 @@ let failure_of ~variant ?(retries = 0) e bt =
     f_retries = retries;
   }
 
-let json_of_failure (f : failure) : Pipette.Telemetry.Json.t =
-  let open Pipette.Telemetry.Json in
+let json_of_failure (f : failure) : Phloem_util.Json.t =
+  let open Phloem_util.Json in
   Obj
     [
       ("variant", Str f.f_variant);
@@ -190,8 +190,8 @@ type all_runs = {
   failures : failure list; (* in variant order: dp, static, pgo, manual *)
 }
 
-let json_of_all_runs (a : all_runs) : Pipette.Telemetry.Json.t =
-  let open Pipette.Telemetry.Json in
+let json_of_all_runs (a : all_runs) : Phloem_util.Json.t =
+  let open Phloem_util.Json in
   let opt = function Some m -> json_of_measurement m | None -> Null in
   Obj
     [

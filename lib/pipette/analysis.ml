@@ -378,8 +378,8 @@ let render (r : report) : string =
   end;
   Buffer.contents buf
 
-let json_of_report (r : report) : Telemetry.Json.t =
-  let open Telemetry.Json in
+let json_of_report (r : report) : Phloem_util.Json.t =
+  let open Phloem_util.Json in
   let ints a = List (List.map (fun i -> Int i) (Array.to_list a)) in
   Obj
     [
@@ -434,9 +434,9 @@ let json_of_report (r : report) : Telemetry.Json.t =
 
 (* Machine-readable form of a structured pipeline-failure report, for the
    "failure" object in CLI JSON output and the harness "errors" arrays. *)
-let json_of_failure (f : Phloem_ir.Forensics.report) : Telemetry.Json.t =
+let json_of_failure (f : Phloem_ir.Forensics.report) : Phloem_util.Json.t =
   let open Phloem_ir.Forensics in
-  let open Telemetry.Json in
+  let open Phloem_util.Json in
   Obj
     [
       ("kind", Str (kind_name f.fr_kind));

@@ -81,9 +81,9 @@ val render : report -> string
 (** Human-readable report: per-stage and per-queue tables, a queue-stall
     reconciliation line, and the diagnosis list. *)
 
-val json_of_report : report -> Telemetry.Json.t
+val json_of_report : report -> Phloem_util.Json.t
 
-val json_of_failure : Phloem_ir.Forensics.report -> Telemetry.Json.t
+val json_of_failure : Phloem_ir.Forensics.report -> Phloem_util.Json.t
 (** Machine-readable form of a structured pipeline-failure report (failure
     kind + exit code, per-agent blocked-on states, queue occupancy
     snapshot, the cyclic wait chain, diagnosis), used by the CLI JSON

@@ -291,7 +291,7 @@ let of_string str =
     go [] parts
 
 let json_of_counters t =
-  let open Telemetry.Json in
+  let open Phloem_util.Json in
   Obj
     [
       ("drops", Int t.cnt.c_drops);

@@ -77,7 +77,7 @@ val counters : t -> counters
 val total : t -> int
 (** Total faults injected so far (sum of all counters). *)
 
-val json_of_counters : t -> Telemetry.Json.t
+val json_of_counters : t -> Phloem_util.Json.t
 
 (** {2 Decision hooks} — called by the engine at injection points; each
     consumes PRNG draws only for specs present in the plan. *)

@@ -3,6 +3,8 @@
    example, and experiment goes through. *)
 
 open Phloem_ir
+module Fifo_cache = Phloem_util.Fifo_cache
+module Key = Phloem_util.Key
 
 type run = {
   sr_functional : Interp.result;
@@ -92,90 +94,26 @@ let ra_cores (p : Types.pipeline) (thread_core : int array) =
 (* A sweep simulates the same (pipeline, input) pair under many timing
    configurations. The pipeline text and the functional execution are
    config-independent, so both are memoized: flat µop programs keyed by the
-   pipeline digest, functional results keyed by (pipeline, inputs, op
-   budget). Caches are FIFO-bounded and mutex-guarded; the mutex also
-   provides the happens-before edge that publishes a result built on one
-   domain to pool workers on another. Traces are column-packed before
-   publication so concurrent engine replays only ever read them. Set
-   PHLOEM_TRACE_CACHE=0 to disable (every run then recompiles/re-executes,
-   as the tree path always did). *)
+   pipeline, functional results keyed by (pipeline, inputs, op budget).
+   The caches are FIFO-bounded and mutex-guarded; the mutex also provides
+   the happens-before edge that publishes a result built on one domain to
+   pool workers on another. Traces are column-packed before publication so
+   concurrent engine replays only ever read them. *)
 
-(* The environment variable is only the *initial* value: a long-lived
-   process (phloemd) must be able to toggle caching at runtime, so the
-   flag is mutable state, not a module-init constant. *)
-let cache_enabled_flag =
-  Atomic.make
-    (match Sys.getenv_opt "PHLOEM_TRACE_CACHE" with
-    | Some ("0" | "false" | "off") -> false
-    | _ -> true)
+let program_cache : (string, Phloem_ir.Flat.program array) Fifo_cache.t =
+  Fifo_cache.create ~capacity:64 ()
 
-let cache_enabled () = Atomic.get cache_enabled_flag
-let set_cache_enabled b = Atomic.set cache_enabled_flag b
-
-let cache_cap = ref 64
-let cache_lock = Mutex.create ()
-
-let program_cache : (string, Phloem_ir.Flat.program array) Hashtbl.t =
-  Hashtbl.create 16
-
-let program_order : string Queue.t = Queue.create ()
-let trace_cache : (string, Interp.result) Hashtbl.t = Hashtbl.create 16
-let trace_order : string Queue.t = Queue.create ()
-let trace_hits = Atomic.make 0
-let trace_misses = Atomic.make 0
-let trace_evictions = Atomic.make 0
-let program_hits = Atomic.make 0
-let program_misses = Atomic.make 0
-let program_evictions = Atomic.make 0
-
-let with_lock f =
-  Mutex.lock cache_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cache_lock) f
-
-let cache_find tbl key = with_lock (fun () -> Hashtbl.find_opt tbl key)
-
-let cache_add tbl order evictions key v =
-  with_lock (fun () ->
-      if not (Hashtbl.mem tbl key) then begin
-        while Queue.length order >= !cache_cap do
-          Hashtbl.remove tbl (Queue.pop order);
-          Atomic.incr evictions
-        done;
-        Queue.push key order;
-        Hashtbl.add tbl key v
-      end)
+let trace_cache : (string, Interp.result) Fifo_cache.t =
+  Fifo_cache.create ~capacity:64 ()
 
 let set_cache_capacity n =
   if n < 1 then invalid_arg "Sim.set_cache_capacity: capacity must be >= 1";
-  with_lock (fun () ->
-      cache_cap := n;
-      (* Shrinking evicts down to the new bound immediately, oldest first,
-         so the bound is an invariant and not just an insert-time check. *)
-      let trim tbl order evictions =
-        while Queue.length order > n do
-          Hashtbl.remove tbl (Queue.pop order);
-          Atomic.incr evictions
-        done
-      in
-      trim program_cache program_order program_evictions;
-      trim trace_cache trace_order trace_evictions)
-
-let cache_capacity () = with_lock (fun () -> !cache_cap)
+  Fifo_cache.set_capacity program_cache n;
+  Fifo_cache.set_capacity trace_cache n
 
 let clear_caches () =
-  with_lock (fun () ->
-      Hashtbl.reset program_cache;
-      Queue.clear program_order;
-      Hashtbl.reset trace_cache;
-      Queue.clear trace_order);
-  Atomic.set trace_hits 0;
-  Atomic.set trace_misses 0;
-  Atomic.set trace_evictions 0;
-  Atomic.set program_hits 0;
-  Atomic.set program_misses 0;
-  Atomic.set program_evictions 0
-
-let cache_stats () = (Atomic.get trace_hits, Atomic.get trace_misses)
+  Fifo_cache.clear program_cache;
+  Fifo_cache.clear trace_cache
 
 type cache_counters = {
   cc_program_hits : int;
@@ -190,61 +128,43 @@ type cache_counters = {
 }
 
 let cache_counters () =
-  let program_entries, trace_entries, capacity =
-    with_lock (fun () ->
-        (Hashtbl.length program_cache, Hashtbl.length trace_cache, !cache_cap))
-  in
+  let p = Fifo_cache.stats program_cache and t = Fifo_cache.stats trace_cache in
   {
-    cc_program_hits = Atomic.get program_hits;
-    cc_program_misses = Atomic.get program_misses;
-    cc_program_evictions = Atomic.get program_evictions;
-    cc_program_entries = program_entries;
-    cc_trace_hits = Atomic.get trace_hits;
-    cc_trace_misses = Atomic.get trace_misses;
-    cc_trace_evictions = Atomic.get trace_evictions;
-    cc_trace_entries = trace_entries;
-    cc_capacity = capacity;
+    cc_program_hits = p.Fifo_cache.hits;
+    cc_program_misses = p.Fifo_cache.misses;
+    cc_program_evictions = p.Fifo_cache.evictions;
+    cc_program_entries = p.Fifo_cache.entries;
+    cc_trace_hits = t.Fifo_cache.hits;
+    cc_trace_misses = t.Fifo_cache.misses;
+    cc_trace_evictions = t.Fifo_cache.evictions;
+    cc_trace_entries = t.Fifo_cache.entries;
+    cc_capacity = p.Fifo_cache.capacity;
   }
 
-(* Memo key of a pipeline or of input bindings. It is structural:
-   [No_sharing] keeps physical sharing (a subexpression built once and
-   used twice) out of the bytes, so equal values always digest equally. *)
-let digest v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ])
+let memo cache key build =
+  match Fifo_cache.find cache key with
+  | Some v -> v
+  | None ->
+    let v = build () in
+    Fifo_cache.add cache key v;
+    v
 
 let prepare (p : Types.pipeline) : Phloem_ir.Flat.program array =
   Validate.check p;
-  if not (cache_enabled ()) then Phloem_ir.Flat.compile p
-  else
-    let key = digest p in
-    match cache_find program_cache key with
-    | Some progs ->
-      Atomic.incr program_hits;
-      progs
-    | None ->
-      Atomic.incr program_misses;
-      let progs = Phloem_ir.Flat.compile p in
-      cache_add program_cache program_order program_evictions key progs;
-      progs
+  memo program_cache (Key.of_value p) (fun () -> Phloem_ir.Flat.compile p)
 
 let functional ?(inputs = []) (p : Types.pipeline) : Interp.result =
   let programs = prepare p in
-  if not (cache_enabled ()) then Phloem_ir.Flat.run ~inputs ~programs p
-  else
-    (* The op budget changes which executions complete, so it is part of
-       the key; failed runs raise before the insert and are never cached. *)
-    let key = digest p ^ digest inputs ^ string_of_int (Interp.max_ops ()) in
-    match cache_find trace_cache key with
-    | Some r ->
-      Atomic.incr trace_hits;
-      r
-    | None ->
-      Atomic.incr trace_misses;
+  (* The op budget changes which executions complete, so it is part of the
+     key; failed runs raise before the insert and are never cached. *)
+  memo trace_cache
+    (Key.of_value (p, inputs, Interp.max_ops ()))
+    (fun () ->
       let r = Phloem_ir.Flat.run ~inputs ~programs p in
       Array.iter
         (fun tt -> ignore (Trace.pack tt))
         r.Interp.r_trace.Trace.threads;
-      cache_add trace_cache trace_order trace_evictions key r;
-      r
+      r)
 
 let simulate ?(cfg = Config.default) ?thread_core ?queue_caps ?telemetry
     ?faults ?watchdog ?cycle_budget (p : Types.pipeline) (fr : Interp.result) :
@@ -282,8 +202,8 @@ let analyze ?stage_names r = Analysis.of_result ?stage_names r.sr_timing
 (* Machine-readable report of one run's aggregate counters. The numbers here
    must equal the plain-text report printed by the CLI tools: both read the
    same [Engine.result] fields. *)
-let json_of_run (r : run) : Telemetry.Json.t =
-  let open Telemetry.Json in
+let json_of_run (r : run) : Phloem_util.Json.t =
+  let open Phloem_util.Json in
   let t = r.sr_timing and e = r.sr_energy in
   let c = t.Engine.cache in
   let fdiv a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b in

@@ -19,9 +19,9 @@ val ra_cores : Phloem_ir.Types.pipeline -> int array -> int array
 
 val prepare : Phloem_ir.Types.pipeline -> Phloem_ir.Flat.program array
 (** Validate [p] and lower every stage to its flat µop program. Memoized by
-    pipeline digest (mutex-guarded, FIFO-bounded), so a sweep that simulates
-    one pipeline under many configs compiles it once. Set
-    [PHLOEM_TRACE_CACHE=0] to disable all memoization.
+    the pipeline's content key ({!Phloem_util.Key.of_value}) in a
+    {!Phloem_util.Fifo_cache}, so a sweep that simulates one pipeline under
+    many configs compiles it once.
     @raise Phloem_ir.Validate.Invalid on malformed pipelines *)
 
 val functional :
@@ -92,30 +92,13 @@ val run_tree :
     byte-for-byte on results, timing, attribution, and failures. *)
 
 val clear_caches : unit -> unit
-(** Drop all memoized programs and traces and reset the hit counters. *)
-
-val cache_stats : unit -> int * int
-(** [(hits, misses)] of the functional-trace cache since the last clear. *)
-
-val cache_enabled : unit -> bool
-(** Whether memoization is currently on. The initial value comes from the
-    [PHLOEM_TRACE_CACHE] environment variable ([0]/[false]/[off] disable);
-    after startup it is runtime state settable with {!set_cache_enabled} —
-    a long-lived daemon can toggle it at any time. *)
-
-val set_cache_enabled : bool -> unit
-(** Turn memoization on or off at runtime. Disabling does not drop entries
-    already cached (use {!clear_caches} for that); re-enabling resumes
-    serving them. *)
+(** Drop all memoized programs and traces and zero their counters. *)
 
 val set_cache_capacity : int -> unit
 (** Set the FIFO bound (entries) of both the compiled-program and the
-    functional-trace cache. Shrinking below the current occupancy evicts
-    oldest-first immediately, so the bound always holds.
+    functional-trace cache (default 64 each). Shrinking below the current
+    occupancy evicts oldest-first immediately, so the bound always holds.
     @raise Invalid_argument if the capacity is < 1. *)
-
-val cache_capacity : unit -> int
-(** The current FIFO bound of each cache (default 64). *)
 
 type cache_counters = {
   cc_program_hits : int;
@@ -139,7 +122,7 @@ val stage_names : Phloem_ir.Types.pipeline -> string array
 val analyze : ?stage_names:string array -> run -> Analysis.report
 (** Bottleneck attribution for a finished run; see {!Analysis.of_result}. *)
 
-val json_of_run : run -> Telemetry.Json.t
+val json_of_run : run -> Phloem_util.Json.t
 (** Machine-readable report of a run's aggregate counters (cycles, IPC,
     cycle breakdown, cache/branch/queue/RA counters, energy). The values
     equal the plain-text reports printed by the CLI tools. *)

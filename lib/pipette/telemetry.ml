@@ -10,260 +10,7 @@
    the final aggregate; gauges are sampled as instantaneous values and also
    recorded as Chrome counter tracks. *)
 
-(* Minimal JSON emitter (no external deps are available in this tree). *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape buf s =
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"'
-
-  let rec write buf = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
-      else Buffer.add_string buf "null"
-    | Str s -> escape buf s
-    | List l ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          write buf x)
-        l;
-      Buffer.add_char buf ']'
-    | Obj kvs ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, x) ->
-          if i > 0 then Buffer.add_char buf ',';
-          escape buf k;
-          Buffer.add_char buf ':';
-          write buf x)
-        kvs;
-      Buffer.add_char buf '}'
-
-  let to_string j =
-    let buf = Buffer.create 4096 in
-    write buf j;
-    Buffer.contents buf
-
-  let to_file file j =
-    let oc = open_out file in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (to_string j);
-        output_char oc '\n')
-
-  exception Parse_error of string
-
-  (* Recursive-descent parser for the same dialect [write] emits (strict
-     JSON; numbers without '.', 'e' or 'E' parse as [Int]). Needed by the
-     benchmark regression tool, which re-reads committed reports. *)
-  let of_string s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg =
-      raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos))
-    in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let skip_ws () =
-      while
-        !pos < n
-        && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        incr pos
-      done
-    in
-    let expect c =
-      if !pos < n && s.[!pos] = c then incr pos
-      else fail (Printf.sprintf "expected '%c'" c)
-    in
-    let literal lit v =
-      let l = String.length lit in
-      if !pos + l <= n && String.sub s !pos l = lit then begin
-        pos := !pos + l;
-        v
-      end
-      else fail (Printf.sprintf "expected %s" lit)
-    in
-    let add_utf8 buf code =
-      if code < 0x80 then Buffer.add_char buf (Char.chr code)
-      else if code < 0x800 then begin
-        Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-      end
-      else begin
-        Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-        Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-      end
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        match s.[!pos] with
-        | '"' ->
-          incr pos;
-          Buffer.contents buf
-        | '\\' ->
-          incr pos;
-          if !pos >= n then fail "bad escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-            if !pos + 4 >= n then fail "bad \\u escape";
-            (match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
-            | Some code -> add_utf8 buf code
-            | None -> fail "bad \\u escape");
-            pos := !pos + 4
-          | _ -> fail "bad escape");
-          incr pos;
-          go ()
-        | c ->
-          Buffer.add_char buf c;
-          incr pos;
-          go ()
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      if peek () = Some '-' then incr pos;
-      while
-        match peek () with
-        | Some ('0' .. '9' | '.' | 'e' | 'E' | '+' | '-') -> true
-        | _ -> false
-      do
-        incr pos
-      done;
-      let tok = String.sub s start (!pos - start) in
-      if tok = "" then fail "expected number";
-      let is_float =
-        String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok
-      in
-      if is_float then
-        match float_of_string_opt tok with
-        | Some f -> Float f
-        | None -> fail "malformed number"
-      else
-        match int_of_string_opt tok with
-        | Some i -> Int i
-        | None -> (
-          (* out of int range: fall back to float *)
-          match float_of_string_opt tok with
-          | Some f -> Float f
-          | None -> fail "malformed number")
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec go () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (k, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              incr pos;
-              go ()
-            | Some '}' -> incr pos
-            | _ -> fail "expected ',' or '}'"
-          in
-          go ();
-          Obj (List.rev !fields)
-        end
-      | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          List []
-        end
-        else begin
-          let items = ref [] in
-          let rec go () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              incr pos;
-              go ()
-            | Some ']' -> incr pos
-            | _ -> fail "expected ',' or ']'"
-          in
-          go ();
-          List (List.rev !items)
-        end
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> parse_number ()
-      | None -> fail "unexpected end of input"
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let of_file file =
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> of_string (really_input_string ic (in_channel_length ic)))
-
-  (* Field access helpers for consumers of parsed reports. *)
-  let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
-  let to_float_opt = function
-    | Int i -> Some (float_of_int i)
-    | Float f -> Some f
-    | _ -> None
-end
+module Json = Phloem_util.Json
 
 type kind = Counter | Gauge
 

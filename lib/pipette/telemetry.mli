@@ -1,8 +1,8 @@
 (** Observability layer for the timing engine: a counter/gauge probe
     registry with periodic interval sampling, per-thread stall-state
-    timelines, a dependency-free JSON value type (emitter and parser), and
-    a Chrome trace-event exporter (loadable in chrome://tracing or
-    Perfetto).
+    timelines, JSON reports (built with {!Phloem_util.Json}, re-exported
+    here as [Json]), and a Chrome trace-event exporter (loadable in
+    chrome://tracing or Perfetto).
 
     The engine owns the probes: it registers readers against a {!t} created
     by the caller, feeds thread-state transitions as it classifies stalls,
@@ -10,36 +10,7 @@
     as deltas since the previous sample, so a run's deltas sum exactly to
     its final aggregates; gauges are instantaneous. *)
 
-(** Minimal JSON value type with a writer and a strict parser; no external
-    dependencies are available in this tree. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  val to_string : t -> string
-  val to_file : string -> t -> unit
-
-  exception Parse_error of string
-
-  val of_string : string -> t
-  (** Parse strict JSON. Numbers without ['.'], ['e'] or ['E'] parse as
-      [Int]; others as [Float].
-      @raise Parse_error on malformed input. *)
-
-  val of_file : string -> t
-
-  val member : string -> t -> t option
-  (** [member k j] is field [k] of object [j], or [None]. *)
-
-  val to_float_opt : t -> float option
-  (** Numeric value of an [Int] or [Float] node. *)
-end
+module Json = Phloem_util.Json
 
 type sample = {
   s_cycle : int;

@@ -6,7 +6,7 @@
    deterministic, which is what lets the daemon cache payload bytes. *)
 
 open Phloem_workloads
-module Json = Pipette.Telemetry.Json
+module Json = Phloem_util.Json
 
 exception Bad_job of string
 (* unknown bench / input / variant: the job can never run, as opposed to a

@@ -15,7 +15,7 @@
      worker-<domain>   execute, containing compile/trace/simulate (names
                        from Harness.Phases) and serialize *)
 
-module Json = Pipette.Telemetry.Json
+module Json = Phloem_util.Json
 module M = Phloem_util.Metrics
 module Log = Phloem_util.Log
 

@@ -52,11 +52,11 @@ val finish_request : t -> trace:int -> hit:bool -> start:float -> label:string -
     miss histogram and emit the slow-request log when past the threshold.
     [label] identifies the request in the log (bench/input). *)
 
-val metrics_json : t -> Pipette.Telemetry.Json.t
+val metrics_json : t -> Phloem_util.Json.t
 (** [{counters; gauges; histograms; spans}] — histograms carry
     count/sum/min/max/mean, derived p50/p95/p99, and non-empty buckets. *)
 
-val trace_json : t -> Pipette.Telemetry.Json.t
+val trace_json : t -> Phloem_util.Json.t
 (** Chrome trace-event export of the recorded request spans: one process
     ("phloemd"), one thread per span track, microsecond timestamps
     relative to the earliest span. *)

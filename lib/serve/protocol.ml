@@ -5,7 +5,7 @@
    return the stored payload bytes verbatim — byte-identical to the cold
    run that produced them. *)
 
-module Json = Pipette.Telemetry.Json
+module Json = Phloem_util.Json
 
 (* A compile+simulate job, the unit of daemon work. Jobs name a benchmark,
    variant, and generated input rather than carrying program text: input
@@ -180,11 +180,8 @@ let key_version = 1
 
 let config_digest =
   lazy
-    (Digest.to_hex
-       (Digest.string
-          (Marshal.to_string
-             (Pipette.Config.default, Pipette.Config.default_energy)
-             [])))
+    (Phloem_util.Key.of_value
+       (Pipette.Config.default, Pipette.Config.default_energy))
 
 let canonical_of_job (j : job) : string =
   Json.to_string
@@ -212,8 +209,7 @@ let canonical_of_job (j : job) : string =
          ("max_ops", Json.Int (Phloem_ir.Interp.max_ops ()));
        ])
 
-let content_key (j : job) : string =
-  Digest.to_hex (Digest.string (canonical_of_job j))
+let content_key (j : job) : string = Phloem_util.Key.of_string (canonical_of_job j)
 
 (* --- response encoding -------------------------------------------------- *)
 

@@ -12,7 +12,7 @@
     trailing ["result"] field spliced as raw bytes, so a cache hit returns
     the exact bytes of the cold run that filled the cache. *)
 
-module Json = Pipette.Telemetry.Json
+module Json = Phloem_util.Json
 
 type job = {
   j_bench : string;

@@ -15,8 +15,9 @@
    on its own connection ([Pool.try_map] captures per-item failures);
    sibling jobs in the batch and the daemon itself are unaffected. *)
 
-module Json = Pipette.Telemetry.Json
+module Json = Phloem_util.Json
 module Log = Phloem_util.Log
+module Fifo_cache = Phloem_util.Fifo_cache
 
 type opts = {
   so_unix : string option; (* Unix-domain socket path *)
@@ -58,7 +59,8 @@ type entry = {
 
 type t = {
   t_opts : opts;
-  t_cache : Cache.t;
+  t_cache : (string, string) Fifo_cache.t;
+      (* content key -> payload bytes; weight = payload bytes *)
   t_sched : entry Scheduler.t;
   t_stopped : bool Atomic.t;
   t_listeners : Unix.file_descr list;
@@ -101,7 +103,8 @@ let create (opts : opts) : t =
   in
   {
     t_opts = opts;
-    t_cache = Cache.create ~capacity:opts.so_cache_entries ();
+    t_cache =
+      Fifo_cache.create ~weight:String.length ~capacity:opts.so_cache_entries ();
     t_sched = Scheduler.create ~limit:opts.so_queue_limit ();
     t_stopped = Atomic.make false;
     t_listeners = listeners;
@@ -142,6 +145,7 @@ let send t (c : client) (line : string) =
 
 let stats_json t : Json.t =
   let sc = Scheduler.stats t.t_sched in
+  let rc = Fifo_cache.stats t.t_cache in
   let cc = Pipette.Sim.cache_counters () in
   let ph = Phloem_harness.Phases.snapshot () in
   let module P = Phloem_harness.Phases in
@@ -159,7 +163,16 @@ let stats_json t : Json.t =
       ("ok", Json.Int (Atomic.get t.t_ok));
       ("errors", Json.Int (Atomic.get t.t_errors));
       ("shed", Json.Int (Atomic.get t.t_shed));
-      ("result_cache", Cache.json_of_stats (Cache.stats t.t_cache));
+      ( "result_cache",
+        Json.Obj
+          [
+            ("hits", Json.Int rc.Fifo_cache.hits);
+            ("misses", Json.Int rc.Fifo_cache.misses);
+            ("evictions", Json.Int rc.Fifo_cache.evictions);
+            ("entries", Json.Int rc.Fifo_cache.entries);
+            ("capacity", Json.Int rc.Fifo_cache.capacity);
+            ("payload_bytes", Json.Int rc.Fifo_cache.weight);
+          ] );
       ( "scheduler",
         Json.Obj
           [
@@ -178,7 +191,6 @@ let stats_json t : Json.t =
       ( "sim_cache",
         Json.Obj
           [
-            ("enabled", Json.Bool (Pipette.Sim.cache_enabled ()));
             ("capacity", Json.Int cc.Pipette.Sim.cc_capacity);
             ("program_hits", Json.Int cc.Pipette.Sim.cc_program_hits);
             ("program_misses", Json.Int cc.Pipette.Sim.cc_program_misses);
@@ -239,7 +251,7 @@ let respond_result t (en : entry) (r : (string, Phloem_util.Pool.error) result) 
   in
   (match r with
   | Ok payload ->
-    Cache.add t.t_cache en.en_key payload;
+    Fifo_cache.add t.t_cache en.en_key payload;
     Atomic.incr t.t_ok;
     respond (fun () ->
         send t en.en_client
@@ -352,7 +364,7 @@ let handle_request t (c : client) (line : string) =
     send t c (Protocol.ok_response ~id ~cached:false "\"shutting-down\"")
   | Ok (Protocol.Simulate { id; job }) -> (
     let key = Protocol.content_key job in
-    match reader_span "cache-lookup" (fun () -> Cache.find t.t_cache key) with
+    match reader_span "cache-lookup" (fun () -> Fifo_cache.find t.t_cache key) with
     | Some payload ->
       (* content-addressed hit: answered on the reader thread, O(lookup),
          byte-identical to the cold response that filled the entry *)

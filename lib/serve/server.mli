@@ -45,7 +45,7 @@ val stop : t -> unit
 
 val stopped : t -> bool
 
-val stats_json : t -> Pipette.Telemetry.Json.t
+val stats_json : t -> Phloem_util.Json.t
 (** The stats payload served for [{"kind":"stats"}] requests: request /
     response counters, result-cache and scheduler stats (including
     queue-wait totals), the simulator's memo-cache counters, and the phase

@@ -6,7 +6,7 @@
 open Phloem_ir
 open Builder
 open Pipette
-module Json = Telemetry.Json
+module Json = Phloem_util.Json
 module Regress = Phloem_harness.Regress
 
 (* A deliberately unbalanced 2-stage pipeline: the producer enqueues items
@@ -101,7 +101,7 @@ let test_analysis_json_parses () =
   | Some (Json.Int c) -> Alcotest.(check int) "cycles round-trips" (Sim.cycles r) c
   | _ -> Alcotest.fail "analysis JSON lost the cycles field"
 
-(* --- the JSON parser (Telemetry.Json.of_string) --- *)
+(* --- the JSON parser (Phloem_util.Json.of_string) --- *)
 
 let test_json_roundtrip () =
   let v =

@@ -5,7 +5,7 @@
 
 open Phloem
 module A = Pipette.Analysis
-module Json = Pipette.Telemetry.Json
+module Json = Phloem_util.Json
 
 let mk_cut ?(prefetch = false) id =
   { Costmodel.cut_loads = [ id ]; cut_prefetch = prefetch; cut_score = 1.0 }

@@ -289,8 +289,8 @@ let test_run_all_degrades () =
   | None -> Alcotest.fail "no failure record for the deadlocked manual variant");
   (* the JSON record carries the errors array *)
   let j = json_of_all_runs a in
-  match Pipette.Telemetry.Json.member "errors" j with
-  | Some (Pipette.Telemetry.Json.List (_ :: _)) -> ()
+  match Phloem_util.Json.member "errors" j with
+  | Some (Phloem_util.Json.List (_ :: _)) -> ()
   | _ -> Alcotest.fail "errors array missing from JSON"
 
 let () =

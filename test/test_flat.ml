@@ -449,8 +449,8 @@ let check_sim_eq name (a : Sim.run) (b : Sim.run) =
     (a.Sim.sr_energy = b.Sim.sr_energy);
   Alcotest.(check string)
     (name ^ ": json report identical")
-    (Pipette.Telemetry.Json.to_string (Sim.json_of_run a))
-    (Pipette.Telemetry.Json.to_string (Sim.json_of_run b))
+    (Phloem_util.Json.to_string (Sim.json_of_run a))
+    (Phloem_util.Json.to_string (Sim.json_of_run b))
 
 (* Fresh [Faults.t] per execution path: reusing one continues its PRNG
    stream, which is exactly the non-determinism the plan abstraction
@@ -549,62 +549,20 @@ let test_sim_cache_warm () =
   let tree = Sim.run_tree ~inputs p in
   check_sim_eq "warm vs tree" warm tree
 
-(* The cache-enabled flag is runtime state (a daemon toggles it), not a
-   module-init constant: both toggle orders must work within one process.
-   Disabled runs must not touch the memo tables; re-enabling must resume
-   caching (miss then hit); results stay identical throughout. *)
-let test_sim_cache_toggle () =
-  let p, inputs = (Bfs.bind (grid ())).Workload.b_serial in
-  let initial = Sim.cache_enabled () in
-  Fun.protect
-    ~finally:(fun () ->
-      Sim.set_cache_enabled initial;
-      Sim.clear_caches ())
-    (fun () ->
-      (* order 1: enabled -> disabled *)
-      Sim.set_cache_enabled true;
-      Sim.clear_caches ();
-      let cold = Sim.run ~inputs p in
-      Sim.set_cache_enabled false;
-      let off = Sim.run ~inputs p in
-      check_sim_eq "cache off vs cold" cold off;
-      let c = Sim.cache_counters () in
-      Alcotest.(check int) "disabled run records no trace hit/miss" 1
-        (c.Sim.cc_trace_hits + c.Sim.cc_trace_misses);
-      (* order 2: disabled -> enabled *)
-      Sim.clear_caches ();
-      let off2 = Sim.run ~inputs p in
-      check_sim_eq "still disabled" cold off2;
-      let c = Sim.cache_counters () in
-      Alcotest.(check int) "still no cache traffic" 0
-        (c.Sim.cc_trace_hits + c.Sim.cc_trace_misses);
-      Sim.set_cache_enabled true;
-      let warm_miss = Sim.run ~inputs p in
-      let warm_hit = Sim.run ~inputs p in
-      check_sim_eq "re-enabled miss" cold warm_miss;
-      check_sim_eq "re-enabled hit" cold warm_hit;
-      let c = Sim.cache_counters () in
-      Alcotest.(check (pair int int))
-        "re-enabling resumes caching (miss then hit)" (1, 1)
-        (c.Sim.cc_trace_hits, c.Sim.cc_trace_misses))
-
 (* The FIFO bound is configurable and must hold under churn: simulating
    more distinct pipelines than the capacity keeps both memo tables at the
    bound, with the overflow visible in the eviction counters and evicted
    entries re-missing on reuse. *)
 let test_sim_cache_capacity_churn () =
-  let initial_cap = Sim.cache_capacity () in
-  let initial_on = Sim.cache_enabled () in
+  let initial_cap = (Sim.cache_counters ()).Sim.cc_capacity in
   Fun.protect
     ~finally:(fun () ->
       Sim.set_cache_capacity initial_cap;
-      Sim.set_cache_enabled initial_on;
       Sim.clear_caches ())
     (fun () ->
       Alcotest.check_raises "capacity must be positive"
         (Invalid_argument "Sim.set_cache_capacity: capacity must be >= 1")
         (fun () -> Sim.set_cache_capacity 0);
-      Sim.set_cache_enabled true;
       Sim.clear_caches ();
       Sim.set_cache_capacity 4;
       (* 10 structurally distinct pipelines (distinct iteration bounds) *)
@@ -644,13 +602,7 @@ let test_sim_cache_capacity_churn () =
    physical sharing (a subexpression built once and used twice, or built
    twice) compile and trace once. *)
 let test_sim_cache_ignores_sharing () =
-  let initial = Sim.cache_enabled () in
-  Fun.protect
-    ~finally:(fun () ->
-      Sim.set_cache_enabled initial;
-      Sim.clear_caches ())
-    (fun () ->
-      Sim.set_cache_enabled true;
+  Fun.protect ~finally:Sim.clear_caches (fun () ->
       Sim.clear_caches ();
       let pipe x y =
         pipeline "share"
@@ -768,8 +720,6 @@ let () =
           Alcotest.test_case "sparse benchmarks" `Quick
             test_sim_workloads_sparse;
           Alcotest.test_case "warm trace cache" `Quick test_sim_cache_warm;
-          Alcotest.test_case "cache toggle at runtime" `Quick
-            test_sim_cache_toggle;
           Alcotest.test_case "cache capacity under churn" `Quick
             test_sim_cache_capacity_churn;
           Alcotest.test_case "cache keys ignore sharing" `Quick

@@ -111,7 +111,6 @@ let test_interp_budget_is_domain_local () =
    honour [scale], so this stays small. *)
 let test_parallel_vs_serial_json () =
   let module E = Phloem_harness.Experiments in
-  let module Json = Pipette.Telemetry.Json in
   let scale = 0.05 in
   let benches = [ "BFS"; "CC" ] in
   let only_inputs = [ "hugetrace-00000"; "USA-road-d-USA" ] in
@@ -135,7 +134,7 @@ let test_parallel_search_deterministic () =
         Phloem_harness.Runner.pgo_cuts ~top_k:3 ~max_cuts:2 ~pool bounds)
   in
   Alcotest.(check bool) "same best cuts" true (serial_recipe = par_recipe);
-  let bytes o = Pipette.Telemetry.Json.to_string (Phloem.Autotune.json_of_outcome o) in
+  let bytes o = Json.to_string (Phloem.Autotune.json_of_outcome o) in
   Alcotest.(check string) "same candidates" (bytes serial) (bytes par)
 
 let () =

@@ -2,22 +2,21 @@
 
    Unit layers first — request parsing and rejection codes, response
    envelopes and raw-payload extraction, the content-addressed key, the
-   FIFO result cache, the fair bounded scheduler, and the harness rate
-   guards — then end-to-end runs against a real server on a Unix-domain
-   socket in this process: a repeated request must come back as a cache
-   hit with byte-identical payload bytes and without re-running any
-   compile/trace phase, and a full queue must answer with a structured
-   shed-load response rather than blocking or dying. *)
+   fair bounded scheduler, and the harness rate guards — then end-to-end
+   runs against a real server on a Unix-domain socket in this process: a
+   repeated request must come back as a cache hit with byte-identical
+   payload bytes and without re-running any compile/trace phase, and a
+   full queue must answer with a structured shed-load response rather
+   than blocking or dying. *)
 
 module Protocol = Phloem_serve.Protocol
-module Cache = Phloem_serve.Cache
 module Scheduler = Phloem_serve.Scheduler
 module Server = Phloem_serve.Server
 module Client = Phloem_serve.Client
 module Obs = Phloem_serve.Obs
 module Metrics = Phloem_util.Metrics
 module Stats = Phloem_util.Stats
-module Json = Pipette.Telemetry.Json
+module Json = Phloem_util.Json
 module Phases = Phloem_harness.Phases
 
 (* --- request parsing ---------------------------------------------------- *)
@@ -167,42 +166,6 @@ let test_content_key () =
   differs "scale feeds the key" { base with Protocol.j_scale = 0.2 };
   differs "stages feed the key" { base with Protocol.j_stages = 5 };
   differs "budget feeds the key" { base with Protocol.j_cycle_budget = Some 10 }
-
-(* --- result cache -------------------------------------------------------- *)
-
-let test_cache_hit_miss () =
-  let c = Cache.create ~capacity:4 () in
-  Alcotest.(check (option string)) "cold miss" None (Cache.find c "k1");
-  Cache.add c "k1" "payload-one";
-  Alcotest.(check (option string)) "hit returns the stored bytes"
-    (Some "payload-one") (Cache.find c "k1");
-  Cache.add c "k1" "other";
-  Alcotest.(check (option string)) "insert-if-absent keeps the first payload"
-    (Some "payload-one") (Cache.find c "k1");
-  let s = Cache.stats c in
-  Alcotest.(check int) "hits" 2 s.Cache.cs_hits;
-  Alcotest.(check int) "misses" 1 s.Cache.cs_misses;
-  Alcotest.(check int) "entries" 1 s.Cache.cs_entries;
-  Alcotest.(check int) "payload bytes" (String.length "payload-one")
-    s.Cache.cs_payload_bytes
-
-let test_cache_fifo_eviction () =
-  Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Serve.Cache.create: capacity must be >= 1") (fun () ->
-      ignore (Cache.create ~capacity:0 ()));
-  let c = Cache.create ~capacity:2 () in
-  Cache.add c "a" "1";
-  Cache.add c "b" "22";
-  Cache.add c "c" "333";
-  let s = Cache.stats c in
-  Alcotest.(check int) "entries bounded" 2 s.Cache.cs_entries;
-  Alcotest.(check int) "one eviction" 1 s.Cache.cs_evictions;
-  Alcotest.(check (option string)) "oldest evicted" None (Cache.find c "a");
-  Alcotest.(check (option string)) "newer kept" (Some "22") (Cache.find c "b");
-  Alcotest.(check (option string)) "newest kept" (Some "333") (Cache.find c "c");
-  Alcotest.(check int) "bytes track residents"
-    (String.length "22" + String.length "333")
-    (Cache.stats c).Cache.cs_payload_bytes
 
 (* --- scheduler ----------------------------------------------------------- *)
 
@@ -471,6 +434,26 @@ let test_e2e_observability () =
           "payload bytes identical with observability on" p1 p2
       | _ -> Alcotest.fail "both responses must carry raw payloads");
       (* --- metrics: latency split and queue wait --- *)
+      (* The daemon writes each response before it records that request's
+         respond span and then its latency observation, so wait (bounded)
+         until both requests have made that last record. *)
+      let latency_count k =
+        Stats.hist_count
+          (List.assoc k (Metrics.snapshot (Obs.metrics obs)).Metrics.sn_hists)
+      in
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      let rec settle () =
+        if
+          latency_count "phloemd_request_latency_hit_s" < 1
+          || latency_count "phloemd_request_latency_miss_s" < 1
+        then
+          if Unix.gettimeofday () > deadline then
+            Alcotest.fail "requests not fully recorded within 5 s"
+          else (
+            Thread.yield ();
+            settle ())
+      in
+      settle ();
       let snap = Metrics.snapshot (Obs.metrics obs) in
       let counter k = List.assoc k snap.Metrics.sn_counters in
       Alcotest.(check int) "requests counted" 2 (counter "phloemd_requests");
@@ -604,11 +587,6 @@ let () =
             test_envelope_payload_raw;
           Alcotest.test_case "statuses" `Quick test_envelope_statuses;
           Alcotest.test_case "content key" `Quick test_content_key;
-        ] );
-      ( "cache",
-        [
-          Alcotest.test_case "hit and miss" `Quick test_cache_hit_miss;
-          Alcotest.test_case "fifo eviction" `Quick test_cache_fifo_eviction;
         ] );
       ( "scheduler",
         [

@@ -5,6 +5,7 @@
 open Phloem_ir
 open Builder
 open Pipette
+module Json = Phloem_util.Json
 
 (* --- a minimal JSON parser, so we can check exported strings really parse --- *)
 
@@ -262,34 +263,34 @@ let test_queue_occupancy_gauge_bounded () =
 
 let test_report_json_parses () =
   let tel, r = run_with_telemetry 1000 in
-  parse_json (Telemetry.Json.to_string (Sim.json_of_run r));
-  parse_json (Telemetry.Json.to_string (Telemetry.report_json tel));
-  let s = Telemetry.Json.to_string (Telemetry.report_json tel) in
+  parse_json (Json.to_string (Sim.json_of_run r));
+  parse_json (Json.to_string (Telemetry.report_json tel));
+  let s = Json.to_string (Telemetry.report_json tel) in
   Alcotest.(check bool) "report mentions samples" true
     (Str.string_match (Str.regexp ".*\"samples\".*") s 0)
 
 let test_json_escaping () =
-  let j = Telemetry.Json.(Obj [ ("we\"ird\n", Str "a\\b\tc\x01") ]) in
-  let s = Telemetry.Json.to_string j in
+  let j = Json.(Obj [ ("we\"ird\n", Str "a\\b\tc\x01") ]) in
+  let s = Json.to_string j in
   parse_json s;
   Alcotest.(check string) "escapes" "{\"we\\\"ird\\n\":\"a\\\\b\\tc\\u0001\"}" s
 
 let test_trace_export () =
   let tel, r = run_with_telemetry ~interval:100 1500 in
   let trace = Telemetry.trace_json tel in
-  parse_json (Telemetry.Json.to_string trace);
+  parse_json (Json.to_string trace);
   let events =
     match trace with
-    | Telemetry.Json.Obj kvs -> (
+    | Json.Obj kvs -> (
       match List.assoc "traceEvents" kvs with
-      | Telemetry.Json.List l -> l
+      | Json.List l -> l
       | _ -> Alcotest.fail "traceEvents is not a list")
     | _ -> Alcotest.fail "trace is not an object"
   in
   let ph e =
     match e with
-    | Telemetry.Json.Obj kvs -> (
-      match List.assoc_opt "ph" kvs with Some (Telemetry.Json.Str p) -> p | _ -> "?")
+    | Json.Obj kvs -> (
+      match List.assoc_opt "ph" kvs with Some (Json.Str p) -> p | _ -> "?")
     | _ -> "?"
   in
   let count p = List.length (List.filter (fun e -> ph e = p) events) in
@@ -301,9 +302,9 @@ let test_trace_export () =
     List.filter_map
       (fun e ->
         match e with
-        | Telemetry.Json.Obj kvs when ph e = "X" -> (
+        | Json.Obj kvs when ph e = "X" -> (
           match List.assoc_opt "tid" kvs with
-          | Some (Telemetry.Json.Int tid) -> Some tid
+          | Some (Json.Int tid) -> Some tid
           | _ -> None)
         | _ -> None)
       events
@@ -315,9 +316,9 @@ let test_trace_export () =
   List.iter
     (fun e ->
       match e with
-      | Telemetry.Json.Obj kvs when ph e = "X" -> (
+      | Json.Obj kvs when ph e = "X" -> (
         match (List.assoc_opt "ts" kvs, List.assoc_opt "dur" kvs) with
-        | Some (Telemetry.Json.Int ts), Some (Telemetry.Json.Int dur) ->
+        | Some (Json.Int ts), Some (Json.Int dur) ->
           if ts < 0 || dur <= 0 then Alcotest.failf "bad span ts=%d dur=%d" ts dur
         | _ -> Alcotest.fail "span without ts/dur")
       | _ -> ())

@@ -1,4 +1,5 @@
-(* Tests for the utility substrate: vectors, heap, PRNG, stats, tables. *)
+(* Tests for the utility substrate: vectors, heap, PRNG, stats, tables,
+   metrics and the bounded FIFO cache. *)
 
 open Phloem_util
 
@@ -250,6 +251,162 @@ let test_span_recorder () =
   Alcotest.(check int) "capacity" 4 (Metrics.span_count r);
   Alcotest.(check int) "dropped" 1 (Metrics.dropped_spans r)
 
+(* --- bounded FIFO cache --------------------------------------------------- *)
+
+(* The daemon's use: payload strings weighed by their length. *)
+let payload_cache ~capacity = Fifo_cache.create ~weight:String.length ~capacity ()
+
+let test_cache_hit_miss () =
+  let c = payload_cache ~capacity:4 in
+  Alcotest.(check (option string)) "cold miss" None (Fifo_cache.find c "k1");
+  Fifo_cache.add c "k1" "payload-one";
+  Alcotest.(check (option string)) "hit returns the stored bytes"
+    (Some "payload-one") (Fifo_cache.find c "k1");
+  Fifo_cache.add c "k1" "other";
+  Alcotest.(check (option string)) "insert-if-absent keeps the first payload"
+    (Some "payload-one") (Fifo_cache.find c "k1");
+  let s = Fifo_cache.stats c in
+  Alcotest.(check int) "hits" 2 s.Fifo_cache.hits;
+  Alcotest.(check int) "misses" 1 s.Fifo_cache.misses;
+  Alcotest.(check int) "entries" 1 s.Fifo_cache.entries;
+  Alcotest.(check int) "payload bytes" (String.length "payload-one")
+    s.Fifo_cache.weight
+
+let test_cache_fifo_eviction () =
+  Alcotest.check_raises "capacity must be positive"
+    (Invalid_argument "Fifo_cache.create: capacity must be >= 1") (fun () ->
+      ignore (payload_cache ~capacity:0));
+  let c = payload_cache ~capacity:2 in
+  Fifo_cache.add c "a" "1";
+  Fifo_cache.add c "b" "22";
+  Fifo_cache.add c "c" "333";
+  let s = Fifo_cache.stats c in
+  Alcotest.(check int) "entries bounded" 2 s.Fifo_cache.entries;
+  Alcotest.(check int) "one eviction" 1 s.Fifo_cache.evictions;
+  Alcotest.(check (option string)) "oldest evicted" None (Fifo_cache.find c "a");
+  Alcotest.(check (option string)) "newer kept" (Some "22") (Fifo_cache.find c "b");
+  Alcotest.(check (option string)) "newest kept" (Some "333")
+    (Fifo_cache.find c "c");
+  Alcotest.(check int) "bytes track residents"
+    (String.length "22" + String.length "333")
+    (Fifo_cache.stats c).Fifo_cache.weight
+
+type cache_op =
+  | Find of int
+  | Add of int * string
+  | Set_capacity of int
+  | Clear
+
+let show_cache_op = function
+  | Find k -> Printf.sprintf "find %d" k
+  | Add (k, v) -> Printf.sprintf "add %d %S" k v
+  | Set_capacity n -> Printf.sprintf "set_capacity %d" n
+  | Clear -> "clear"
+
+(* Pure model: residents oldest first, plus the counters. *)
+type cache_model = {
+  m_entries : (int * string) list;
+  m_capacity : int;
+  m_hits : int;
+  m_misses : int;
+  m_evictions : int;
+}
+
+let rec model_trim m n =
+  match m.m_entries with
+  | _ :: rest when List.length m.m_entries > n ->
+    model_trim { m with m_entries = rest; m_evictions = m.m_evictions + 1 } n
+  | _ -> m
+
+(* The model after [op], and [op]'s answer (only [Find] answers). *)
+let model_step m = function
+  | Find k -> (
+    match List.assoc_opt k m.m_entries with
+    | Some _ as v -> ({ m with m_hits = m.m_hits + 1 }, v)
+    | None -> ({ m with m_misses = m.m_misses + 1 }, None))
+  | Add (k, v) ->
+    if List.mem_assoc k m.m_entries then (m, None)
+    else
+      let m = model_trim m (m.m_capacity - 1) in
+      ({ m with m_entries = m.m_entries @ [ (k, v) ] }, None)
+  | Set_capacity n -> (model_trim { m with m_capacity = n } n, None)
+  | Clear ->
+    ( { m_entries = []; m_capacity = m.m_capacity; m_hits = 0; m_misses = 0;
+        m_evictions = 0 },
+      None )
+
+let model_stats m =
+  {
+    Fifo_cache.hits = m.m_hits;
+    misses = m.m_misses;
+    evictions = m.m_evictions;
+    entries = List.length m.m_entries;
+    capacity = m.m_capacity;
+    weight = List.fold_left (fun w (_, v) -> w + String.length v) 0 m.m_entries;
+  }
+
+let cache_step c = function
+  | Find k -> Fifo_cache.find c k
+  | Add (k, v) ->
+    Fifo_cache.add c k v;
+    None
+  | Set_capacity n ->
+    Fifo_cache.set_capacity c n;
+    None
+  | Clear ->
+    Fifo_cache.clear c;
+    None
+
+let cache_ops =
+  let open QCheck.Gen in
+  let key = int_bound 4 in
+  let op =
+    frequency
+      [
+        (4, map (fun k -> Find k) key);
+        ( 4,
+          map2
+            (fun k v -> Add (k, v))
+            key
+            (string_size ~gen:(char_range 'a' 'c') (int_bound 5)) );
+        (1, map (fun n -> Set_capacity n) (int_range 1 4));
+        (1, return Clear);
+      ]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(list show_cache_op)
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 1 60) op)
+
+(* After every step of a random op sequence over a small key space, [find]'s
+   answer and every [stats] field equal the list model's. *)
+let prop_cache_model =
+  QCheck.Test.make ~count:300 ~name:"fifo cache matches a list model" cache_ops
+    (fun ops ->
+      let c = payload_cache ~capacity:3 in
+      let init =
+        { m_entries = []; m_capacity = 3; m_hits = 0; m_misses = 0;
+          m_evictions = 0 }
+      in
+      ignore
+        (List.fold_left
+           (fun m op ->
+             let m, want = model_step m op in
+             let got = cache_step c op in
+             let s = Fifo_cache.stats c in
+             if got <> want then
+               QCheck.Test.fail_reportf "%s answered %s, model %s"
+                 (show_cache_op op)
+                 (Option.value ~default:"none" got)
+                 (Option.value ~default:"none" want);
+             if s <> model_stats m || s.Fifo_cache.entries > s.Fifo_cache.capacity
+             then
+               QCheck.Test.fail_reportf
+                 "after %s: stats differ from the model" (show_cache_op op);
+             m)
+           init ops);
+      true)
+
 let prop_heap_min =
   QCheck.Test.make ~count:100 ~name:"heap min is list min"
     QCheck.(list_of_size Gen.(int_range 1 50) int)
@@ -290,4 +447,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_percentile_hist_close;
   ]
 
-let () = Alcotest.run "phloem_util" [ ("util", suite) ]
+let cache_suite =
+  [
+    Alcotest.test_case "hit and miss" `Quick test_cache_hit_miss;
+    Alcotest.test_case "fifo eviction" `Quick test_cache_fifo_eviction;
+    QCheck_alcotest.to_alcotest prop_cache_model;
+  ]
+
+let () =
+  Alcotest.run "phloem_util" [ ("util", suite); ("cache", cache_suite) ]
