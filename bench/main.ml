@@ -10,8 +10,6 @@
      dune exec bench/main.exe micro           # Bechamel microbenches only
      dune exec bench/main.exe --json out.json # fig9-11 data as JSON
      dune exec bench/main.exe -- --jobs 4     # parallel sweep on 4 domains
-     dune exec bench/main.exe -- --wall --jobs 4   # wall-clock speedup
-                                              # report -> BENCH_parallel.json
      dune exec bench/main.exe -- --compare old.json new.json
                                               # regression diff; exit 4 on a
                                               # regression (0 with --warn) *)
@@ -92,7 +90,6 @@ let micro () =
 type opts = {
   o_json : string option; (* --json FILE: fig9-11 data as JSON *)
   o_jobs : int; (* --jobs N: domains for the parallel sweep *)
-  o_wall : string option; (* --wall[=FILE]: wall-clock speedup report *)
   o_pgo : bool; (* --no-pgo: skip profile-guided search *)
   o_only : string list option; (* --only A,B: restrict sweep inputs *)
   o_compare : (string * string) option; (* --compare OLD NEW: diff reports *)
@@ -112,7 +109,6 @@ let parse_args args =
     | [] -> { o with o_args = List.rev o.o_args }
     | "--json" :: file :: rest -> go { o with o_json = Some file } rest
     | "--jobs" :: n :: rest -> go { o with o_jobs = int_of_string n } rest
-    | "--wall" :: rest -> go { o with o_wall = Some "BENCH_parallel.json" } rest
     | "--no-pgo" :: rest -> go { o with o_pgo = false } rest
     | "--only" :: names :: rest ->
       go { o with o_only = Some (split_commas names) } rest
@@ -120,23 +116,16 @@ let parse_args args =
       go { o with o_compare = Some (old_f, new_f) } rest
     | "--warn" :: rest -> go { o with o_warn = true } rest
     | a :: rest -> (
-      match
-        ( prefixed "--json=" a,
-          prefixed "--jobs=" a,
-          prefixed "--wall=" a,
-          prefixed "--only=" a )
-      with
-      | Some f, _, _, _ -> go { o with o_json = Some f } rest
-      | _, Some n, _, _ -> go { o with o_jobs = int_of_string n } rest
-      | _, _, Some f, _ -> go { o with o_wall = Some f } rest
-      | _, _, _, Some s -> go { o with o_only = Some (split_commas s) } rest
-      | None, None, None, None -> go { o with o_args = a :: o.o_args } rest)
+      match (prefixed "--json=" a, prefixed "--jobs=" a, prefixed "--only=" a) with
+      | Some f, _, _ -> go { o with o_json = Some f } rest
+      | _, Some n, _ -> go { o with o_jobs = int_of_string n } rest
+      | _, _, Some s -> go { o with o_only = Some (split_commas s) } rest
+      | None, None, None -> go { o with o_args = a :: o.o_args } rest)
   in
   go
     {
       o_json = None;
       o_jobs = Phloem_util.Pool.default_jobs ();
-      o_wall = None;
       o_pgo = true;
       o_only = None;
       o_compare = None;
@@ -168,187 +157,16 @@ let compare_reports ~warn old_file new_file =
         exit 4
       end
 
-(* --- --wall: wall-clock seconds of the standard sweep, serial vs pooled,
-   with a byte-equality check of the two JSON reports and a phase-split
-   attribution (compile / trace / simulate) of where the time went. --- *)
-
-(* Committed pre-refactor reference: the tree-walking sweep at the CI smoke
-   configuration (PHLOEM_SCALE=0.05, --no-pgo, smoke inputs) took this many
-   serial wall seconds end to end. The sweep is deterministic, so it
-   replayed the same simulated µops the compiled core replays today — which
-   makes [ops / pre_refactor_serial_s] a conservative upper bound on the old
-   engine throughput (the old sweep spent at least its simulate phase, i.e.
-   at most its whole wall, producing those ops). The engine-speedup ratio
-   in the report divides current simulate-phase throughput by it. *)
-let pre_refactor_serial_s = 1.21287
-
-let wall_benchmark ~jobs ~scale ?only_inputs ~pgo ~file ~json_file () =
-  let module E = Phloem_harness.Experiments in
-  let module P = Phloem_harness.Phases in
-  let module Json = Phloem_util.Json in
-  Printf.printf "==== Wall-clock benchmark: standard sweep, --jobs 1 vs --jobs %d ====\n%!"
-    jobs;
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, Unix.gettimeofday () -. t0)
-  in
-  (* The serial leg runs three times: the first cold (caches cleared), so
-     its phase split shows the one-time compile+trace cost next to the
-     per-config simulate cost; the rest trace-warm. Engine throughput is
-     taken from the fastest repetition's simulate phase — every repetition
-     replays the identical simulated work, and the minimum over repetitions
-     is the standard noise-robust cost estimator on a shared machine. *)
-  let serial_reps = 3 in
-  let serial_runs = ref [] in
-  for rep = 1 to serial_reps do
-    if rep = 1 then Pipette.Sim.clear_caches ();
-    P.reset ();
-    let all, s = time (fun () -> E.collect ?only_inputs ~pgo ~scale ()) in
-    serial_runs := (all, s, P.snapshot ()) :: !serial_runs
-  done;
-  let serial_runs = List.rev !serial_runs in
-  let serial_all, serial_s, sp =
-    match serial_runs with r :: _ -> r | [] -> assert false
-  in
-  let min_simulate_s =
-    List.fold_left
-      (fun acc (_, _, (s : P.snapshot)) -> min acc s.P.ph_simulate_s)
-      infinity serial_runs
-  in
-  Printf.printf
-    "  --jobs 1 : %8.2f s   (compile %.3f s, trace %.3f s, simulate %.3f s; \
-     best-of-%d simulate %.3f s)\n\
-     %!"
-    serial_s sp.P.ph_compile_s sp.P.ph_trace_s sp.P.ph_simulate_s serial_reps
-    min_simulate_s;
-  let sp_cache =
-    match List.rev serial_runs with (_, _, s) :: _ -> s | [] -> assert false
-  in
-  (* The parallel leg runs cache-warm: every (pipeline, input) trace is
-     already memoized from the serial leg, so pool thunks pay only for
-     timing replays — the honest measure of sweep parallelism now that
-     compilation and functional execution amortize across configs. Also
-     best-of-3, for the same noise robustness as the serial leg. *)
-  (* The pool exists only for this leg: idle worker domains would otherwise
-     join every minor-collection barrier during the serial leg and tax the
-     single-thread measurement. Domain spawn happens outside the timers. *)
-  let effective_jobs, par_runs =
-    Phloem_util.Pool.with_pool ~jobs @@ fun pool ->
-    let acc = ref [] in
-    for _rep = 1 to serial_reps do
-      P.reset ();
-      let all, s =
-        time (fun () -> E.collect ~pool ?only_inputs ~pgo ~scale ())
-      in
-      acc := (all, s, P.snapshot ()) :: !acc
-    done;
-    (Phloem_util.Pool.jobs pool, List.rev !acc)
-  in
-  let par_all, _, pp = match par_runs with r :: _ -> r | [] -> assert false in
-  let par_s =
-    List.fold_left (fun acc (_, s, _) -> min acc s) infinity par_runs
-  in
-  Printf.printf
-    "  --jobs %-2d: %8.2f s   (compile %.3f s, trace %.3f s, simulate %.3f s; \
-     best of %d)\n\
-     %!"
-    effective_jobs par_s pp.P.ph_compile_s pp.P.ph_trace_s pp.P.ph_simulate_s
-    serial_reps;
-  let serial_json = Json.to_string (E.json_of_collection serial_all) in
-  let par_json = Json.to_string (E.json_of_collection par_all) in
-  (* every repetition of either leg must reproduce the same bytes *)
-  let deterministic =
-    String.equal serial_json par_json
-    && List.for_all
-         (fun (all, _, _) ->
-           String.equal serial_json (Json.to_string (E.json_of_collection all)))
-         (List.tl serial_runs @ List.tl par_runs)
-  in
-  (* All derived rates and ratios go through the Phases guards: a smoke
-     sweep small enough to finish inside the clock resolution must report
-     0.0, never inf/NaN (which would poison the JSON report and every
-     later --compare against it). *)
-  let speedup = P.ratio serial_s par_s in
-  Printf.printf "  speedup  : %8.2fx   (deterministic: %b)\n%!" speedup deterministic;
-  let simulated_ops = sp.P.ph_ops in
-  let ops_per_sec = P.per_second simulated_ops min_simulate_s in
-  let pre_ops_per_sec = P.per_second simulated_ops pre_refactor_serial_s in
-  let engine_speedup = P.ratio ops_per_sec pre_ops_per_sec in
-  Printf.printf
-    "  engine   : %8.2f Mops/s single-thread (%.1fx the pre-refactor sweep's %.2f Mops/s)\n%!"
-    (ops_per_sec /. 1e6) engine_speedup (pre_ops_per_sec /. 1e6);
-  let n_runs =
-    List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 serial_all
-  in
-  let phases (s : P.snapshot) =
-    Json.Obj
-      [
-        ("compile_s", Json.Float s.P.ph_compile_s);
-        ("trace_s", Json.Float s.P.ph_trace_s);
-        ("simulate_s", Json.Float s.P.ph_simulate_s);
-      ]
-  in
-  Json.to_file file
-    (Json.Obj
-       [
-         ("jobs", Json.Int effective_jobs);
-         ("requested_jobs", Json.Int jobs);
-         ("recommended_domains", Json.Int (Phloem_util.Pool.default_jobs ()));
-         ("scale", Json.Float scale);
-         ("pgo", Json.Bool pgo);
-         ("benchmarks", Json.Int (List.length serial_all));
-         ("sweep_jobs", Json.Int n_runs);
-         ("serial_wall_s", Json.Float serial_s);
-         ("serial_reps", Json.Int serial_reps);
-         ("serial_simulate_best_s", Json.Float min_simulate_s);
-         ("parallel_wall_s", Json.Float par_s);
-         ("speedup", Json.Float speedup);
-         ("deterministic", Json.Bool deterministic);
-         ("serial_phases", phases sp);
-         ("parallel_phases", phases pp);
-         ("simulated_ops", Json.Int simulated_ops);
-         ("ops_per_sec", Json.Float ops_per_sec);
-         ("pre_refactor_wall_s", Json.Float pre_refactor_serial_s);
-         ("pre_refactor_ops_per_sec", Json.Float pre_ops_per_sec);
-         ("engine_speedup", Json.Float engine_speedup);
-         ( "trace_cache",
-           Json.Obj
-             [
-               ("serial_hits", Json.Int sp_cache.P.ph_trace_hits);
-               ("serial_misses", Json.Int sp_cache.P.ph_trace_misses);
-               ( "parallel_hits",
-                 Json.Int (pp.P.ph_trace_hits - sp_cache.P.ph_trace_hits) );
-               ( "parallel_misses",
-                 Json.Int (pp.P.ph_trace_misses - sp_cache.P.ph_trace_misses) );
-             ] );
-       ]);
-  Printf.printf "  report written to %s\n%!" file;
-  (match json_file with
-  | Some f ->
-    Json.to_file f (E.json_of_collection par_all);
-    Printf.printf "  evaluation JSON written to %s\n%!" f
-  | None -> ());
-  if not deterministic then exit 3
-
 let () =
   let module E = Phloem_harness.Experiments in
   (* The tracer and the workload binders allocate heavily between engine
      replays; with the default 256k-word minor heap the resulting minor
-     collections land inside the timed simulate windows and cost ~25% of
-     engine throughput. A 4M-word minor heap (per domain) moves that work
-     out of the measurement. Set before any domain spawns so pool domains
-     inherit it. *)
+     collections interleave with the replays and slow the engine. A
+     4M-word minor heap (per domain) makes them rarer. Set before any
+     domain spawns so pool domains inherit it. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
   let scale = E.default_scale () in
   let o = parse_args (Array.to_list Sys.argv |> List.tl) in
-  match o.o_wall with
-  | Some file ->
-    (* --wall manages its own pool: the serial leg must run without idle
-       worker domains in the process *)
-    wall_benchmark ~jobs:o.o_jobs ~scale ?only_inputs:o.o_only ~pgo:o.o_pgo
-      ~file ~json_file:o.o_json ()
-  | None ->
   Phloem_util.Pool.with_pool ~jobs:o.o_jobs @@ fun pool ->
   let dispatch = function
     | "table3" -> E.table3 ()

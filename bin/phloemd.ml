@@ -79,10 +79,10 @@ let serve socket tcp jobs queue_limit batch cache_entries sim_cache max_request
       Some
         (Thread.create
            (fun () ->
-             let last = ref (Unix.gettimeofday ()) in
+             let last = ref (Phloem_util.Clock.now ()) in
              while not (Serve.Server.stopped server) do
                Thread.delay 0.2;
-               let now = Unix.gettimeofday () in
+               let now = Phloem_util.Clock.now () in
                if now -. !last >= flush_interval then begin
                  last := now;
                  flush_outputs ()

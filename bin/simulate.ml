@@ -36,7 +36,7 @@ let run_remote sock (job : Serve.Protocol.job) json_out =
   (* Measured client-side on purpose: the ok envelope must stay a pure
      function of the job (cache hits splice raw payload bytes), so the
      daemon cannot embed per-request timings in it. *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Phloem_util.Clock.now () in
   let line =
     match
       Serve.Client.with_unix sock (fun fd ->
@@ -51,7 +51,7 @@ let run_remote sock (job : Serve.Protocol.job) json_out =
       Printf.eprintf "simulate: phloemd at %s hung up without responding\n" sock;
       exit 1
   in
-  let latency_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+  let latency_ms = (Phloem_util.Clock.now () -. t0) *. 1000.0 in
   let j =
     try Json.of_string line
     with Json.Parse_error msg ->

@@ -433,11 +433,11 @@ let tune ?(flags = Decouple.all_passes) ?(cfg = Pipette.Config.default)
       let evals = M.counter m "autotune_evals" in
       let eval_s = M.histogram m "autotune_eval_s" in
       fun f ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Phloem_util.Clock.now () in
         Fun.protect
           ~finally:(fun () ->
             M.incr evals;
-            M.observe eval_s (Unix.gettimeofday () -. t0))
+            M.observe eval_s (Phloem_util.Clock.now () -. t0))
           f
   in
   let obs_counter name by =

@@ -11,6 +11,7 @@
 
 open Phloem_ir.Types
 module Log = Phloem_util.Log
+module Clock = Phloem_util.Clock
 
 (* A transformation that cannot be applied legally (e.g. a cut that would
    split a merge loop's induction updates across stages) rejects the whole
@@ -193,20 +194,20 @@ module Manager = struct
 
   let run (t : t) (ctx : ctx) (p0 : pipeline) : pipeline * report =
     Option.iter (fun dir -> dump_snapshot dir 0 "input" p0) t.options.dump_ir;
-    let t_start = Unix.gettimeofday () in
+    let t_start = Clock.now () in
     let reports = ref [] in
     let idx = ref 0 in
     let run_pass p (pass : pass) =
       let module P = (val pass) in
       incr idx;
       let ops_before = count_ops p in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now () in
       (* Re-canonicalize site ids after every pass: transforms mint fresh
          sites from a global counter, and site ids feed the branch
          predictor, so leaving them raw would make timing depend on global
          build history (and race across domains). *)
       let p' = Phloem_ir.Types.renumber_sites (P.run ctx p) in
-      let wall = Unix.gettimeofday () -. t0 in
+      let wall = Clock.now () -. t0 in
       if t.options.verify_each then verify_after ctx pass p';
       Option.iter (fun dir -> dump_snapshot dir !idx P.name p') t.options.dump_ir;
       let ops_after = count_ops p' in
@@ -229,5 +230,5 @@ module Manager = struct
     in
     let pfinal = List.fold_left run_pass p0 t.passes in
     ( pfinal,
-      { rep_passes = List.rev !reports; rep_wall_s = Unix.gettimeofday () -. t_start } )
+      { rep_passes = List.rev !reports; rep_wall_s = Clock.now () -. t_start } )
 end

@@ -14,16 +14,6 @@ let default_scale () =
   | Some s -> (try float_of_string s with Failure _ -> 1.0)
   | None -> 1.0
 
-(* The ways a compiled or simulated variant is expected to fail, the
-   kinds Autotune.eval records; a figure renders such a cell as "-" and
-   lets anything else (a bug) propagate. *)
-let expected_failure = function
-  | Phloem.Decouple.Reject _ | Phloem_ir.Validate.Invalid _
-  | Phloem_ir.Forensics.Pipeline_failure _ | Phloem_ir.Interp.Budget_exceeded
-  | Phloem_ir.Interp.Runtime_error _ ->
-    true
-  | _ -> false
-
 let section title =
   Printf.printf "\n==== %s ====\n%!" title
 
@@ -123,14 +113,14 @@ let fig6 ?(scale = default_scale ()) () =
               b.Workload.b_manual
           with
           | c -> c
-          | exception e when expected_failure e -> None)
+          | exception e when Runner.expected_failure e -> None)
         | _, Some flags -> (
           match
             let p = Phloem.Compile.static_flow ~flags ~stages:4 serial_p in
             Pipette.Sim.cycles (Pipette.Sim.run ~inputs p)
           with
           | c -> Some c
-          | exception e when expected_failure e -> None)
+          | exception e when Runner.expected_failure e -> None)
         | _, None -> None
       in
       match cycles with
@@ -233,7 +223,7 @@ let run_benchmark ?pool ?only_inputs ?(pgo = true) ?faults ?retries ~scale bench
           Runner.run_all ?pgo_cuts:pgo ?pool ?faults ?retries b
         with
         | a -> Ok a
-        | exception e ->
+        | exception e when Runner.expected_failure e ->
           let bt = Printexc.get_raw_backtrace () in
           Phloem_util.Log.warn ~component:"harness" "[fig9-11] %s on %s failed: %s"
             bench name (Printexc.to_string e);
@@ -486,7 +476,7 @@ let fig12 ?pool ?(scale = default_scale ()) () =
           (fun (name, m) ->
             match Runner.run_all ?pool (Taco_kernels.bind kind m) with
             | a -> Some a
-            | exception e ->
+            | exception e when Runner.expected_failure e ->
               Phloem_util.Log.warn ~component:"harness" "[fig12] %s on %s failed: %s"
                 (Taco_kernels.name_of kind) name (Printexc.to_string e);
               None)
@@ -539,7 +529,7 @@ let fig13 ?pool ?(scale = default_scale ()) () =
                  fmt hi;
                  string_of_int (List.length gs);
                ])
-    | exception e ->
+    | exception e when Runner.expected_failure e ->
       Table.add_row t [ name; "-"; "-"; "-"; Printexc.to_string e ]
   in
   explore "BFS" (List.map (fun (_, g) -> Bfs.bind g) (training_graphs ~scale));
@@ -573,7 +563,7 @@ let fig14 ?(scale = default_scale ()) () =
              graphs)
       with
       | v -> fmt v
-      | exception e when expected_failure e -> "-"
+      | exception e when Runner.expected_failure e -> "-"
     in
     Table.add_row t [ name; speedups dp_of; speedups rep_of; speedups man_of ]
   in

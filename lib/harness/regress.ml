@@ -11,14 +11,9 @@ type thresholds = {
   th_cycles : float; (* cycle-count increase beyond this fraction regresses *)
   th_speedup : float; (* speedup decrease beyond this fraction regresses *)
   th_energy : float; (* total-energy increase beyond this fraction regresses *)
-  th_ops_per_sec : float;
-      (* simulated-ops-per-wall-second decrease beyond this fraction
-         regresses; looser than the cycle thresholds because wall time is
-         machine-sensitive *)
 }
 
-let default_thresholds =
-  { th_cycles = 0.05; th_speedup = 0.05; th_energy = 0.10; th_ops_per_sec = 0.10 }
+let default_thresholds = { th_cycles = 0.05; th_speedup = 0.05; th_energy = 0.10 }
 
 type delta = {
   d_key : string; (* "benchmark/input/variant/metric" *)
@@ -59,18 +54,6 @@ let flatten (j : Json.t) : (string * (string * float) list) list =
   in
   let series = ref [] in
   let str k j = match Json.member k j with Some (Json.Str s) -> s | _ -> "?" in
-  (* A wall-clock report (the --wall output, detected by its
-     "serial_wall_s" key) flattens to one synthetic series so throughput
-     and sweep parallelism diff through the same machinery as the
-     evaluation metrics. *)
-  (match Json.member "serial_wall_s" j with
-  | Some _ ->
-    let metrics =
-      List.filter_map Fun.id
-        [ num "ops_per_sec" j; num "speedup" j; num "serial_wall_s" j ]
-    in
-    if metrics <> [] then series := ("wall/sweep", metrics) :: !series
-  | None -> ());
   (match Json.member "benchmarks" j with
   | Some (Json.List benches) ->
     List.iter
@@ -167,8 +150,7 @@ let judge th metric ~old_v ~new_v =
     | "cycles" -> change > th.th_cycles
     | "speedup" -> change < -.th.th_speedup
     | "energy_total" -> change > th.th_energy
-    | "ops_per_sec" -> change < -.th.th_ops_per_sec
-    | _ -> false (* serial_wall_s is informational: machine-dependent *)
+    | _ -> false
   in
   (change, regressed)
 

@@ -10,13 +10,10 @@ type thresholds = {
       (** speedup decrease beyond this fraction is a regression *)
   th_energy : float;
       (** total-energy increase beyond this fraction is a regression *)
-  th_ops_per_sec : float;
-      (** simulated-ops-per-wall-second decrease beyond this fraction is a
-          regression (wall-clock reports only) *)
 }
 
 val default_thresholds : thresholds
-(** 5% cycles, 5% speedup, 10% energy, 10% throughput. *)
+(** 5% cycles, 5% speedup, 10% energy. *)
 
 type delta = {
   d_key : string;  (** ["benchmark/input/variant/metric"] *)
@@ -46,12 +43,9 @@ val compare_json :
   unit ->
   outcome
 (** Metrics compared per [benchmark/input/variant] series: [cycles],
-    [speedup], and [energy_nj.total]. A wall-clock report (detected by its
-    ["serial_wall_s"] key) flattens to a synthetic ["wall/sweep"] series
-    carrying [ops_per_sec], [speedup], and the informational
-    [serial_wall_s]. Series or metrics present in only one report are
-    listed, not errors — a baseline written by an older build still diffs
-    on whatever it shares. *)
+    [speedup], and [energy_nj.total]. Series or metrics present in only
+    one report are listed, not errors — a baseline written by an older
+    build still diffs on whatever it shares. *)
 
 val compare_files :
   ?thresholds:thresholds -> old_file:string -> new_file:string -> unit -> outcome

@@ -75,9 +75,20 @@ let json_of_measurement (m : measurement) : Phloem_util.Json.t =
           ] );
     ]
 
+(* The ways a compiled or simulated variant is expected to fail, the
+   kinds Autotune.eval records. Every harness handler catches only these,
+   so anything else (a bug) propagates. *)
+let expected_failure = function
+  | Phloem.Decouple.Reject _ | Phloem_ir.Validate.Invalid _
+  | Phloem_ir.Forensics.Pipeline_failure _ | Phloem_ir.Interp.Budget_exceeded
+  | Phloem_ir.Interp.Runtime_error _ ->
+    true
+  | _ -> false
+
 (* One recorded per-variant failure. [f_kind] is the Forensics kind name
    for structured pipeline failures ("deadlock" / "livelock" /
-   "budget-exhausted") and "exception" for anything else; [f_message] is
+   "budget-exhausted") and "exception" for the other expected failures
+   (compile rejects, invalid IR, op budget, runtime errors); [f_message] is
    the full rendered forensics report in the structured case. *)
 type failure = {
   f_variant : string;
@@ -114,7 +125,7 @@ let json_of_failure (f : failure) : Phloem_util.Json.t =
       ("retries", Int f.f_retries);
     ]
 
-(* Run one variant; a simulation failure becomes an [Error failure] record
+(* Run one variant; an expected failure becomes an [Error failure] record
    instead of an exception. With a fault [plan], injected failures whose
    report shows actual injections ([fr_injected > 0]) are transient by
    construction and retried up to [retries] times, each attempt on an
@@ -129,18 +140,10 @@ let run_one ?(cfg = Pipette.Config.default) ?thread_core ?faults ?(retries = 0)
         (fun plan -> Pipette.Faults.create (Pipette.Faults.rekey plan ~attempt))
         faults
     in
-    (* Split execution so each phase is charged to its accumulator. The
-       compile and trace phases are memoized in [Sim], so retries (and
-       every other config of the same (pipeline, input) pair in the sweep)
-       reuse the functional result and pay only for the timing replay. *)
-    match
-      Phases.timed Phases.Compile (fun () -> ignore (Pipette.Sim.prepare p));
-      let fr =
-        Phases.timed Phases.Trace (fun () -> Pipette.Sim.functional ~inputs p)
-      in
-      Phases.timed Phases.Simulate (fun () ->
-          Pipette.Sim.simulate ~cfg ?thread_core ?faults:injected p fr)
-    with
+    (* Compilation and the functional trace are memoized in [Sim], so
+       retries (and every other config of the same (pipeline, input) pair
+       in the sweep) pay only for the timing replay. *)
+    match Pipette.Sim.run ~cfg ?thread_core ~inputs ?faults:injected p with
     | exception Phloem_ir.Forensics.Pipeline_failure r
       when r.Phloem_ir.Forensics.fr_injected > 0 && attempt < retries ->
       Log.warn ~component:"runner"
@@ -150,7 +153,7 @@ let run_one ?(cfg = Pipette.Config.default) ?thread_core ?faults ?(retries = 0)
         r.Phloem_ir.Forensics.fr_injected (attempt + 1) retries
       ;
       go (attempt + 1)
-    | exception e ->
+    | exception e when expected_failure e ->
       let bt = Printexc.get_raw_backtrace () in
       Log.warn ~component:"runner" "%s/%s failed: %s" b.Workload.b_name variant
         (Printexc.to_string e);
@@ -161,7 +164,6 @@ let run_one ?(cfg = Pipette.Config.default) ?thread_core ?faults ?(retries = 0)
         Log.warn ~component:"runner" "%s/%s: result does not match the reference"
           b.Workload.b_name variant;
       let m = of_run ~variant ~serial_cycles ~ok r in
-      Phases.add_ops m.m_instrs;
       Log.debug ~component:"runner" "%s/%s: %d cycles, speedup %.2f" b.Workload.b_name
         variant m.m_cycles m.m_speedup;
       Ok m
@@ -208,16 +210,7 @@ let run_all ?(cfg = Pipette.Config.default) ?(threads = 4) ?pgo_cuts ?pool
   let serial_p, serial_in = b.Workload.b_serial in
   (* The baseline runs clean even under a fault plan: injecting into the
      denominator of every speedup would poison the whole record. *)
-  let sr =
-    Phases.timed Phases.Compile (fun () ->
-        ignore (Pipette.Sim.prepare serial_p));
-    let fr =
-      Phases.timed Phases.Trace (fun () ->
-          Pipette.Sim.functional ~inputs:serial_in serial_p)
-    in
-    Phases.timed Phases.Simulate (fun () -> Pipette.Sim.simulate ~cfg serial_p fr)
-  in
-  Phases.add_ops (Pipette.Sim.instrs sr);
+  let sr = Pipette.Sim.run ~cfg ~inputs:serial_in serial_p in
   let serial_cycles = Pipette.Sim.cycles sr in
   let serial_m =
     of_run ~variant:"serial" ~serial_cycles
@@ -227,15 +220,15 @@ let run_all ?(cfg = Pipette.Config.default) ?(threads = 4) ?pgo_cuts ?pool
   (* Given the serial baseline, the remaining variants (including their
      compilation) are independent jobs: fan them out over the pool. The
      thunk order fixes the result order, so pooled and serial runs build
-     the same record. Each thunk catches its own failures (compilation
-     included), so one bad cell never aborts the batch. *)
+     the same record. Each thunk catches its own expected failures
+     (compilation included), so one bad cell never aborts the batch. *)
   let guarded variant (f : unit -> (measurement, failure) result option) () :
       measurement option * failure option =
     match f () with
     | None -> (None, None)
     | Some (Ok m) -> (Some m, None)
     | Some (Error fl) -> (None, Some fl)
-    | exception e ->
+    | exception e when expected_failure e ->
       let bt = Printexc.get_raw_backtrace () in
       Log.warn ~component:"runner" "%s/%s failed: %s" b.Workload.b_name variant
         (Printexc.to_string e);

@@ -100,33 +100,23 @@ let payload_json ~(job : Protocol.job) ~valid ~serial_cycles ~faults
   in
   Json.Obj (meta @ core @ flt)
 
-(* Execute one job to its serialized payload bytes. Phase wall time is
-   charged to the shared Harness.Phases accumulators (the daemon's stats
-   endpoint reports the split); a cache-served request never reaches this
-   function, so a hit records no compile/trace/simulate phase at all.
-   With [obs], each phase additionally becomes a span on the executing
-   worker's track (named via Phases.name), nested in an "execute" span —
-   the per-request view the global accumulators cannot give.
+(* Execute one job to its serialized payload bytes. With [obs], each phase
+   becomes a span on the executing worker's track, nested in an "execute"
+   span: compile, trace, simulate, then serialize. A cache-served request
+   never reaches this function, so a hit records no such span; without
+   [obs] no clock is read.
    @raise Bad_job on unknown bench/input/variant
    @raise Phloem_ir.Forensics.Pipeline_failure on deadlock/livelock/budget *)
 let run ?obs ?(trace = 0) (job : Protocol.job) : string =
-  let module P = Phloem_harness.Phases in
   let track =
     lazy (Printf.sprintf "worker-%d" (Domain.self () :> int))
   in
-  let phase_span ph f =
-    match obs with
-    | None -> P.timed ph f
-    | Some o ->
-      Obs.span o ~trace ~track:(Lazy.force track) ~name:(P.name ph) (fun () ->
-          P.timed ph f)
-  in
-  let named_span name f =
+  let span name f =
     match obs with
     | None -> f ()
     | Some o -> Obs.span o ~trace ~track:(Lazy.force track) ~name f
   in
-  named_span "execute" @@ fun () ->
+  span "execute" @@ fun () ->
   let b = bind ~bench:job.Protocol.j_bench ~input:job.Protocol.j_input
       ~scale:job.Protocol.j_scale
   in
@@ -136,25 +126,20 @@ let run ?obs ?(trace = 0) (job : Protocol.job) : string =
       ~stages:job.Protocol.j_stages ~threads:job.Protocol.j_threads
   in
   let faults = Option.map Pipette.Faults.create job.Protocol.j_inject in
-  phase_span P.Compile (fun () ->
+  span "compile" (fun () ->
       ignore (Pipette.Sim.prepare serial_p);
       ignore (Pipette.Sim.prepare p));
   let serial_fr =
-    phase_span P.Trace (fun () ->
-        Pipette.Sim.functional ~inputs:serial_in serial_p)
+    span "trace" (fun () -> Pipette.Sim.functional ~inputs:serial_in serial_p)
   in
-  let fr = phase_span P.Trace (fun () -> Pipette.Sim.functional ~inputs p) in
-  let sr =
-    phase_span P.Simulate (fun () -> Pipette.Sim.simulate serial_p serial_fr)
-  in
+  let fr = span "trace" (fun () -> Pipette.Sim.functional ~inputs p) in
+  let sr = span "simulate" (fun () -> Pipette.Sim.simulate serial_p serial_fr) in
   let r =
-    phase_span P.Simulate (fun () ->
+    span "simulate" (fun () ->
         Pipette.Sim.simulate ?faults ?watchdog:job.Protocol.j_watchdog
           ?cycle_budget:job.Protocol.j_cycle_budget p fr)
   in
-  P.add_ops (Pipette.Sim.instrs sr);
-  P.add_ops (Pipette.Sim.instrs r);
   let valid = Workload.check b r.Pipette.Sim.sr_functional in
-  named_span "serialize" @@ fun () ->
+  span "serialize" @@ fun () ->
   Json.to_string
     (payload_json ~job ~valid ~serial_cycles:(Pipette.Sim.cycles sr) ~faults r)

@@ -26,9 +26,9 @@ val run : ?obs:Obs.t -> ?trace:int -> Protocol.job -> string
 (** Execute one job — serial baseline plus requested variant, faults
     injected into the variant only — and serialize the result payload.
     Serialization is deterministic: identical jobs yield identical bytes,
-    which is what the daemon's content-addressed cache relies on. Phase
-    wall time is charged to {!Phloem_harness.Phases}; with [obs], each
-    phase is additionally recorded as a span under request id [trace] on
-    the executing worker's track, nested in an ["execute"] span.
+    which is what the daemon's content-addressed cache relies on. With
+    [obs], each phase ([compile], [trace], [simulate], [serialize]) is
+    recorded as a span under request id [trace] on the executing worker's
+    track, nested in an ["execute"] span; without it no clock is read.
     @raise Bad_job on unknown names
     @raise Phloem_ir.Forensics.Pipeline_failure on deadlock/livelock/budget *)

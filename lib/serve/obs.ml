@@ -12,8 +12,8 @@
      reader-<client>   parse, cache-lookup, respond (hit path)
      queue             queue-wait (enqueue -> dispatch, per job)
      dispatcher        dispatch (per batch), respond (cold path)
-     worker-<domain>   execute, containing compile/trace/simulate (names
-                       from Harness.Phases) and serialize *)
+     worker-<domain>   execute, containing compile, trace, simulate and
+                       serialize *)
 
 module Json = Phloem_util.Json
 module M = Phloem_util.Metrics
@@ -54,7 +54,7 @@ let create ?slow_ms ?max_spans () =
 
 let metrics t = t.ob_metrics
 let spans t = M.spans t.ob_recorder
-let now () = Unix.gettimeofday ()
+let now = Phloem_util.Clock.now
 let next_trace t = Atomic.fetch_and_add t.ob_next_trace 1
 
 let record t ~trace ~track ~name ~start ~stop =
@@ -141,7 +141,7 @@ let metrics_json t : Json.t =
     ]
 
 (* Chrome trace: one process ("phloemd"), one tid per span track in order
-   of first appearance. Wall-clock seconds become microseconds relative to
+   of first appearance. Clock seconds become microseconds relative to
    the earliest span so the timeline starts at 0; sub-microsecond spans
    round up to 1 µs to stay visible. *)
 let trace_json t : Json.t =

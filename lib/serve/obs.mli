@@ -11,8 +11,8 @@
     - [reader-<client>]: [parse], [cache-lookup], [respond] (hit path)
     - [queue]: [queue-wait] per dispatched job
     - [dispatcher]: [dispatch] per batch, [respond] (cold path)
-    - [worker-<domain>]: [execute] containing [compile]/[trace]/[simulate]
-      (names from {!Phloem_harness.Phases}) and [serialize] *)
+    - [worker-<domain>]: [execute] containing [compile], [trace],
+      [simulate] and [serialize] *)
 
 type t
 
@@ -28,7 +28,8 @@ val spans : t -> Phloem_util.Metrics.span list
 (** All recorded request spans, sorted by start time. *)
 
 val now : unit -> float
-(** Wall-clock seconds ([Unix.gettimeofday]) — the time base of all spans. *)
+(** {!Phloem_util.Clock.now}: monotonic seconds, the time base of all
+    spans and request latencies. *)
 
 val next_trace : t -> int
 (** Allocate a fresh request/trace id. *)

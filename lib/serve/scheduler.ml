@@ -39,7 +39,7 @@ type stats = {
   st_wait_max_s : float;
 }
 
-let create ?(limit = 64) ?(clock = Unix.gettimeofday) () =
+let create ?(limit = 64) ?(clock = Phloem_util.Clock.now) () =
   if limit < 0 then invalid_arg "Serve.Scheduler.create: negative limit";
   {
     mutex = Mutex.create ();
@@ -100,6 +100,7 @@ let pop_one t ~now =
     if not (Queue.is_empty q) then Queue.push client t.rotation;
     t.queued <- t.queued - 1;
     t.dispatched <- t.dispatched + 1;
+    (* the default clock is monotonic; an injected one may step back *)
     let wait = Float.max 0.0 (now -. enq) in
     t.wait_total <- t.wait_total +. wait;
     if wait > t.wait_max then t.wait_max <- wait;

@@ -22,8 +22,9 @@ type stats = {
 val create : ?limit:int -> ?clock:(unit -> float) -> unit -> 'a t
 (** [limit] (default 64) bounds the total queued jobs across all clients;
     [limit = 0] sheds every submit (useful for tests and drain mode).
-    [clock] (default [Unix.gettimeofday]) stamps jobs at submit time for
-    queue-wait measurement; injectable for deterministic tests.
+    [clock] (default {!Phloem_util.Clock.now}) stamps jobs at submit time
+    for queue-wait measurement; injectable for deterministic tests, so
+    waits are clamped at 0 in case it steps backwards.
     @raise Invalid_argument on a negative limit. *)
 
 val submit : 'a t -> client:int -> 'a -> (unit, shed_info) result

@@ -18,6 +18,7 @@
 module Json = Phloem_util.Json
 module Log = Phloem_util.Log
 module Fifo_cache = Phloem_util.Fifo_cache
+module Clock = Phloem_util.Clock
 
 type opts = {
   so_unix : string option; (* Unix-domain socket path *)
@@ -54,7 +55,7 @@ type entry = {
   en_key : string; (* content key; fills the cache on completion *)
   en_job : Protocol.job;
   en_trace : int; (* request trace id (0 when tracing is off) *)
-  en_t0 : float; (* request arrival wall time (0. when tracing is off) *)
+  en_t0 : float; (* request arrival, Clock seconds (0. when tracing is off) *)
 }
 
 type t = {
@@ -71,8 +72,7 @@ type t = {
   t_requests : int Atomic.t;
   t_ok : int Atomic.t;
   t_errors : int Atomic.t;
-  t_shed : int Atomic.t;
-  t_started : float;
+  t_started : float; (* Clock seconds *)
 }
 
 (* --- listener setup ----------------------------------------------------- *)
@@ -115,8 +115,7 @@ let create (opts : opts) : t =
     t_requests = Atomic.make 0;
     t_ok = Atomic.make 0;
     t_errors = Atomic.make 0;
-    t_shed = Atomic.make 0;
-    t_started = Unix.gettimeofday ();
+    t_started = Clock.now ();
   }
 
 (* --- responses ---------------------------------------------------------- *)
@@ -147,8 +146,6 @@ let stats_json t : Json.t =
   let sc = Scheduler.stats t.t_sched in
   let rc = Fifo_cache.stats t.t_cache in
   let cc = Pipette.Sim.cache_counters () in
-  let ph = Phloem_harness.Phases.snapshot () in
-  let module P = Phloem_harness.Phases in
   let metrics_section =
     match t.t_opts.so_obs with
     | None -> []
@@ -156,13 +153,13 @@ let stats_json t : Json.t =
   in
   Json.Obj
     ([
-      ("uptime_s", Json.Float (Unix.gettimeofday () -. t.t_started));
+      ("uptime_s", Json.Float (Clock.now () -. t.t_started));
       ("jobs", Json.Int t.t_opts.so_jobs);
       ("connections", Json.Int (Atomic.get t.t_connections));
       ("requests", Json.Int (Atomic.get t.t_requests));
       ("ok", Json.Int (Atomic.get t.t_ok));
       ("errors", Json.Int (Atomic.get t.t_errors));
-      ("shed", Json.Int (Atomic.get t.t_shed));
+      ("shed", Json.Int sc.Scheduler.st_shed);
       ( "result_cache",
         Json.Obj
           [
@@ -185,8 +182,10 @@ let stats_json t : Json.t =
             ("queue_wait_max_s", Json.Float sc.Scheduler.st_wait_max_s);
             ( "queue_wait_mean_s",
               Json.Float
-                (P.ratio sc.Scheduler.st_wait_total_s
-                   (float_of_int sc.Scheduler.st_dispatched)) );
+                (if sc.Scheduler.st_dispatched = 0 then 0.0
+                 else
+                   sc.Scheduler.st_wait_total_s
+                   /. float_of_int sc.Scheduler.st_dispatched) );
           ] );
       ( "sim_cache",
         Json.Obj
@@ -200,16 +199,6 @@ let stats_json t : Json.t =
             ("trace_misses", Json.Int cc.Pipette.Sim.cc_trace_misses);
             ("trace_evictions", Json.Int cc.Pipette.Sim.cc_trace_evictions);
             ("trace_entries", Json.Int cc.Pipette.Sim.cc_trace_entries);
-          ] );
-      ( "phases",
-        Json.Obj
-          [
-            ("compile_s", Json.Float ph.P.ph_compile_s);
-            ("trace_s", Json.Float ph.P.ph_trace_s);
-            ("simulate_s", Json.Float ph.P.ph_simulate_s);
-            ("simulated_ops", Json.Int ph.P.ph_ops);
-            ( "ops_per_sec",
-              Json.Float (P.per_second ph.P.ph_ops ph.P.ph_simulate_s) );
           ] );
     ]
     @ metrics_section)
@@ -389,7 +378,6 @@ let handle_request t (c : client) (line : string) =
       with
       | Ok () -> ()
       | Error { Scheduler.sh_queued; sh_limit } ->
-        Atomic.incr t.t_shed;
         Option.iter Obs.on_shed obs;
         send t c (Protocol.shed_response ~id ~queued:sh_queued ~limit:sh_limit)))
 

@@ -48,7 +48,7 @@ val stopped : t -> bool
 val stats_json : t -> Phloem_util.Json.t
 (** The stats payload served for [{"kind":"stats"}] requests: request /
     response counters, result-cache and scheduler stats (including
-    queue-wait totals), the simulator's memo-cache counters, and the phase
-    split of job execution. With observability enabled, an extra
-    ["metrics"] section carries the {!Obs.metrics_json} snapshot —
-    latency histograms with derived percentiles and span counts. *)
+    queue-wait totals), and the simulator's memo-cache counters. With
+    observability enabled, an extra ["metrics"] section carries the
+    {!Obs.metrics_json} snapshot — latency histograms with derived
+    percentiles and span counts. *)

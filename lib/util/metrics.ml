@@ -1,8 +1,8 @@
 (* Domain-safe metrics registry: counters, gauges, log-bucketed latency
    histograms and a bounded span recorder.
 
-   This module deliberately has no notion of time — phloem_util does not
-   link unix, so callers (the daemon, the harness) pass wall-clock floats.
+   This module deliberately has no notion of time: callers (the daemon,
+   the autotuner) pass seconds read from [Clock.now].
    Counters and gauges are atomics; histograms and the span recorder take a
    short critical section per observation. Instrument handles are
    get-or-create so hot paths can resolve them once and hammer the atomic. *)

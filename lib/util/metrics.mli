@@ -2,8 +2,8 @@
 
     Counters and gauges are lock-free atomics; histograms (see
     {!Stats.hist}) take a short critical section per observation. The
-    module has no notion of time — callers pass wall-clock floats — so it
-    stays usable from any layer without a unix dependency.
+    module has no notion of time: callers pass seconds read from
+    {!Clock.now}.
 
     Typical use: resolve instrument handles once ({!counter},
     {!histogram}), hammer them from any domain or thread, and read a
@@ -67,7 +67,7 @@ type span = {
   sp_trace : int;  (** request/trace id the span belongs to *)
   sp_track : string;  (** logical thread: "reader-3", "dispatcher", ... *)
   sp_name : string;  (** phase: "parse", "queue-wait", "execute", ... *)
-  sp_start : float;  (** wall-clock seconds *)
+  sp_start : float;  (** {!Clock.now} seconds *)
   sp_stop : float;
 }
 

@@ -289,9 +289,18 @@ let test_run_all_degrades () =
   | None -> Alcotest.fail "no failure record for the deadlocked manual variant");
   (* the JSON record carries the errors array *)
   let j = json_of_all_runs a in
-  match Phloem_util.Json.member "errors" j with
+  (match Phloem_util.Json.member "errors" j with
   | Some (Phloem_util.Json.List (_ :: _)) -> ()
-  | _ -> Alcotest.fail "errors array missing from JSON"
+  | _ -> Alcotest.fail "errors array missing from JSON");
+  (* only expected failures become records: a bug in a variant's binding
+     propagates instead of hiding in the errors array *)
+  let buggy =
+    { (degradable_bound ()) with
+      Phloem_workloads.Workload.b_data_parallel =
+        (fun ~threads:_ -> raise Not_found) }
+  in
+  Alcotest.check_raises "unexpected exception propagates" Not_found (fun () ->
+      ignore (run_all buggy))
 
 let () =
   Alcotest.run "faults"

@@ -1,13 +1,13 @@
 (* Wire-protocol and daemon tests for phloemd (Phloem_serve).
 
    Unit layers first — request parsing and rejection codes, response
-   envelopes and raw-payload extraction, the content-addressed key, the
-   fair bounded scheduler, and the harness rate guards — then end-to-end
-   runs against a real server on a Unix-domain socket in this process: a
-   repeated request must come back as a cache hit with byte-identical
-   payload bytes and without re-running any compile/trace phase, and a
-   full queue must answer with a structured shed-load response rather
-   than blocking or dying. *)
+   envelopes and raw-payload extraction, the content-addressed key, and
+   the fair bounded scheduler — then end-to-end runs against a real
+   server on a Unix-domain socket in this process: a repeated request
+   must come back as a cache hit with byte-identical payload bytes and
+   without re-running any compile/trace phase, and a full queue must
+   answer with a structured shed-load response rather than blocking or
+   dying. *)
 
 module Protocol = Phloem_serve.Protocol
 module Scheduler = Phloem_serve.Scheduler
@@ -17,7 +17,6 @@ module Obs = Phloem_serve.Obs
 module Metrics = Phloem_util.Metrics
 module Stats = Phloem_util.Stats
 module Json = Phloem_util.Json
-module Phases = Phloem_harness.Phases
 
 (* --- request parsing ---------------------------------------------------- *)
 
@@ -248,25 +247,6 @@ let test_scheduler_close_drains () =
     "closed and drained yields the exit signal" []
     (Scheduler.take_batch s ~max:8)
 
-(* --- harness rate guards (satellite: inf/NaN poisoning) ------------------ *)
-
-let test_phases_guards () =
-  let f = Alcotest.(check (float 1e-9)) in
-  f "normal rate" 50.0 (Phases.per_second 100 2.0);
-  f "zero duration" 0.0 (Phases.per_second 100 0.0);
-  f "negative duration" 0.0 (Phases.per_second 100 (-1.0));
-  f "infinite duration" 0.0 (Phases.per_second 100 infinity);
-  f "nan duration" 0.0 (Phases.per_second 100 Float.nan);
-  f "zero ops" 0.0 (Phases.per_second 0 5.0);
-  f "normal ratio" 1.5 (Phases.ratio 3.0 2.0);
-  f "zero denominator" 0.0 (Phases.ratio 1.0 0.0);
-  f "infinite denominator" 0.0 (Phases.ratio 1.0 infinity);
-  f "nan numerator" 0.0 (Phases.ratio Float.nan 1.0);
-  f "negative numerator" 0.0 (Phases.ratio (-1.0) 2.0);
-  Alcotest.(check bool)
-    "guarded rates survive strict JSON round-trips" true
-    (Float.is_finite (Phases.per_second max_int 1e-300))
-
 (* --- end-to-end over a Unix-domain socket -------------------------------- *)
 
 let with_server ?(queue_limit = 64) ?(max_request = 1 lsl 20) ?obs f =
@@ -374,7 +354,35 @@ let test_e2e_rejects_and_shed () =
           (* the connection survived all three rejections *)
           let pong = Json.of_string (Client.request fd "{\"kind\":\"ping\"}") in
           Alcotest.(check string) "daemon still answers" "ok"
-            (Protocol.response_status pong)))
+            (Protocol.response_status pong);
+          (* the stats request is the fifth; it counts itself as ok *)
+          let stats =
+            match
+              Protocol.response_payload_raw
+                (Client.request fd (Protocol.plain_request "stats"))
+            with
+            | Some p -> Json.of_string p
+            | None -> Alcotest.fail "stats response needs a payload"
+          in
+          let field path =
+            List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some stats)
+              path
+          in
+          let int path =
+            match field path with
+            | Some (Json.Int n) -> n
+            | _ -> Alcotest.failf "stats lacks int %s" (String.concat "." path)
+          in
+          Alcotest.(check int) "requests" 5 (int [ "requests" ]);
+          Alcotest.(check int) "ok" 2 (int [ "ok" ]);
+          Alcotest.(check int) "errors" 2 (int [ "errors" ]);
+          Alcotest.(check int) "shed" 1 (int [ "shed" ]);
+          Alcotest.(check int) "shed equals the scheduler's" 1
+            (int [ "scheduler"; "shed" ]);
+          Alcotest.(check (option (float 0.0)))
+            "no dispatch, zero mean wait" (Some 0.0)
+            (Option.bind (field [ "scheduler"; "queue_wait_mean_s" ])
+               Json.to_float_opt)))
 
 let test_e2e_oversized () =
   with_server ~max_request:128 (fun sock _server ->
@@ -597,8 +605,6 @@ let () =
             test_scheduler_queue_wait;
           Alcotest.test_case "close drains" `Quick test_scheduler_close_drains;
         ] );
-      ( "harness",
-        [ Alcotest.test_case "rate guards" `Quick test_phases_guards ] );
       ( "daemon",
         [
           Alcotest.test_case "cache hit is byte-identical" `Quick
