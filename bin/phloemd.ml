@@ -1,7 +1,8 @@
 (* phloemd: persistent simulation-as-a-service daemon. Accepts
    compile+simulate jobs as line-delimited JSON over a Unix-domain (and
-   optionally TCP) socket, executes them on a pool of OCaml 5 domains, and
-   serves repeated requests from a content-addressed result cache —
+   optionally TCP) socket, executes them on worker domains (one job each
+   at a time, answered as soon as it finishes), and serves repeated
+   requests from a content-addressed result cache —
    determinism makes every result a pure function of its request, so a
    repeat is answered in O(lookup) with byte-identical JSON. See README
    "Running phloemd" for the protocol and DESIGN.md "Simulation as a
@@ -21,7 +22,7 @@ let write_stats file server =
   Phloem_util.Json.to_file tmp (Serve.Server.stats_json server);
   Sys.rename tmp file
 
-let serve socket tcp jobs queue_limit batch cache_entries sim_cache max_request
+let serve socket tcp jobs queue_limit cache_entries sim_cache max_request
     stats_out metrics_out trace_out slow_ms flush_interval log_level =
   (match Phloem_util.Log.level_of_string log_level with
   | Some l -> Phloem_util.Log.set_level l
@@ -42,7 +43,6 @@ let serve socket tcp jobs queue_limit batch cache_entries sim_cache max_request
       so_tcp = tcp;
       so_jobs = jobs;
       so_queue_limit = queue_limit;
-      so_batch = batch;
       so_cache_entries = cache_entries;
       so_max_request = max_request;
       so_obs = obs;
@@ -94,7 +94,8 @@ let serve socket tcp jobs queue_limit batch cache_entries sim_cache max_request
                  entries)\n%!"
     socket
     (match tcp with Some p -> Printf.sprintf " and 127.0.0.1:%d" p | None -> "")
-    jobs queue_limit cache_entries;
+    (Phloem_util.Pool.clamp_jobs jobs)
+    queue_limit cache_entries;
   Serve.Server.run server;
   Option.iter Thread.join flusher;
   (* Final flush after the drain so the on-disk files cover every request
@@ -128,7 +129,9 @@ let jobs_arg =
     value
     & opt int (Phloem_util.Pool.default_jobs ())
     & info [ "jobs" ] ~docv:"N"
-        ~doc:"OCaml 5 domains executing jobs (default: recommended count)")
+        ~doc:
+          "worker domains executing jobs, one job each at a time (default \
+           and maximum: the recommended domain count)")
 
 let queue_arg =
   Arg.(
@@ -137,13 +140,6 @@ let queue_arg =
         ~doc:
           "bound on queued jobs across all clients; requests past it get a \
            structured shed-load response (0 sheds everything)")
-
-let batch_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "batch" ] ~docv:"N"
-        ~doc:"max jobs dispatched to the pool per batch (round-robin across \
-              clients)")
 
 let cache_arg =
   Arg.(
@@ -231,7 +227,7 @@ let cmd =
              "Observability is opt-in: $(b,--metrics-out) exposes counters \
               and latency histograms (cache-hit vs cold split, queue-wait), \
               $(b,--trace-out) records per-request spans (parse, cache \
-              lookup, queue wait, dispatch, compile/trace/simulate, respond) \
+              lookup, queue wait, compile/trace/simulate, respond) \
               as a Chrome trace, and $(b,--slow-ms) logs slow requests. All \
               output files are rewritten atomically every \
               $(b,--flush-interval) seconds and after the shutdown drain.";
@@ -242,8 +238,8 @@ let cmd =
               socket cannot be bound; 2 on usage errors.";
          ])
     Term.(
-      const serve $ socket_arg $ tcp_arg $ jobs_arg $ queue_arg $ batch_arg
-      $ cache_arg $ sim_cache_arg $ max_request_arg $ stats_arg $ metrics_arg
-      $ trace_arg $ slow_arg $ flush_arg $ log_arg)
+      const serve $ socket_arg $ tcp_arg $ jobs_arg $ queue_arg $ cache_arg
+      $ sim_cache_arg $ max_request_arg $ stats_arg $ metrics_arg $ trace_arg
+      $ slow_arg $ flush_arg $ log_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -23,20 +23,38 @@ let send_line fd line =
   in
   loop 0
 
-(* One response line, without its newline. @raise End_of_file if the
-   daemon hangs up first. *)
+(* One response line, without its newline. Peeks up to [chunk] bytes at a
+   time and consumes only through the newline, so a response pipelined
+   behind this one stays in the socket for the next call.
+   @raise End_of_file if the daemon hangs up first. *)
+let chunk = 4096
+
 let recv_line fd =
   let buf = Buffer.create 1024 in
-  let b = Bytes.create 1 in
+  let b = Bytes.create chunk in
+  (* consume [k] peeked bytes, keeping the first [keep] of them *)
+  let rec consume k keep =
+    if k > 0 then begin
+      let n = Unix.read fd b 0 k in
+      if n = 0 then raise End_of_file;
+      Buffer.add_subbytes buf b 0 (min n keep);
+      consume (k - n) (keep - n)
+    end
+  in
   let rec loop () =
-    match Unix.read fd b 0 1 with
+    match Unix.recv fd b 0 chunk [ Unix.MSG_PEEK ] with
     | 0 -> if Buffer.length buf = 0 then raise End_of_file else Buffer.contents buf
-    | _ ->
-      if Bytes.get b 0 = '\n' then Buffer.contents buf
-      else begin
-        Buffer.add_char buf (Bytes.get b 0);
-        loop ()
-      end
+    | n -> (
+      let rec newline i =
+        if i = n then None else if Bytes.get b i = '\n' then Some i else newline (i + 1)
+      in
+      match newline 0 with
+      | Some i ->
+        consume (i + 1) i;
+        Buffer.contents buf
+      | None ->
+        consume n n;
+        loop ())
   in
   loop ()
 

@@ -11,7 +11,9 @@ val send_line : Unix.file_descr -> string -> unit
 (** Write one line (the newline is appended). *)
 
 val recv_line : Unix.file_descr -> string
-(** Read one response line, newline stripped.
+(** Read one response line, newline stripped. Reads the socket in chunks
+    but consumes only through the newline, so later pipelined lines stay
+    queued for the next call. [fd] must be a socket.
     @raise End_of_file if the peer hangs up first. *)
 
 val request : Unix.file_descr -> string -> string

@@ -1,6 +1,6 @@
 (* Binding and execution of compile+simulate jobs. This is the shared
    substrate of `bin/simulate.exe` (local and --remote runs) and phloemd's
-   dispatcher: one place maps (bench, input, scale) names to bound
+   workers: one place maps (bench, input, scale) names to bound
    workloads, picks the variant pipeline, runs serial baseline + variant,
    and serializes the result payload. Payload serialization is
    deterministic, which is what lets the daemon cache payload bytes. *)

@@ -1,5 +1,5 @@
 (** Shared binding and execution of compile+simulate jobs: the substrate
-    under both `bin/simulate.exe` and phloemd's dispatcher. *)
+    under both `bin/simulate.exe` and phloemd's workers. *)
 
 exception Bad_job of string
 (** Unknown benchmark / input / variant: the job can never run (as opposed

@@ -1,6 +1,6 @@
 (* Service-level observability for phloemd: one [t] bundles a
    Phloem_util.Metrics registry, a span recorder for the request timeline,
-   and the slow-request threshold. The server, scheduler glue, and job
+   and the slow-request threshold. The server, its workers, and the job
    runner all instrument through this module so the daemon has a single
    metrics surface.
 
@@ -10,10 +10,9 @@
 
    Span taxonomy (tracks are logical threads in the Chrome trace):
      reader-<client>   parse, cache-lookup, respond (hit path)
-     queue             queue-wait (enqueue -> dispatch, per job)
-     dispatcher        dispatch (per batch), respond (cold path)
+     queue             queue-wait (enqueue -> take, per job)
      worker-<domain>   execute, containing compile, trace, simulate and
-                       serialize *)
+                       serialize; then respond (cold path) *)
 
 module Json = Phloem_util.Json
 module M = Phloem_util.Metrics

@@ -1,7 +1,7 @@
 (** Service-level observability for phloemd: a {!Phloem_util.Metrics}
     registry plus a request-span recorder and slow-request threshold,
-    bundled as one optional handle threaded through the server, scheduler
-    glue, and job runner.
+    bundled as one optional handle threaded through the server, its
+    workers, and the job runner.
 
     The server takes [Obs.t option]; [None] (the default) leaves the
     request path untouched — cache hits still splice raw payload bytes
@@ -9,10 +9,9 @@
 
     Span taxonomy (tracks become Chrome trace threads):
     - [reader-<client>]: [parse], [cache-lookup], [respond] (hit path)
-    - [queue]: [queue-wait] per dispatched job
-    - [dispatcher]: [dispatch] per batch, [respond] (cold path)
+    - [queue]: [queue-wait] per job, from submit to a worker's take
     - [worker-<domain>]: [execute] containing [compile], [trace],
-      [simulate] and [serialize] *)
+      [simulate] and [serialize], then [respond] (cold path) *)
 
 type t
 

@@ -1,13 +1,15 @@
 (* Bounded job queue with per-client round-robin fairness. Each client has
    its own FIFO; a rotation queue holds the ids of clients with pending
-   work, each at most once. [take_batch] pops one job per rotation turn, so
-   a client streaming hundreds of requests cannot starve one submitting a
-   single job — dispatch order interleaves clients no matter the arrival
-   order. The total bound is global: when [queued = limit] a submit is shed
-   (explicit backpressure), never blocked or dropped silently.
+   work, each at most once. [take] pops the head client's next job and
+   sends that client to the back of the rotation, so a client streaming
+   hundreds of requests cannot starve one submitting a single job —
+   dispatch order interleaves clients no matter the arrival order. The
+   total bound is global: when [queued = limit] a submit is shed (explicit
+   backpressure), never blocked or dropped silently. Any number of takers
+   may block in [take] at once; each submit wakes one of them.
 
    Every job is stamped at submit time so queue-wait — the interval between
-   enqueue and dispatch — is measured per job and aggregated in [stats];
+   enqueue and take — is measured per job and aggregated in [stats];
    it is the service-level signal that separates "the simulator is slow"
    from "the queue is deep". *)
 
@@ -89,42 +91,25 @@ let submit t ~client job =
       end)
 
 (* One job from the client at the head of the rotation; the client re-enters
-   the rotation's tail while it still has pending work. Caller holds the
-   lock. Returns the job with its queue-wait in seconds. *)
-let pop_one t ~now =
-  match Queue.take_opt t.rotation with
-  | None -> None
-  | Some client ->
-    let q = Hashtbl.find t.queues client in
-    let job, enq = Queue.pop q in
-    if not (Queue.is_empty q) then Queue.push client t.rotation;
-    t.queued <- t.queued - 1;
-    t.dispatched <- t.dispatched + 1;
-    (* the default clock is monotonic; an injected one may step back *)
-    let wait = Float.max 0.0 (now -. enq) in
-    t.wait_total <- t.wait_total +. wait;
-    if wait > t.wait_max then t.wait_max <- wait;
-    Some (job, wait)
-
-let take_batch_timed t ~max =
-  if max < 1 then
-    invalid_arg "Serve.Scheduler.take_batch_timed: max must be >= 1";
+   the rotation's tail while it still has pending work. *)
+let take t =
   with_lock t (fun () ->
       while t.queued = 0 && not t.closed do
         Condition.wait t.nonempty t.mutex
       done;
-      (* closed and drained -> [] signals the dispatcher to exit *)
-      let now = t.clock () in
-      let rec grab acc n =
-        if n = 0 then List.rev acc
-        else
-          match pop_one t ~now with
-          | Some job -> grab (job :: acc) (n - 1)
-          | None -> List.rev acc
-      in
-      grab [] max)
-
-let take_batch t ~max = List.map fst (take_batch_timed t ~max)
+      match Queue.take_opt t.rotation with
+      | None -> None (* closed and drained: the taker's exit signal *)
+      | Some client ->
+        let q = Hashtbl.find t.queues client in
+        let job, enq = Queue.pop q in
+        if not (Queue.is_empty q) then Queue.push client t.rotation;
+        t.queued <- t.queued - 1;
+        t.dispatched <- t.dispatched + 1;
+        (* the default clock is monotonic; an injected one may step back *)
+        let wait = Float.max 0.0 (t.clock () -. enq) in
+        t.wait_total <- t.wait_total +. wait;
+        if wait > t.wait_max then t.wait_max <- wait;
+        Some (job, wait))
 
 let close t =
   with_lock t (fun () ->

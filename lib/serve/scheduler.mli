@@ -15,7 +15,7 @@ type stats = {
   st_queued : int;
   st_limit : int;
   st_wait_total_s : float;
-      (** summed queue-wait (enqueue to dispatch) of dispatched jobs *)
+      (** summed queue-wait (submit to take) of dispatched jobs *)
   st_wait_max_s : float;
 }
 
@@ -31,19 +31,16 @@ val submit : 'a t -> client:int -> 'a -> (unit, shed_info) result
 (** Enqueue a job for [client], or shed it when the queue is full or the
     scheduler is closed. Never blocks. *)
 
-val take_batch : 'a t -> max:int -> 'a list
-(** Block until at least one job is available (or the scheduler is closed),
-    then pop up to [max] jobs round-robin across clients. [[]] means closed
-    and fully drained — the dispatcher's exit signal.
-    @raise Invalid_argument if [max < 1]. *)
-
-val take_batch_timed : 'a t -> max:int -> ('a * float) list
-(** Like {!take_batch} but each job carries its queue-wait in seconds
-    (dispatch time minus enqueue time, clamped at 0). *)
+val take : 'a t -> ('a * float) option
+(** Block until a job is available (or the scheduler is closed), then pop
+    the next job round-robin across clients, with its queue-wait in
+    seconds (take time minus submit time, clamped at 0). [None] means
+    closed and fully drained — the taker's exit signal. Any number of
+    threads or domains may take concurrently. *)
 
 val close : 'a t -> unit
 (** Stop accepting submits (they shed) and wake blocked takers; already
-    queued jobs still drain through {!take_batch}. *)
+    queued jobs still drain through {!take}. *)
 
 val queued : 'a t -> int
 val stats : 'a t -> stats

@@ -1,19 +1,21 @@
 (* phloemd's core: accept connections on a Unix-domain (and optionally
    TCP) socket, read line-delimited JSON requests, serve repeats from the
-   content-addressed result cache, and dispatch cold jobs through a
-   bounded fair scheduler onto a Phloem_util.Pool of OCaml 5 domains.
+   content-addressed result cache, and hand cold jobs through a bounded
+   fair scheduler to worker domains.
 
    Threading model: the caller's thread runs the accept loop; each
    connection gets a reader thread (cheap system threads — connections
-   block on I/O, not CPU); one dispatcher thread drains the scheduler in
-   batches and fans each batch out across the pool's domains (the CPU
-   side). Cache hits, stats, pings, and shed responses are answered
-   directly on the reader thread in O(lookup) — they never touch the pool.
+   block on I/O, not CPU), all in the caller's domain. [run] spawns
+   [jobs] worker domains (the CPU side); each takes one job at a time from
+   the scheduler, runs it, and answers it the moment it finishes, so a
+   long job delays neither its neighbours nor the readers. Cache hits,
+   stats, pings, and shed responses are answered directly on the reader
+   thread in O(lookup) — they never wait for a job.
 
    Failure containment: a job that deadlocks, livelocks, exhausts its
    budget, or raises for any other reason becomes a structured JSON error
-   on its own connection ([Pool.try_map] captures per-item failures);
-   sibling jobs in the batch and the daemon itself are unaffected. *)
+   on its own connection; other jobs and the daemon itself are
+   unaffected. *)
 
 module Json = Phloem_util.Json
 module Log = Phloem_util.Log
@@ -23,9 +25,8 @@ module Clock = Phloem_util.Clock
 type opts = {
   so_unix : string option; (* Unix-domain socket path *)
   so_tcp : int option; (* TCP port on 127.0.0.1 *)
-  so_jobs : int; (* pool domains for job execution *)
+  so_jobs : int; (* worker domains executing jobs, before the clamp *)
   so_queue_limit : int; (* scheduler bound; past it requests shed *)
-  so_batch : int; (* max jobs dispatched per pool batch *)
   so_cache_entries : int; (* result-cache entry bound *)
   so_max_request : int; (* request line byte bound *)
   so_obs : Obs.t option; (* service metrics + request tracing; off by default *)
@@ -37,7 +38,6 @@ let default_opts =
     so_tcp = None;
     so_jobs = 1;
     so_queue_limit = 64;
-    so_batch = 8;
     so_cache_entries = 256;
     so_max_request = 1 lsl 20;
     so_obs = None;
@@ -46,7 +46,7 @@ let default_opts =
 type client = {
   c_id : int;
   c_fd : Unix.file_descr;
-  c_wlock : Mutex.t; (* reader thread and dispatcher both respond *)
+  c_wlock : Mutex.t; (* reader thread and workers both respond *)
 }
 
 type entry = {
@@ -60,6 +60,7 @@ type entry = {
 
 type t = {
   t_opts : opts;
+  t_jobs : int; (* worker domains [run] spawns: so_jobs after the clamp *)
   t_cache : (string, string) Fifo_cache.t;
       (* content key -> payload bytes; weight = payload bytes *)
   t_sched : entry Scheduler.t;
@@ -103,6 +104,7 @@ let create (opts : opts) : t =
   in
   {
     t_opts = opts;
+    t_jobs = Phloem_util.Pool.clamp_jobs opts.so_jobs;
     t_cache =
       Fifo_cache.create ~weight:String.length ~capacity:opts.so_cache_entries ();
     t_sched = Scheduler.create ~limit:opts.so_queue_limit ();
@@ -121,7 +123,7 @@ let create (opts : opts) : t =
 (* --- responses ---------------------------------------------------------- *)
 
 (* Best-effort write: a client that hung up mid-job must not take the
-   dispatcher (or its batch siblings) down with it. *)
+   worker answering it down with it. *)
 let send t (c : client) (line : string) =
   let data = Bytes.of_string (line ^ "\n") in
   Mutex.lock c.c_wlock;
@@ -154,7 +156,7 @@ let stats_json t : Json.t =
   Json.Obj
     ([
       ("uptime_s", Json.Float (Clock.now () -. t.t_started));
-      ("jobs", Json.Int t.t_opts.so_jobs);
+      ("jobs", Json.Int t.t_jobs);
       ("connections", Json.Int (Atomic.get t.t_connections));
       ("requests", Json.Int (Atomic.get t.t_requests));
       ("ok", Json.Int (Atomic.get t.t_ok));
@@ -207,8 +209,8 @@ let stats_json t : Json.t =
 
 (* Idempotent; safe to call from any thread and from a signal handler
    running at a safe point. Closing the listeners wakes the accept loop;
-   closing the scheduler wakes the dispatcher, which drains already-queued
-   jobs, answers them, and exits. Open client connections are closed by
+   closing the scheduler wakes the workers, which drain already-queued
+   jobs, answer them, and exit. Open client connections are closed by
    [run] after the drain so in-flight jobs still get their responses. *)
 let stop t =
   if not (Atomic.exchange t.t_stopped true) then begin
@@ -221,7 +223,7 @@ let stop t =
 
 let stopped t = Atomic.get t.t_stopped
 
-(* --- dispatcher --------------------------------------------------------- *)
+(* --- workers -------------------------------------------------------------- *)
 
 let failure_code (fr : Phloem_ir.Forensics.report) =
   Phloem_ir.Forensics.kind_name fr.Phloem_ir.Forensics.fr_kind
@@ -230,13 +232,15 @@ let job_label (job : Protocol.job) =
   Printf.sprintf "%s/%s/%s" job.Protocol.j_bench job.Protocol.j_variant
     job.Protocol.j_input
 
-let respond_result t (en : entry) (r : (string, Phloem_util.Pool.error) result) =
+(* Answer one finished job. Every exception [Jobs.run] can raise becomes a
+   structured error response: this is what keeps the daemon alive through
+   any job, not a swallowed error. *)
+let respond_result t ~track (en : entry) (r : (string, exn) result) =
   let obs = t.t_opts.so_obs in
   let respond f =
     match obs with
     | None -> f ()
-    | Some o ->
-      Obs.span o ~trace:en.en_trace ~track:"dispatcher" ~name:"respond" f
+    | Some o -> Obs.span o ~trace:en.en_trace ~track ~name:"respond" f
   in
   (match r with
   | Ok payload ->
@@ -245,8 +249,7 @@ let respond_result t (en : entry) (r : (string, Phloem_util.Pool.error) result) 
     respond (fun () ->
         send t en.en_client
           (Protocol.ok_response ~id:en.en_id ~cached:false payload))
-  | Error { Phloem_util.Pool.e_exn = Phloem_ir.Forensics.Pipeline_failure fr; _ }
-    ->
+  | Error (Phloem_ir.Forensics.Pipeline_failure fr) ->
     Atomic.incr t.t_errors;
     Option.iter Obs.on_error obs;
     respond (fun () ->
@@ -254,61 +257,53 @@ let respond_result t (en : entry) (r : (string, Phloem_util.Pool.error) result) 
           (Protocol.error_response ~id:en.en_id ~code:(failure_code fr)
              ~failure:(Pipette.Analysis.json_of_failure fr)
              "pipeline failed; see the structured forensics report"))
-  | Error { Phloem_util.Pool.e_exn = Jobs.Bad_job msg; _ } ->
+  | Error (Jobs.Bad_job msg) ->
     Atomic.incr t.t_errors;
     Option.iter Obs.on_error obs;
     respond (fun () ->
         send t en.en_client
           (Protocol.error_response ~id:en.en_id ~code:"bad-job" msg))
-  | Error { Phloem_util.Pool.e_exn; _ } ->
+  | Error e ->
     Atomic.incr t.t_errors;
     Option.iter Obs.on_error obs;
     respond (fun () ->
         send t en.en_client
           (Protocol.error_response ~id:en.en_id ~code:"job-failed"
-             (Printexc.to_string e_exn))));
+             (Printexc.to_string e))));
   match obs with
   | None -> ()
   | Some o ->
     Obs.finish_request o ~trace:en.en_trace ~hit:false ~start:en.en_t0
       ~label:(job_label en.en_job)
 
-let dispatcher_loop t =
+(* One worker domain: take a job, run it, answer it, until the scheduler is
+   closed and drained. Nothing here raises ([Jobs.run]'s exceptions become
+   responses, [send] absorbs write errors), so [run]'s [Domain.join] never
+   re-raises. Signals are blocked so that handlers such as phloemd's
+   SIGTERM -> [stop] run on the readers' domain, never inside [take]'s
+   critical section, where [stop] would relock the scheduler's mutex. *)
+let worker_loop t =
+  ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ]);
   let obs = t.t_opts.so_obs in
-  Phloem_util.Pool.with_pool ~jobs:t.t_opts.so_jobs @@ fun pool ->
+  let track = Printf.sprintf "worker-%d" (Domain.self () :> int) in
   let rec loop () =
-    match Scheduler.take_batch_timed t.t_sched ~max:t.t_opts.so_batch with
-    | [] -> () (* closed and drained *)
-    | batch ->
-      let entries = Array.of_list (List.map fst batch) in
+    match Scheduler.take t.t_sched with
+    | None -> () (* closed and drained *)
+    | Some (en, wait) ->
       (match obs with
       | None -> ()
       | Some o ->
-        (* queue-wait spans: reconstructed from the scheduler's measured
-           wait so the trace shows the interval each job sat queued *)
+        (* the queue-wait span is reconstructed from the scheduler's
+           measured wait, so the trace shows the interval the job sat
+           queued *)
         let taken = Obs.now () in
-        List.iter
-          (fun ((en : entry), wait) ->
-            Obs.observe_queue_wait o wait;
-            Obs.record o ~trace:en.en_trace ~track:"queue" ~name:"queue-wait"
-              ~start:(taken -. wait) ~stop:taken)
-          batch);
-      Log.debug ~component:"phloemd" "dispatching batch of %d"
-        (Array.length entries);
-      let dispatch f =
-        match obs with
-        | None -> f ()
-        | Some o ->
-          Obs.span o ~trace:entries.(0).en_trace ~track:"dispatcher"
-            ~name:"dispatch" f
-      in
-      let results =
-        dispatch (fun () ->
-            Phloem_util.Pool.try_map pool
-              (fun (en : entry) -> Jobs.run ?obs ~trace:en.en_trace en.en_job)
-              entries)
-      in
-      Array.iteri (fun i r -> respond_result t entries.(i) r) results;
+        Obs.observe_queue_wait o wait;
+        Obs.record o ~trace:en.en_trace ~track:"queue" ~name:"queue-wait"
+          ~start:(taken -. wait) ~stop:taken);
+      respond_result t ~track en
+        (match Jobs.run ?obs ~trace:en.en_trace en.en_job with
+        | payload -> Ok payload
+        | exception e -> Error e);
       loop ()
   in
   loop ()
@@ -446,7 +441,9 @@ let accept_one t lfd =
     ignore (Thread.create (fun () -> reader_loop t c) ())
 
 let run t =
-  let dispatcher = Thread.create (fun () -> dispatcher_loop t) () in
+  let workers =
+    List.init t.t_jobs (fun _ -> Domain.spawn (fun () -> worker_loop t))
+  in
   let rec accept_loop () =
     if not (stopped t) then begin
       (match Unix.select t.t_listeners [] [] 0.25 with
@@ -459,10 +456,10 @@ let run t =
     end
   in
   accept_loop ();
-  (* Drain: the scheduler is closed, the dispatcher answers what was
-     already queued and exits; only then are client connections torn
-     down, so no accepted job loses its response. *)
-  Thread.join dispatcher;
+  (* Drain: the scheduler is closed, the workers answer what was already
+     queued and exit; only then are client connections torn down, so no
+     accepted job loses its response. *)
+  List.iter Domain.join workers;
   Mutex.lock t.t_clients_lock;
   let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.t_clients [] in
   Hashtbl.reset t.t_clients;

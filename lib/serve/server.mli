@@ -1,17 +1,19 @@
 (** phloemd's core server: accepts line-delimited JSON requests on a
     Unix-domain (and optionally TCP) socket, serves repeated requests from
-    the content-addressed result cache in O(lookup), and dispatches cold
-    jobs through a bounded fair {!Scheduler} onto a {!Phloem_util.Pool} of
-    OCaml 5 domains. Per-job failures (deadlock, livelock, budget, bad
-    names) become structured JSON error responses on their own connection;
-    the daemon never dies with a job. *)
+    the content-addressed result cache in O(lookup), and hands cold jobs
+    through a bounded fair {!Scheduler} to worker domains, each running
+    one job at a time and answering it as soon as it finishes. Per-job
+    failures (deadlock, livelock, budget, bad names, any other exception)
+    become structured JSON error responses on their own connection; the
+    daemon never dies with a job. *)
 
 type opts = {
   so_unix : string option;  (** Unix-domain socket path *)
   so_tcp : int option;  (** TCP port on 127.0.0.1 *)
-  so_jobs : int;  (** pool domains executing jobs *)
+  so_jobs : int;
+      (** worker domains executing jobs, clamped by
+          {!Phloem_util.Pool.clamp_jobs} *)
   so_queue_limit : int;  (** job-queue bound; submits past it shed *)
-  so_batch : int;  (** max jobs per dispatched pool batch *)
   so_cache_entries : int;  (** result-cache entry bound *)
   so_max_request : int;  (** request line byte bound *)
   so_obs : Obs.t option;
@@ -21,7 +23,7 @@ type opts = {
 }
 
 val default_opts : opts
-(** jobs 1, queue limit 64, batch 8, 256 cache entries, 1 MiB requests,
+(** jobs 1, queue limit 64, 256 cache entries, 1 MiB requests,
     observability off; no listeners — set [so_unix] and/or [so_tcp]. *)
 
 type t
@@ -34,10 +36,12 @@ val create : opts -> t
     @raise Unix.Unix_error when binding fails *)
 
 val run : t -> unit
-(** Serve until {!stop}: blocks the calling thread in the accept loop,
-    spawning one reader thread per connection and one dispatcher thread
-    for job execution. On stop, already-accepted jobs drain and receive
-    responses before connections close. *)
+(** Serve until {!stop}: spawns the worker domains, then blocks the
+    calling thread in the accept loop, spawning one reader thread per
+    connection in the caller's domain. Worker domains block SIGTERM and
+    SIGINT, so handlers for them run in the caller's domain. On stop,
+    already-accepted jobs drain and receive responses before connections
+    close. *)
 
 val stop : t -> unit
 (** Begin graceful shutdown; idempotent, callable from any thread or from
@@ -46,9 +50,9 @@ val stop : t -> unit
 val stopped : t -> bool
 
 val stats_json : t -> Phloem_util.Json.t
-(** The stats payload served for [{"kind":"stats"}] requests: request /
-    response counters, result-cache and scheduler stats (including
-    queue-wait totals), and the simulator's memo-cache counters. With
-    observability enabled, an extra ["metrics"] section carries the
-    {!Obs.metrics_json} snapshot — latency histograms with derived
-    percentiles and span counts. *)
+(** The stats payload served for [{"kind":"stats"}] requests: the
+    effective worker count ([jobs]), request / response counters,
+    result-cache and scheduler stats (including queue-wait totals), and
+    the simulator's memo-cache counters. With observability enabled, an
+    extra ["metrics"] section carries the {!Obs.metrics_json} snapshot —
+    latency histograms with derived percentiles and span counts. *)

@@ -30,6 +30,11 @@ let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 let default_jobs () = Domain.recommended_domain_count ()
 
+(* Every task here is CPU-bound, so domains beyond the recommended count
+   only add GC-barrier and scheduling overhead (on a single-CPU container,
+   --jobs 4 would timeshare one core and run *slower* than serial). *)
+let clamp_jobs jobs = max 1 (min (default_jobs ()) jobs)
+
 let worker_loop pool =
   Domain.DLS.set in_worker true;
   let rec next () =
@@ -57,16 +62,9 @@ let worker_loop pool =
   next ()
 
 let create ?jobs () =
-  (* Clamp to the machine's recommended domain count: every task here is
-     CPU-bound, so worker domains beyond that only add GC-barrier and
-     scheduling overhead (on a single-CPU container, --jobs 4 would
-     timeshare one core and run *slower* than serial). Results are
-     submission-ordered and deterministic either way, so the clamp is
-     observable only as wall-clock. *)
-  let cap = max 1 (default_jobs ()) in
-  let n_jobs =
-    max 1 (min cap (match jobs with Some j -> j | None -> cap))
-  in
+  (* Results are submission-ordered and deterministic either way, so the
+     clamp is observable only as wall-clock. *)
+  let n_jobs = clamp_jobs (Option.value jobs ~default:(default_jobs ())) in
   let pool =
     {
       n_jobs;
@@ -164,36 +162,6 @@ let map ?(chunk = 1) t f items =
 
 let map_list ?chunk t f l = Array.to_list (map ?chunk t f (Array.of_list l))
 let run t thunks = map_list t (fun thunk -> thunk ()) thunks
-
-(* ---- graceful degradation: per-item capture instead of batch abort ---- *)
-
-type error = {
-  e_index : int; (* exact index of the failing item, not its chunk *)
-  e_exn : exn;
-  e_backtrace : Printexc.raw_backtrace;
-}
-
-(* [guard] can never raise, so the underlying [map] batch always completes:
-   every sibling item's result survives a failure as an [Ok] cell. *)
-let guard i f x =
-  try Ok (f x)
-  with e ->
-    Error { e_index = i; e_exn = e; e_backtrace = Printexc.get_raw_backtrace () }
-
-let try_map ?chunk t f items =
-  map ?chunk t (fun (i, x) -> guard i f x) (Array.mapi (fun i x -> (i, x)) items)
-
-let try_run t thunks =
-  Array.to_list (try_map t (fun thunk -> thunk ()) (Array.of_list thunks))
-
-let first_error results =
-  Array.fold_left
-    (fun acc r ->
-      match (acc, r) with
-      | None, Error e -> Some e
-      | Some a, Error e when e.e_index < a.e_index -> Some e
-      | _ -> acc)
-    None results
 
 let shutdown t =
   Mutex.lock t.mutex;

@@ -19,13 +19,17 @@ type t
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
-val create : ?jobs:int -> unit -> t
-(** [create ~jobs ()] makes a pool of [jobs] domains total: [jobs - 1]
-    worker domains are spawned, and the submitting domain participates in
-    every batch. [jobs] defaults to [default_jobs ()] and is clamped to
-    the range [1 .. default_jobs ()] — pool work is CPU-bound, so domains
+val clamp_jobs : int -> int
+(** [clamp_jobs n] is [n] clamped to the range [1 .. default_jobs ()]: the
+    number of domains worth running for CPU-bound work, since domains
     beyond the recommended count only add GC-barrier and scheduling
-    overhead. Use {!jobs} to observe the effective size. *)
+    overhead. *)
+
+val create : ?jobs:int -> unit -> t
+(** [create ~jobs ()] makes a pool of [clamp_jobs jobs] domains total:
+    one fewer worker domains are spawned, and the submitting domain
+    participates in every batch. [jobs] defaults to [default_jobs ()].
+    Use {!jobs} to observe the effective size. *)
 
 val jobs : t -> int
 (** Total domain count (workers + the submitting caller). *)
@@ -44,26 +48,6 @@ val map_list : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
 val run : t -> (unit -> 'a) list -> 'a list
 (** [run pool thunks] executes independent thunks across the pool and
     returns their results in the thunks' order. *)
-
-type error = {
-  e_index : int;  (** exact index of the failing item *)
-  e_exn : exn;
-  e_backtrace : Printexc.raw_backtrace;
-}
-(** One captured per-item failure from {!try_map}/{!try_run}. *)
-
-val try_map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> ('b, error) result array
-(** Like {!map}, but a raising item becomes an [Error] cell (carrying its
-    exact index and backtrace) instead of aborting the batch: every sibling
-    item still runs and its result is preserved as an [Ok] cell, in
-    submission order. Never raises from the jobs themselves. *)
-
-val try_run : t -> (unit -> 'a) list -> ('a, error) result list
-(** {!try_map} over independent thunks, in the thunks' order. *)
-
-val first_error : ('b, error) result array -> error option
-(** The lowest-index [Error] of a {!try_map} batch, if any — the one
-    {!map} would have re-raised. *)
 
 val shutdown : t -> unit
 (** Joins the worker domains. Idempotent. Using the pool afterwards raises

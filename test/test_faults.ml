@@ -1,8 +1,8 @@
 (* Resilience tests: engine deadlock forensics (wait-cycle naming,
    deadlock vs budget exhaustion), fault-plan parsing and fixed-key replay
-   determinism, the static check-deadlock pass, pool partial-failure
-   capture, and harness degradation (a deadlocking variant leaves an error
-   record instead of aborting the sweep). *)
+   determinism, the static check-deadlock pass, and harness degradation (a
+   deadlocking variant leaves an error record instead of aborting the
+   sweep). *)
 
 open Phloem_ir.Builder
 module Forensics = Phloem_ir.Forensics
@@ -210,52 +210,6 @@ let test_check_deadlock_rejects_producerless () =
     Alcotest.(check bool) "names the queue" true (has "q0" msg);
     Alcotest.(check bool) "explains" true (has "ever enqueues" msg)
 
-(* --- pool partial failure --- *)
-
-let test_pool_partial_failure () =
-  let module Pool = Phloem_util.Pool in
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let items = Array.init 12 Fun.id in
-      let rs =
-        Pool.try_map pool
-          (fun i -> if i = 5 || i = 9 then failwith (Printf.sprintf "boom %d" i) else i * i)
-          items
-      in
-      Alcotest.(check int) "every slot filled" 12 (Array.length rs);
-      Array.iteri
-        (fun i r ->
-          match r with
-          | Ok v ->
-            Alcotest.(check bool) "sibling survives" true (i <> 5 && i <> 9);
-            Alcotest.(check int) "sibling value" (i * i) v
-          | Error e ->
-            Alcotest.(check bool) "failure slot" true (i = 5 || i = 9);
-            Alcotest.(check int) "exact index" i e.Pool.e_index;
-            Alcotest.(check bool) "message kept" true
-              (has (Printf.sprintf "boom %d" i) (Printexc.to_string e.Pool.e_exn)))
-        rs;
-      (match Pool.first_error rs with
-      | Some e -> Alcotest.(check int) "lowest index surfaces" 5 e.Pool.e_index
-      | None -> Alcotest.fail "no error surfaced");
-      (* try_run: thunks, same contract *)
-      match
-        Pool.try_run pool
-          [ (fun () -> 1); (fun () -> failwith "thunk"); (fun () -> 3) ]
-      with
-      | [ Ok 1; Error e; Ok 3 ] ->
-        Alcotest.(check int) "thunk index" 1 e.Pool.e_index
-      | _ -> Alcotest.fail "try_run shape")
-
-let test_pool_jobs1_partial_failure () =
-  let module Pool = Phloem_util.Pool in
-  Pool.with_pool ~jobs:1 (fun pool ->
-      let rs =
-        Pool.try_map pool (fun i -> if i = 2 then failwith "serial boom" else i)
-          (Array.init 5 Fun.id)
-      in
-      let oks = Array.to_list rs |> List.filter_map Result.to_option in
-      Alcotest.(check (list int)) "serial path keeps siblings" [ 0; 1; 3; 4 ] oks)
-
 (* --- harness degradation: a deadlocking variant leaves an error record --- *)
 
 let degradable_bound () =
@@ -334,10 +288,6 @@ let () =
         ] );
       ( "degradation",
         [
-          Alcotest.test_case "pool partial failure keeps siblings" `Quick
-            test_pool_partial_failure;
-          Alcotest.test_case "pool jobs=1 partial failure" `Quick
-            test_pool_jobs1_partial_failure;
           Alcotest.test_case "run_all records a deadlocked variant" `Quick
             test_run_all_degrades;
         ] );

@@ -2,12 +2,13 @@
 
    Unit layers first — request parsing and rejection codes, response
    envelopes and raw-payload extraction, the content-addressed key, and
-   the fair bounded scheduler — then end-to-end runs against a real
-   server on a Unix-domain socket in this process: a repeated request
-   must come back as a cache hit with byte-identical payload bytes and
-   without re-running any compile/trace phase, and a full queue must
-   answer with a structured shed-load response rather than blocking or
-   dying. *)
+   the fair bounded scheduler, the client's line reader — then end-to-end
+   runs against a real server on a Unix-domain socket in this process: a
+   repeated request must come back as a cache hit with byte-identical
+   payload bytes and without re-running any compile/trace phase, a full
+   queue must answer with a structured shed-load response rather than
+   blocking or dying, and a short cold job must not wait for a long one
+   running on another worker. *)
 
 module Protocol = Phloem_serve.Protocol
 module Scheduler = Phloem_serve.Scheduler
@@ -168,6 +169,11 @@ let test_content_key () =
 
 (* --- scheduler ----------------------------------------------------------- *)
 
+let take_job s =
+  match Scheduler.take s with
+  | Some (job, _) -> job
+  | None -> Alcotest.fail "expected a queued job"
+
 let test_scheduler_fairness () =
   let s = Scheduler.create ~limit:16 () in
   let ok = function
@@ -181,7 +187,7 @@ let test_scheduler_fairness () =
   Alcotest.(check (list string))
     "dispatch interleaves clients despite arrival order"
     [ "a1"; "b1"; "a2"; "a3" ]
-    (Scheduler.take_batch s ~max:4);
+    (List.init 4 (fun _ -> take_job s));
   let st = Scheduler.stats s in
   Alcotest.(check int) "accepted" 4 st.Scheduler.st_accepted;
   Alcotest.(check int) "dispatched" 4 st.Scheduler.st_dispatched;
@@ -214,12 +220,11 @@ let test_scheduler_queue_wait () =
   now := 2.0;
   ignore (Scheduler.submit s ~client:1 "j2");
   now := 10.0;
-  (match Scheduler.take_batch_timed s ~max:8 with
-  | [ ("j1", w1); ("j2", w2) ] ->
+  (match (Scheduler.take s, Scheduler.take s) with
+  | Some ("j1", w1), Some ("j2", w2) ->
     Alcotest.(check (float 1e-9)) "first job waited 9s" 9.0 w1;
     Alcotest.(check (float 1e-9)) "second job waited 8s" 8.0 w2
-  | other ->
-    Alcotest.failf "unexpected batch of %d" (List.length other));
+  | _ -> Alcotest.fail "expected j1 then j2");
   let st = Scheduler.stats s in
   Alcotest.(check (float 1e-9)) "wait total" 17.0 st.Scheduler.st_wait_total_s;
   Alcotest.(check (float 1e-9)) "wait max" 9.0 st.Scheduler.st_wait_max_s;
@@ -228,9 +233,9 @@ let test_scheduler_queue_wait () =
   let s2 = Scheduler.create ~limit:4 ~clock:(fun () -> !back) () in
   ignore (Scheduler.submit s2 ~client:1 "x");
   back := 3.0;
-  (match Scheduler.take_batch_timed s2 ~max:1 with
-  | [ (_, w) ] -> Alcotest.(check (float 1e-9)) "clamped at zero" 0.0 w
-  | _ -> Alcotest.fail "expected one job")
+  (match Scheduler.take s2 with
+  | Some (_, w) -> Alcotest.(check (float 1e-9)) "clamped at zero" 0.0 w
+  | None -> Alcotest.fail "expected one job")
 
 let test_scheduler_close_drains () =
   let s = Scheduler.create ~limit:8 () in
@@ -242,14 +247,34 @@ let test_scheduler_close_drains () =
   | Error _ -> ());
   Alcotest.(check (list string))
     "queued jobs still drain after close" [ "j1"; "j2" ]
-    (Scheduler.take_batch s ~max:8);
-  Alcotest.(check (list string))
-    "closed and drained yields the exit signal" []
-    (Scheduler.take_batch s ~max:8)
+    (List.init 2 (fun _ -> take_job s));
+  Alcotest.(check bool)
+    "closed and drained yields the exit signal" true
+    (Scheduler.take s = None)
+
+(* --- client --------------------------------------------------------------- *)
+
+(* Two lines in one write, the first longer than the client's read chunk:
+   each comes back whole, and the second is still there for the second
+   call. *)
+let test_client_recv_line () =
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close r with Unix.Unix_error _ -> ())
+    (fun () ->
+      let long = String.init 10_000 (fun i -> Char.chr (97 + (i mod 26))) in
+      let short = "{\"status\":\"ok\"}" in
+      Client.send_line w (long ^ "\n" ^ short);
+      Unix.close w;
+      Alcotest.(check string) "long line whole" long (Client.recv_line r);
+      Alcotest.(check string) "pipelined line intact" short (Client.recv_line r);
+      Alcotest.check_raises "end of stream" End_of_file (fun () ->
+          ignore (Client.recv_line r)))
 
 (* --- end-to-end over a Unix-domain socket -------------------------------- *)
 
-let with_server ?(queue_limit = 64) ?(max_request = 1 lsl 20) ?obs f =
+let with_server ?(jobs = 1) ?(queue_limit = 64) ?(max_request = 1 lsl 20) ?obs
+    f =
   let sock = Filename.temp_file "phloemd-test" ".sock" in
   Sys.remove sock;
   let server =
@@ -257,7 +282,7 @@ let with_server ?(queue_limit = 64) ?(max_request = 1 lsl 20) ?obs f =
       {
         Server.default_opts with
         Server.so_unix = Some sock;
-        so_jobs = 1;
+        so_jobs = jobs;
         so_queue_limit = queue_limit;
         so_max_request = max_request;
         so_obs = obs;
@@ -325,8 +350,10 @@ let test_e2e_cache_hit_byte_identical () =
 
 let test_e2e_rejects_and_shed () =
   (* queue limit 0: every cold simulate sheds; the daemon stays up and
-     keeps answering on the same connection *)
-  with_server ~queue_limit:0 (fun sock _server ->
+     keeps answering on the same connection. One worker more than the
+     machine recommends is asked for; stats report the clamped count. *)
+  let recommended = Domain.recommended_domain_count () in
+  with_server ~jobs:(recommended + 1) ~queue_limit:0 (fun sock _server ->
       Client.with_unix sock (fun fd ->
           let bad = Client.request fd "this is not json" in
           let j = Json.of_string bad in
@@ -373,6 +400,8 @@ let test_e2e_rejects_and_shed () =
             | Some (Json.Int n) -> n
             | _ -> Alcotest.failf "stats lacks int %s" (String.concat "." path)
           in
+          Alcotest.(check int) "effective worker count" recommended
+            (int [ "jobs" ]);
           Alcotest.(check int) "requests" 5 (int [ "requests" ]);
           Alcotest.(check int) "ok" 2 (int [ "ok" ]);
           Alcotest.(check int) "errors" 2 (int [ "errors" ]);
@@ -493,7 +522,6 @@ let test_e2e_observability () =
       let parse = find 1 "parse" in
       let lookup = find 1 "cache-lookup" in
       let wait = find 1 "queue-wait" in
-      let dispatch = find 1 "dispatch" in
       let execute = find 1 "execute" in
       let compile = find 1 "compile" in
       let respond = find 1 "respond" in
@@ -516,12 +544,18 @@ let test_e2e_observability () =
         (starts_with "reader-" parse.Metrics.sp_track);
       Alcotest.(check string) "queue wait on the queue track" "queue"
         wait.Metrics.sp_track;
-      Alcotest.(check string) "dispatch on the dispatcher track" "dispatcher"
-        dispatch.Metrics.sp_track;
-      Alcotest.(check bool) "execute on a worker track" true
-        (starts_with "worker-" execute.Metrics.sp_track);
-      Alcotest.(check string) "cold respond on the dispatcher track"
-        "dispatcher" respond.Metrics.sp_track;
+      Alcotest.(check bool) "no dispatch span" false
+        (List.exists (fun s -> s.Metrics.sp_name = "dispatch") spans);
+      (* the worker that ran the job answers it, on a domain of its own *)
+      Alcotest.(check string) "cold respond on the execute track"
+        execute.Metrics.sp_track respond.Metrics.sp_track;
+      (match Scanf.sscanf_opt execute.Metrics.sp_track "worker-%d%!" Fun.id with
+      | Some d ->
+        Alcotest.(check bool) "worker domain is not the test's domain" true
+          (d <> (Domain.self () :> int))
+      | None ->
+        Alcotest.failf "execute on %s, not a worker track"
+          execute.Metrics.sp_track);
       (* the warm request never leaves its reader thread *)
       let warm_respond = find 2 "respond" in
       Alcotest.(check bool) "warm respond on the reader track" true
@@ -562,6 +596,60 @@ let test_e2e_observability () =
           | Some w -> Alcotest.(check bool) "queue wait in stats" true (w >= 0.0)
           | None -> Alcotest.fail "scheduler stats need queue_wait_total_s")
         | None -> Alcotest.fail "stats payload needs a scheduler section"))
+
+(* Two workers: a short cold job submitted while a long one runs is taken
+   by the idle worker and answered before the long one finishes. *)
+let test_e2e_cold_jobs_independent () =
+  if Domain.recommended_domain_count () < 2 then
+    Alcotest.skip ();
+  with_server ~jobs:2 (fun sock _server ->
+      Pipette.Sim.clear_caches ();
+      let dispatched () =
+        let stats =
+          Client.with_unix sock (fun fd ->
+              Client.request fd (Protocol.plain_request "stats"))
+        in
+        match
+          Option.bind (Protocol.response_payload_raw stats) (fun p ->
+              Option.bind (Json.member "scheduler" (Json.of_string p))
+                (Json.member "dispatched"))
+        with
+        | Some (Json.Int n) -> n
+        | _ -> Alcotest.fail "stats lack scheduler.dispatched"
+      in
+      (* about 2 s on a 2-vCPU host; tiny_job takes a few tens of ms *)
+      let long_job =
+        {
+          Protocol.default_job with
+          Protocol.j_input = "USA-road-d-USA";
+          j_scale = 1.5;
+        }
+      in
+      Client.with_unix sock (fun fd_a ->
+          Client.send_line fd_a
+            (Protocol.simulate_request ~id:(Json.Int 1) long_job);
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          while dispatched () < 1 do
+            if Unix.gettimeofday () > deadline then
+              Alcotest.fail "long job not taken within 5 s";
+            Thread.delay 0.001
+          done;
+          let b =
+            Client.with_unix sock (fun fd_b ->
+                Client.request fd_b
+                  (Protocol.simulate_request ~id:(Json.Int 2) tiny_job))
+          in
+          let a_ready =
+            match Unix.select [ fd_a ] [] [] 0.0 with
+            | [], _, _ -> false
+            | _ -> true
+          in
+          Alcotest.(check string) "short job ok" "ok"
+            (Protocol.response_status (Json.of_string b));
+          Alcotest.(check bool) "short job answered while the long one runs"
+            false a_ready;
+          Alcotest.(check string) "long job ok" "ok"
+            (Protocol.response_status (Json.of_string (Client.recv_line fd_a)))))
 
 let test_e2e_shutdown_request () =
   with_server (fun sock server ->
@@ -605,6 +693,11 @@ let () =
             test_scheduler_queue_wait;
           Alcotest.test_case "close drains" `Quick test_scheduler_close_drains;
         ] );
+      ( "client",
+        [
+          Alcotest.test_case "recv_line keeps pipelined lines" `Quick
+            test_client_recv_line;
+        ] );
       ( "daemon",
         [
           Alcotest.test_case "cache hit is byte-identical" `Quick
@@ -614,6 +707,8 @@ let () =
           Alcotest.test_case "oversized handling" `Quick test_e2e_oversized;
           Alcotest.test_case "observability spans and latency split" `Quick
             test_e2e_observability;
+          Alcotest.test_case "cold jobs do not wait for each other" `Quick
+            test_e2e_cold_jobs_independent;
           Alcotest.test_case "shutdown request" `Quick test_e2e_shutdown_request;
         ] );
     ]
