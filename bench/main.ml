@@ -1,91 +1,18 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md's experiment index), plus Bechamel
-   micro-benchmarks of the simulator's primitives.
+   evaluation (see DESIGN.md's experiment index).
 
    Usage:
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe fig9            # one experiment
      dune exec bench/main.exe table3 fig6 ...
      PHLOEM_SCALE=0.5 dune exec bench/main.exe  # smaller inputs
-     dune exec bench/main.exe micro           # Bechamel microbenches only
      dune exec bench/main.exe --json out.json # fig9-11 data as JSON
      dune exec bench/main.exe -- --jobs 4     # parallel sweep on 4 domains
      dune exec bench/main.exe -- --compare old.json new.json
                                               # regression diff; exit 4 on a
                                               # regression (0 with --warn) *)
 
-let micro () =
-  print_endline "\n==== Bechamel micro-benchmarks (simulator primitives) ====";
-  let open Bechamel in
-  let open Toolkit in
-  let test_prng =
-    Test.make ~name:"prng.next"
-      (Staged.stage
-         (let rng = Phloem_util.Prng.create 42 in
-          fun () -> ignore (Phloem_util.Prng.next rng)))
-  in
-  let test_cache =
-    Test.make ~name:"cache.access (streaming)"
-      (Staged.stage
-         (let caches = Pipette.Cache.create Pipette.Config.default in
-          let addr = ref 0x100000 in
-          fun () ->
-            addr := !addr + 64;
-            ignore (Pipette.Cache.access caches ~core:0 ~addr:!addr ~now:0)))
-  in
-  let test_predictor =
-    Test.make ~name:"predictor.predict_update"
-      (Staged.stage
-         (let p = Pipette.Predictor.create ~entries:4096 ~history_bits:8 ~n_threads:1 in
-          let i = ref 0 in
-          fun () ->
-            incr i;
-            ignore
-              (Pipette.Predictor.predict_update p ~thread:0 ~pc:42
-                 ~taken:(!i land 3 <> 0))))
-  in
-  let test_interp =
-    Test.make ~name:"interp+engine: 2-stage pipeline (n=64)"
-      (Staged.stage
-         (let open Phloem_ir.Builder in
-          let p =
-            pipeline "micro"
-              ~params:[ ("n", Phloem_ir.Types.Vint 64) ]
-              ~queues:[ queue 0 ]
-              [
-                stage "prod" [ for_ "i" (int 0) (v "n") [ enq 0 (v "i") ] ];
-                stage "cons" [ for_ "i" (int 0) (v "n") [ "x" <-- deq 0 ] ];
-              ]
-          in
-          fun () -> ignore (Pipette.Sim.run p)))
-  in
-  let test_compile =
-    Test.make ~name:"phloem: compile BFS (static flow)"
-      (Staged.stage
-         (let g = Phloem_graph.Gen.grid ~width:8 ~height:8 ~seed:1 in
-          let b = Phloem_workloads.Bfs.bind g in
-          let serial = fst b.Phloem_workloads.Workload.b_serial in
-          fun () -> ignore (Phloem.Compile.static_flow ~stages:4 serial)))
-  in
-  let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-    let raw = Benchmark.all cfg instances test in
-    let results =
-      Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]) Instance.monotonic_clock raw
-    in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.printf "  %-42s %12.1f ns/run\n%!" name est
-        | _ -> Printf.printf "  %-42s (no estimate)\n%!" name)
-      results
-  in
-  List.iter
-    (fun t -> benchmark (Bechamel.Test.make_grouped ~name:"pipette" [ t ]))
-    [ test_prng; test_cache; test_predictor; test_interp; test_compile ]
-
-(* --- flag parsing (no cmdliner dep here: keep bechamel the only extra) --- *)
+(* --- flag parsing (no cmdliner dep here) --- *)
 
 type opts = {
   o_json : string option; (* --json FILE: fig9-11 data as JSON *)
@@ -179,7 +106,6 @@ let () =
     | "fig12" -> E.fig12 ~pool ~scale ()
     | "fig13" -> E.fig13 ~pool ~scale ()
     | "fig14" -> E.fig14 ~scale ()
-    | "micro" -> micro ()
     | other -> Printf.eprintf "unknown experiment %s\n" other
   in
   match o.o_compare with
@@ -195,7 +121,5 @@ let () =
         (E.write_json_report ~pool ?only_inputs:o.o_only ~pgo:o.o_pgo ~scale
            ~file ());
       List.iter dispatch args
-    | None, [] ->
-      E.run_all_experiments ~pool ~scale ();
-      micro ()
+    | None, [] -> E.run_all_experiments ~pool ~scale ()
     | None, args -> List.iter dispatch args)

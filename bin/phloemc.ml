@@ -8,7 +8,7 @@
    Pass-manager introspection: [--time-passes] prints per-pass wall time and
    op-count deltas, [--verify-each] re-validates the IR after every pass,
    [--dump-ir[=DIR]] writes numbered IR snapshots, [--print-pipeline] lists
-   the registered passes the current flags select. *)
+   the passes the current flags select. *)
 
 open Cmdliner
 module Log = Phloem_util.Log
@@ -99,9 +99,7 @@ let compile_cmd src_file stages length list_cuts flags_off time_passes verify_ea
     0
   end
   else
-  let options =
-    { Phloem.Pass.verify_each; dump_ir; keep_snapshots = false }
-  in
+  let options = { Phloem.Pass.verify_each; dump_ir } in
   match Phloem.Compile.static_flow_report ~flags ~options ~stages serial with
   | p, report ->
     print_endline (Phloem_ir.Printer.pipeline_to_string p);
@@ -159,7 +157,7 @@ let print_pipeline_arg =
   Arg.(
     value & flag
     & info [ "print-pipeline" ]
-        ~doc:"list the registered passes the current flags select")
+        ~doc:"list the passes the current flags select")
 
 let log_level_arg =
   Arg.(

@@ -8,8 +8,11 @@ open Cmdliner
 open Phloem_workloads
 module Serve = Phloem_serve
 
-(* Empty traces report 0 cycles; keep the derived ratios finite. *)
-let fdiv a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
+(* A numeric field of a result payload; 0 when absent. *)
+let num_field p k =
+  match Option.bind (Phloem_util.Json.member k p) Phloem_util.Json.to_float_opt with
+  | Some v -> v
+  | None -> 0.0
 
 (* Parse --inject / --fault-key into a fault plan (shared by the local and
    the --remote path; the remote daemon replays the identical plan). *)
@@ -68,11 +71,7 @@ let run_remote sock (job : Serve.Protocol.job) json_out =
       exit 1
     | Some payload_raw ->
       let p = Json.of_string payload_raw in
-      let num k =
-        match Option.bind (Json.member k p) Json.to_float_opt with
-        | Some v -> v
-        | None -> 0.0
-      in
+      let num = num_field p in
       let valid =
         match Json.member "valid" p with Some (Json.Bool b) -> b | _ -> false
       in
@@ -268,22 +267,25 @@ let rec simulate bench variant input scale json_out trace_out sample_interval
           ])
   with
   | exception Phloem_ir.Forensics.Pipeline_failure fr -> fail_and_exit fr
-  | [ sr; r ] -> report bench variant input scale json_out trace_out profile
-                   faults telemetry b p sr r
+  | [ sr; r ] ->
+    report job json_out trace_out profile faults telemetry b p sr r
   | _ -> assert false
 
-and report bench variant input scale json_out trace_out profile faults telemetry
-    b p sr r =
-  let serial_cycles = Pipette.Sim.cycles sr in
+and report (job : Serve.Protocol.job) json_out trace_out profile faults
+    telemetry b p sr r =
   let t = r.Pipette.Sim.sr_timing in
   let ok = Workload.check b r.Pipette.Sim.sr_functional in
-  Printf.printf "%s / %s on %s\n" b.Workload.b_name variant input;
+  let payload =
+    Serve.Jobs.payload_json ~job ~valid:ok ~serial_cycles:(Pipette.Sim.cycles sr)
+      ~faults r
+  in
+  Printf.printf "%s / %s on %s\n" b.Workload.b_name job.Serve.Protocol.j_variant
+    job.Serve.Protocol.j_input;
   Printf.printf "  result valid vs reference : %b\n" ok;
   Printf.printf "  cycles                    : %d\n" t.Pipette.Engine.cycles;
   Printf.printf "  micro-ops                 : %d (IPC %.2f)\n" t.Pipette.Engine.instrs
-    (fdiv t.Pipette.Engine.instrs t.Pipette.Engine.cycles);
-  Printf.printf "  speedup over serial       : %.2fx\n"
-    (fdiv serial_cycles t.Pipette.Engine.cycles);
+    (num_field payload "ipc");
+  Printf.printf "  speedup over serial       : %.2fx\n" (num_field payload "speedup");
   Printf.printf "  thread-cycles: issue %d, backend %d, queue %d, other %d\n"
     t.Pipette.Engine.issue_cycles t.Pipette.Engine.backend_cycles
     t.Pipette.Engine.queue_cycles t.Pipette.Engine.other_cycles;
@@ -326,20 +328,7 @@ and report bench variant input scale json_out trace_out profile faults telemetry
   | None -> ()
   | Some file ->
     let open Phloem_util.Json in
-    let meta =
-      [
-        ("bench", Str bench);
-        ("variant", Str variant);
-        ("input", Str input);
-        ("scale", Float scale);
-        ("valid", Bool ok);
-        ("serial_cycles", Int serial_cycles);
-        ("speedup", Float (fdiv serial_cycles t.Pipette.Engine.cycles));
-      ]
-    in
-    let core =
-      match Pipette.Sim.json_of_run r with Obj fields -> fields | j -> [ ("run", j) ]
-    in
+    let fields = match payload with Obj fields -> fields | j -> [ ("run", j) ] in
     let tel =
       match telemetry with
       | Some tel -> [ ("telemetry", Pipette.Telemetry.report_json tel) ]
@@ -350,12 +339,7 @@ and report bench variant input scale json_out trace_out profile faults telemetry
       | Some rep -> [ ("analysis", Pipette.Analysis.json_of_report rep) ]
       | None -> []
     in
-    let flt =
-      match faults with
-      | Some f -> [ ("faults", Pipette.Faults.json_of_counters f) ]
-      | None -> []
-    in
-    to_file file (Obj (meta @ core @ flt @ tel @ ana));
+    to_file file (Obj (fields @ tel @ ana));
     Printf.printf "  JSON report written to %s\n" file);
   (match (trace_out, telemetry) with
   | Some file, Some tel ->

@@ -409,14 +409,14 @@ let exhaustive_size ~(cut_sets : Costmodel.cut list list)
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
-let tune ?(flags = Decouple.all_passes) ?(cfg = Pipette.Config.default)
-    ?(top_k = 6) ?(max_cuts = 3) ?(beam = 4) ?(budget = 64) ?max_queue_cap
-    ?(max_replicas = 2) ?(max_cores = 4) ?(headroom_threshold = 1.05) ?pool
-    ?metrics ~check_arrays
+let tune ?(flags = Decouple.all_passes) ?(top_k = 6) ?(max_cuts = 3) ?(beam = 4)
+    ?(budget = 64) ?(max_replicas = 2) ?(max_cores = 4) ?pool ?metrics
+    ~check_arrays
     ~(training : (pipeline * (string * value array) list) list) () : outcome =
   if training = [] then invalid_arg "Autotune.tune: no training inputs";
   if beam < 1 then invalid_arg "Autotune.tune: beam < 1";
   if budget < 1 then invalid_arg "Autotune.tune: budget < 1";
+  let cfg = Pipette.Config.default in
   let pmap f l =
     match pool with
     | Some p -> Phloem_util.Pool.map_list p f l
@@ -454,13 +454,10 @@ let tune ?(flags = Decouple.all_passes) ?(cfg = Pipette.Config.default)
     {
       sp_cut_pool =
         take top_k (Compile.candidates serial0);
-      sp_max_queue_cap =
-        (match max_queue_cap with
-        | Some m -> m
-        | None -> 8 * cfg.Pipette.Config.queue_depth);
+      sp_max_queue_cap = 8 * cfg.Pipette.Config.queue_depth;
       sp_max_replicas = max_replicas;
       sp_max_cores = max_cores;
-      sp_headroom_threshold = headroom_threshold;
+      sp_headroom_threshold = 1.05;
     }
   in
   (* serial baselines: one functional run per training input *)

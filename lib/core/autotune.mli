@@ -121,15 +121,12 @@ val moves :
 
 val tune :
   ?flags:Decouple.flags ->
-  ?cfg:Pipette.Config.t ->
   ?top_k:int ->
   ?max_cuts:int ->
   ?beam:int ->
   ?budget:int ->
-  ?max_queue_cap:int ->
   ?max_replicas:int ->
   ?max_cores:int ->
-  ?headroom_threshold:float ->
   ?pool:Phloem_util.Pool.t ->
   ?metrics:Phloem_util.Metrics.t ->
   check_arrays:string list ->
@@ -140,8 +137,10 @@ val tune :
   outcome
 (** Run the search. [beam] (default 4) bounds how many survivors each
     wave expands; [budget] (default 64) caps total simulations;
-    [top_k]/[max_cuts] (defaults 6 and 3) shape the seed cut sets;
-    [max_queue_cap] defaults to [8 * cfg.queue_depth]. With the same
+    [top_k]/[max_cuts] (defaults 6 and 3) shape the seed cut sets. The
+    search runs on {!Pipette.Config.default}; queue capacities grow up to
+    [8 * queue_depth], and a configuration with less than 5% estimated
+    headroom counts as balanced. With the same
     arguments the outcome is byte-identical whether [pool] is absent,
     single-job, or many-job (the pool preserves submission order).
     [metrics] feeds search progress into a shared registry: per-eval

@@ -254,8 +254,8 @@ let cleanup (p : pipeline) : pipeline =
   in
   go p
 
-(* Scan-chaining alone (to a fixpoint), without the cleanup; registered as
-   its own pass so cleanup can run and be observed separately. *)
+(* Scan-chaining alone (to a fixpoint), without the cleanup; run as its
+   own pass so cleanup can run and be observed separately. *)
 let chain (p : pipeline) : pipeline =
   let rec go p = match chain_step p with Some p' -> go p' | None -> p in
   go p

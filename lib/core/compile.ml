@@ -5,7 +5,7 @@
    cost model and emit one pipeline. [with_cuts] compiles an explicit cut
    selection (used by Autotune, whose seed wave is the profile-guided
    search). Both are thin wrappers over [Pass.Manager] running the
-   registered pass list from [Passes.standard]; the [_report] variants
+   pass list from [Passes.standard]; the [_report] variants
    expose the manager's per-pass timing/op-count report and accept
    [Pass.options] for per-pass verification and IR snapshots. *)
 
@@ -25,9 +25,8 @@ let with_cuts_report ?(flags = Decouple.all_passes) ?(options = Pass.default_opt
   let manager = Pass.Manager.create ~options (Passes.standard ~flags) in
   Pass.Manager.run manager { Pass.flags; cuts } serial
 
-let with_cuts ?flags ?options (serial : pipeline) (cuts : Costmodel.cut list) : pipeline
-    =
-  fst (with_cuts_report ?flags ?options serial cuts)
+let with_cuts ?flags (serial : pipeline) (cuts : Costmodel.cut list) : pipeline =
+  fst (with_cuts_report ?flags serial cuts)
 
 (* Static mode: an n-stage pipeline from the top-ranked cost-model cuts.
    Cuts that make decoupling illegal (e.g. they would split a merge loop's
@@ -63,21 +62,5 @@ let static_flow_report ?(flags = Decouple.all_passes) ?(options = Pass.default_o
     | chosen -> with_cuts_report ~flags ~options serial (in_order chosen))
   | _ -> invalid_arg "Compile.static_flow: expected serial pipeline"
 
-let static_flow ?flags ?options ?stages (serial : pipeline) : pipeline =
-  fst (static_flow_report ?flags ?options ?stages serial)
-
-(* Compile minic source text end to end (used by phloemc and tests). *)
-let from_minic_source_report ?(flags = Decouple.all_passes)
-    ?(options = Pass.default_options) ?(stages = 4) src
-    ~(arrays : (string * value array) list) ~(scalars : (string * value) list) :
-    pipeline * Pass.report * (string * value array) list =
-  let lw = Phloem_minic.Lower.of_source src in
-  let serial, inputs = Phloem_minic.Lower.to_serial_pipeline lw ~arrays ~scalars in
-  let p, report = static_flow_report ~flags ~options ~stages serial in
-  (p, report, inputs)
-
-let from_minic_source ?flags ?options ?stages src
-    ~(arrays : (string * value array) list) ~(scalars : (string * value) list) :
-    pipeline * (string * value array) list =
-  let p, _, inputs = from_minic_source_report ?flags ?options ?stages src ~arrays ~scalars in
-  (p, inputs)
+let static_flow ?flags ?stages (serial : pipeline) : pipeline =
+  fst (static_flow_report ?flags ?stages serial)

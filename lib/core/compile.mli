@@ -2,7 +2,7 @@
 
     A "serial pipeline" below is a single-stage {!Phloem_ir.Types.pipeline},
     typically produced by {!Phloem_minic.Lower.to_serial_pipeline}. Both
-    flows run the registered pass list from {!Passes.standard} through
+    flows run the pass list from {!Passes.standard} through
     {!Pass.Manager}; the [_report] variants expose the manager's per-pass
     timing/op-count report and accept {!Pass.options} for per-pass
     verification ([verify_each]) and IR snapshots ([dump_ir]). *)
@@ -16,16 +16,13 @@ val candidates : Phloem_ir.Types.pipeline -> Costmodel.cut list
 
 val with_cuts :
   ?flags:Decouple.flags ->
-  ?options:Pass.options ->
   Phloem_ir.Types.pipeline ->
   Costmodel.cut list ->
   Phloem_ir.Types.pipeline
 (** Compile with an explicit cut selection (the profile-guided search uses
     this); applies the pass gates in [flags], scan-chaining/cleanup, and
     validates the result against the architecture's queue/RA limits.
-    @raise Unsupported if the cuts are illegal.
-    @raise Pass.Verify_failed if [options.verify_each] catches a malformed
-    intermediate pipeline. *)
+    @raise Unsupported if the cuts are illegal. *)
 
 val with_cuts_report :
   ?flags:Decouple.flags ->
@@ -33,11 +30,12 @@ val with_cuts_report :
   Phloem_ir.Types.pipeline ->
   Costmodel.cut list ->
   Phloem_ir.Types.pipeline * Pass.report
-(** [with_cuts], also returning the pass manager's report. *)
+(** [with_cuts], also returning the pass manager's report.
+    @raise Pass.Verify_failed if [options.verify_each] catches a malformed
+    intermediate pipeline. *)
 
 val static_flow :
   ?flags:Decouple.flags ->
-  ?options:Pass.options ->
   ?stages:int ->
   Phloem_ir.Types.pipeline ->
   Phloem_ir.Types.pipeline
@@ -53,25 +51,3 @@ val static_flow_report :
   Phloem_ir.Types.pipeline * Pass.report
 (** [static_flow], also returning the pass manager's report for the winning
     cut selection (the greedy search itself runs uninstrumented). *)
-
-val from_minic_source :
-  ?flags:Decouple.flags ->
-  ?options:Pass.options ->
-  ?stages:int ->
-  string ->
-  arrays:(string * Phloem_ir.Types.value array) list ->
-  scalars:(string * Phloem_ir.Types.value) list ->
-  Phloem_ir.Types.pipeline * (string * Phloem_ir.Types.value array) list
-(** Compile minic source text end to end, binding array parameters to the
-    given contents; returns the pipeline and the inputs to pass to
-    {!Pipette.Sim.run}. *)
-
-val from_minic_source_report :
-  ?flags:Decouple.flags ->
-  ?options:Pass.options ->
-  ?stages:int ->
-  string ->
-  arrays:(string * Phloem_ir.Types.value array) list ->
-  scalars:(string * Phloem_ir.Types.value) list ->
-  Phloem_ir.Types.pipeline * Pass.report * (string * Phloem_ir.Types.value array) list
-(** [from_minic_source], also returning the pass manager's report. *)

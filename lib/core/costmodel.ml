@@ -164,10 +164,3 @@ let candidates (tree : Ktree.t list) : cut list =
       groups []
   in
   List.sort (fun a b -> compare b.cut_score a.cut_score) cuts
-
-(* The static compilation flow: the (n-1) best cuts for an n-stage pipeline,
-   returned in program order. *)
-let select_static (tree : Ktree.t list) ~stages : cut list =
-  let cs = candidates tree in
-  let chosen = List.filteri (fun i _ -> i < stages - 1) cs in
-  List.sort (fun a b -> compare (List.hd a.cut_loads) (List.hd b.cut_loads)) chosen

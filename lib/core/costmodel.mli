@@ -32,6 +32,3 @@ val analyze : Ktree.t list -> load_site list
 
 val candidates : Ktree.t list -> cut list
 (** Candidate cuts, best first. *)
-
-val select_static : Ktree.t list -> stages:int -> cut list
-(** The top (stages-1) cuts, re-sorted into program order. *)

@@ -18,8 +18,8 @@
    - Emit (phase D): per-stage emission, with in-band control checks or
      control-value handlers (handlers gate).
 
-   Scan-chaining and stage elision run afterwards as separate registered
-   passes (see Chain and Passes). *)
+   Scan-chaining and stage elision run afterwards as separate passes (see
+   Chain and Passes). *)
 
 (* Re-exports: the feature gates and the rejection exception live in Pass
    (so every pass module can use them without a dependency cycle), but

@@ -4,9 +4,9 @@
    (decouple -> scan-chain -> cleanup -> limit checks -> validation, plus
    replication for the multicore flow). Each transformation is a first-class
    pass: a name, a [run] function, and optional invariants checked after the
-   pass when [verify_each] is on. The [Manager] runs a registered pass list,
+   pass when [verify_each] is on. The [Manager] runs a pass list,
    re-validating the IR between passes on request, recording per-pass wall
-   time and op-count deltas, and capturing before/after IR snapshots via
+   time and op-count deltas, and dumping IR snapshots via
    [Phloem_ir.Printer]. *)
 
 open Phloem_ir.Types
@@ -26,7 +26,7 @@ let reject fmt =
     fmt
 
 (* Feature gates of the decoupling transform (paper Fig. 6 ablation ladder).
-   These are orthogonal to the registered pass list: they gate decisions
+   These are orthogonal to the pass list: they gate decisions
    *inside* the decouple pass and decide whether scan-chaining runs. *)
 type flags = {
   f_recompute : bool;
@@ -87,20 +87,6 @@ let describe_of (p : pass) =
   let module P = (val p) in
   P.describe
 
-(* ---------- registry ---------- *)
-
-let registry : (string, pass) Hashtbl.t = Hashtbl.create 8
-let registration_order : string list ref = ref []
-
-let register (p : pass) =
-  let n = name_of p in
-  if not (Hashtbl.mem registry n) then
-    registration_order := !registration_order @ [ n ];
-  Hashtbl.replace registry n p
-
-let find name = Hashtbl.find_opt registry name
-let registered () = !registration_order
-
 (* ---------- op counting (for per-pass deltas) ---------- *)
 
 let rec stmt_ops s =
@@ -131,10 +117,9 @@ exception Verify_failed of string * string
 type options = {
   verify_each : bool; (* run Validate + pass invariants after every pass *)
   dump_ir : string option; (* write numbered IR snapshots into this directory *)
-  keep_snapshots : bool; (* retain the printed IR in the report *)
 }
 
-let default_options = { verify_each = false; dump_ir = None; keep_snapshots = false }
+let default_options = { verify_each = false; dump_ir = None }
 
 type pass_report = {
   pr_name : string;
@@ -142,7 +127,6 @@ type pass_report = {
   pr_ops_before : int;
   pr_ops_after : int;
   pr_stages_after : int;
-  pr_snapshot : string option; (* IR after the pass, when keep_snapshots *)
 }
 
 type report = {
@@ -220,10 +204,6 @@ module Manager = struct
           pr_ops_before = ops_before;
           pr_ops_after = ops_after;
           pr_stages_after = List.length p'.p_stages;
-          pr_snapshot =
-            (if t.options.keep_snapshots then
-               Some (Phloem_ir.Printer.pipeline_to_string p')
-             else None);
         }
         :: !reports;
       p'

@@ -1,4 +1,4 @@
-(* The compiler's registered pass list.
+(* The compiler's pass list.
 
    Each pass wraps one IR-to-IR transformation as a first-class [Pass.PASS]
    module; [standard ~flags] assembles the list the top-level compilation
@@ -278,10 +278,6 @@ let replicate (spec : Replicate.spec) : Pass.pass =
     let run (_ : Pass.ctx) p = Replicate.apply p spec
     let invariants = []
   end)
-
-let () =
-  List.iter Pass.register
-    [ decouple; scan_chain; cleanup; check_deadlock; check_limits; validate ]
 
 (* The standard single-pipeline compilation sequence for a given feature
    ladder. Scan-chaining needs both the RA substrate and inter-stage DCE.

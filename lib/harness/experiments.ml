@@ -181,7 +181,7 @@ let progress fmt = Phloem_util.Log.info ~component:"harness" fmt
    byte-identical to the serial one. [only_inputs] restricts the sweep to
    the named inputs (smoke tests, CI); [pgo] can be disabled to skip the
    profile-guided search. *)
-let run_benchmark ?pool ?only_inputs ?(pgo = true) ?faults ?retries ~scale bench :
+let run_benchmark ?pool ?only_inputs ?(pgo = true) ~scale bench :
     bench_runs list =
   let keep name =
     match only_inputs with None -> true | Some names -> List.mem name names
@@ -220,7 +220,7 @@ let run_benchmark ?pool ?only_inputs ?(pgo = true) ?faults ?retries ~scale bench
       let runs =
         match
           let b = bind () in
-          Runner.run_all ?pgo_cuts:pgo ?pool ?faults ?retries b
+          Runner.run_all ?pgo_cuts:pgo ?pool b
         with
         | a -> Ok a
         | exception e when Runner.expected_failure e ->
@@ -238,10 +238,10 @@ let run_benchmark ?pool ?only_inputs ?(pgo = true) ?faults ?retries ~scale bench
 
 let benches = [ "BFS"; "CC"; "PRD"; "Radii"; "SpMM" ]
 
-let collect ?pool ?(benches = benches) ?only_inputs ?pgo ?faults ?retries
+let collect ?pool ?(benches = benches) ?only_inputs ?pgo
     ?(scale = default_scale ()) () =
   List.map
-    (fun b -> (b, run_benchmark ?pool ?only_inputs ?pgo ?faults ?retries ~scale b))
+    (fun b -> (b, run_benchmark ?pool ?only_inputs ?pgo ~scale b))
     benches
 
 let gmean_of sel (runs : bench_runs list) =
@@ -282,7 +282,6 @@ let json_of_collection (all : (string * bench_runs list) list) :
                       ("variant", Str f.Runner.f_variant);
                       ("kind", Str f.Runner.f_kind);
                       ("message", Str f.Runner.f_message);
-                      ("retries", Int f.Runner.f_retries);
                     ])
                 a.Runner.failures)
           runs)
@@ -323,9 +322,9 @@ let json_of_collection (all : (string * bench_runs list) list) :
 
 (* Run the full fig9-11 collection and write it as JSON; the substrate for
    scripted/CI consumption of the evaluation. *)
-let write_json_report ?pool ?benches ?only_inputs ?pgo ?faults ?retries
+let write_json_report ?pool ?benches ?only_inputs ?pgo
     ?(scale = default_scale ()) ~file () =
-  let all = collect ?pool ?benches ?only_inputs ?pgo ?faults ?retries ~scale () in
+  let all = collect ?pool ?benches ?only_inputs ?pgo ~scale () in
   Phloem_util.Json.to_file file (json_of_collection all);
   progress "[json] evaluation report written to %s" file;
   all

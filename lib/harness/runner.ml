@@ -95,10 +95,9 @@ type failure = {
   f_kind : string;
   f_message : string;
   f_backtrace : string;
-  f_retries : int; (* attempts consumed before giving up (or succeeding) *)
 }
 
-let failure_of ~variant ?(retries = 0) e bt =
+let failure_of ~variant e bt =
   let kind, message =
     match e with
     | Phloem_ir.Forensics.Pipeline_failure r ->
@@ -111,7 +110,6 @@ let failure_of ~variant ?(retries = 0) e bt =
     f_kind = kind;
     f_message = message;
     f_backtrace = Printexc.raw_backtrace_to_string bt;
-    f_retries = retries;
   }
 
 let json_of_failure (f : failure) : Phloem_util.Json.t =
@@ -122,53 +120,29 @@ let json_of_failure (f : failure) : Phloem_util.Json.t =
       ("kind", Str f.f_kind);
       ("message", Str f.f_message);
       ("backtrace", Str f.f_backtrace);
-      ("retries", Int f.f_retries);
     ]
 
 (* Run one variant; an expected failure becomes an [Error failure] record
-   instead of an exception. With a fault [plan], injected failures whose
-   report shows actual injections ([fr_injected > 0]) are transient by
-   construction and retried up to [retries] times, each attempt on an
-   independent PRNG stream ([Faults.rekey]); clean failures and exhausted
-   retries are recorded. *)
-let run_one ?(cfg = Pipette.Config.default) ?thread_core ?faults ?(retries = 0)
-    (b : Workload.bound) ~variant (p, inputs) ~serial_cycles :
+   instead of an exception. Compilation and the functional trace are
+   memoized in [Sim], so every config of the same (pipeline, input) pair
+   in the sweep pays only for the timing replay. *)
+let run_one (b : Workload.bound) ~variant (p, inputs) ~serial_cycles :
     (measurement, failure) result =
-  let rec go attempt =
-    let injected =
-      Option.map
-        (fun plan -> Pipette.Faults.create (Pipette.Faults.rekey plan ~attempt))
-        faults
-    in
-    (* Compilation and the functional trace are memoized in [Sim], so
-       retries (and every other config of the same (pipeline, input) pair
-       in the sweep) pay only for the timing replay. *)
-    match Pipette.Sim.run ~cfg ?thread_core ~inputs ?faults:injected p with
-    | exception Phloem_ir.Forensics.Pipeline_failure r
-      when r.Phloem_ir.Forensics.fr_injected > 0 && attempt < retries ->
-      Log.warn ~component:"runner"
-        "%s/%s: injected %s after %d fault(s); retrying (attempt %d/%d)"
-        b.Workload.b_name variant
-        (Phloem_ir.Forensics.kind_name r.Phloem_ir.Forensics.fr_kind)
-        r.Phloem_ir.Forensics.fr_injected (attempt + 1) retries
-      ;
-      go (attempt + 1)
-    | exception e when expected_failure e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Log.warn ~component:"runner" "%s/%s failed: %s" b.Workload.b_name variant
-        (Printexc.to_string e);
-      Error (failure_of ~variant ~retries:attempt e bt)
-    | r ->
-      let ok = Workload.check b r.Pipette.Sim.sr_functional in
-      if not ok then
-        Log.warn ~component:"runner" "%s/%s: result does not match the reference"
-          b.Workload.b_name variant;
-      let m = of_run ~variant ~serial_cycles ~ok r in
-      Log.debug ~component:"runner" "%s/%s: %d cycles, speedup %.2f" b.Workload.b_name
-        variant m.m_cycles m.m_speedup;
-      Ok m
-  in
-  go 0
+  match Pipette.Sim.run ~inputs p with
+  | exception e when expected_failure e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Log.warn ~component:"runner" "%s/%s failed: %s" b.Workload.b_name variant
+      (Printexc.to_string e);
+    Error (failure_of ~variant e bt)
+  | r ->
+    let ok = Workload.check b r.Pipette.Sim.sr_functional in
+    if not ok then
+      Log.warn ~component:"runner" "%s/%s: result does not match the reference"
+        b.Workload.b_name variant;
+    let m = of_run ~variant ~serial_cycles ~ok r in
+    Log.debug ~component:"runner" "%s/%s: %d cycles, speedup %.2f" b.Workload.b_name
+      variant m.m_cycles m.m_speedup;
+    Ok m
 
 (* The Phloem pipeline for a bound: static cost model or a provided PGO cut
    recipe (cut recipes transfer across inputs of the same kernel). *)
@@ -205,12 +179,9 @@ let json_of_all_runs (a : all_runs) : Phloem_util.Json.t =
       ("errors", List (List.map json_of_failure a.failures));
     ]
 
-let run_all ?(cfg = Pipette.Config.default) ?(threads = 4) ?pgo_cuts ?pool
-    ?faults ?retries (b : Workload.bound) : all_runs =
+let run_all ?pgo_cuts ?pool (b : Workload.bound) : all_runs =
   let serial_p, serial_in = b.Workload.b_serial in
-  (* The baseline runs clean even under a fault plan: injecting into the
-     denominator of every speedup would poison the whole record. *)
-  let sr = Pipette.Sim.run ~cfg ~inputs:serial_in serial_p in
+  let sr = Pipette.Sim.run ~inputs:serial_in serial_p in
   let serial_cycles = Pipette.Sim.cycles sr in
   let serial_m =
     of_run ~variant:"serial" ~serial_cycles
@@ -238,25 +209,25 @@ let run_all ?(cfg = Pipette.Config.default) ?(threads = 4) ?pgo_cuts ?pool
     [
       guarded "data-parallel" (fun () ->
           Some
-            (run_one ~cfg ?faults ?retries b ~variant:"data-parallel"
-               (b.Workload.b_data_parallel ~threads)
+            (run_one b ~variant:"data-parallel"
+               (b.Workload.b_data_parallel ~threads:4)
                ~serial_cycles));
       guarded "phloem-static" (fun () ->
           Some
-            (run_one ~cfg ?faults ?retries b ~variant:"phloem-static"
+            (run_one b ~variant:"phloem-static"
                (phloem_pipeline b, serial_in)
                ~serial_cycles));
       guarded "phloem-pgo" (fun () ->
           Option.map
             (fun cuts ->
-              run_one ~cfg ?faults ?retries b ~variant:"phloem-pgo"
+              run_one b ~variant:"phloem-pgo"
                 (phloem_pipeline ~cuts b, serial_in)
                 ~serial_cycles)
             pgo_cuts);
       guarded "manual" (fun () ->
           Option.map
             (fun mp ->
-              run_one ~cfg ?faults ?retries b ~variant:"manual" mp ~serial_cycles)
+              run_one b ~variant:"manual" mp ~serial_cycles)
             b.Workload.b_manual);
     ]
   in
@@ -282,7 +253,7 @@ let run_all ?(cfg = Pipette.Config.default) ?(threads = 4) ?pgo_cuts ?pool
    plus every enumerated cut set, each profiled on every training input.
    Returns the recipe, the best surviving cut set ([] = run serial), with
    the outcome, whose trace holds every profiled candidate (Fig. 13). *)
-let pgo_cuts ?(cfg = Pipette.Config.default) ?(top_k = 6) ?(max_cuts = 3) ?pool
+let pgo_cuts ?(top_k = 6) ?(max_cuts = 3) ?pool
     (training : Workload.bound list) :
     Phloem.Costmodel.cut list * Phloem.Autotune.outcome =
   match training with
@@ -293,7 +264,7 @@ let pgo_cuts ?(cfg = Pipette.Config.default) ?(top_k = 6) ?(max_cuts = 3) ?pool
       A.enumerate_cut_sets ~top_k ~max_cuts (fst b0.Workload.b_serial)
     in
     let o =
-      A.tune ~cfg ~top_k ~max_cuts ~budget:(1 + List.length cut_sets) ?pool
+      A.tune ~top_k ~max_cuts ~budget:(1 + List.length cut_sets) ?pool
         ~check_arrays:b0.Workload.b_check_arrays
         ~training:(List.map (fun b -> b.Workload.b_serial) training)
         ()

@@ -17,12 +17,6 @@ type plan = { fp_key : int; fp_specs : spec list }
 
 let plan ?(key = 0) specs = { fp_key = key; fp_specs = specs }
 
-(* Retry attempt [n] re-keys the stream through the keyed constructor, so
-   attempts enumerate independent fault realizations of the same plan. *)
-let rekey p ~attempt =
-  if attempt = 0 then p
-  else { p with fp_key = p.fp_key + (attempt * 0x9e3779b97f4a7c1) }
-
 type counters = {
   mutable c_drops : int;
   mutable c_dups : int;

@@ -43,11 +43,6 @@ type plan = { fp_key : int; fp_specs : spec list }
 val plan : ?key:int -> spec list -> plan
 (** [plan ?key specs] packs a fault plan; [key] defaults to 0. *)
 
-val rekey : plan -> attempt:int -> plan
-(** [rekey p ~attempt] derives the plan used for retry number [attempt]:
-    same fault specs, an independent PRNG stream. [rekey p ~attempt:0] is
-    [p] itself, so attempt numbers enumerate deterministic variations. *)
-
 val of_string : string -> (plan, string) Result.t
 (** Parse a comma-separated plan, e.g.
     ["drop@q0:0.01,spike@dram+400:0.05,stall@t1:1000x200,kill@t2:5000,poison:0.1"].

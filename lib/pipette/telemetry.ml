@@ -32,9 +32,12 @@ type span = { sp_thread : int; sp_state : string; sp_start : int; sp_end : int }
 type point = { pt_track : string; pt_cycle : int; pt_value : int }
 type thread_meta = { tm_thread : int; tm_core : int; tm_name : string }
 
+(* Spans and counter points kept per run; later events are counted as
+   dropped. *)
+let max_events = 2_000_000
+
 type t = {
   interval : int;
-  max_events : int;
   mutable probes : probe list; (* reverse registration order *)
   mutable samples : sample list; (* reverse chronological *)
   mutable next_sample : int;
@@ -47,11 +50,10 @@ type t = {
   mutable finished_at : int; (* -1 until [finish] *)
 }
 
-let create ?(interval = 1000) ?(max_events = 2_000_000) () =
+let create ?(interval = 1000) () =
   if interval <= 0 then invalid_arg "Telemetry.create: interval must be > 0";
   {
     interval;
-    max_events;
     probes = [];
     samples = [];
     next_sample = interval;
@@ -76,14 +78,14 @@ let set_thread_meta t ~thread ~core ~name =
   t.metas <- { tm_thread = thread; tm_core = core; tm_name = name } :: t.metas
 
 let push_span t span =
-  if t.n_events < t.max_events then begin
+  if t.n_events < max_events then begin
     t.spans <- span :: t.spans;
     t.n_events <- t.n_events + 1
   end
   else t.dropped <- t.dropped + 1
 
 let push_point t point =
-  if t.n_events < t.max_events then begin
+  if t.n_events < max_events then begin
     t.points <- point :: t.points;
     t.n_events <- t.n_events + 1
   end
@@ -148,7 +150,6 @@ let finish t ~cycle =
 let samples t = List.rev t.samples
 let spans t = List.rev t.spans
 let points t = List.rev t.points
-let dropped_events t = t.dropped
 
 (* Sum of a counter probe's deltas across all samples taken so far. *)
 let sum_counter t name =

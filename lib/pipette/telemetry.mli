@@ -24,9 +24,9 @@ type point = { pt_track : string; pt_cycle : int; pt_value : int }
 
 type t
 
-val create : ?interval:int -> ?max_events:int -> unit -> t
+val create : ?interval:int -> unit -> t
 (** [create ()] makes an empty telemetry sink sampling every [interval]
-    cycles (default 1000), dropping events past [max_events] (default 2M).
+    cycles (default 1000), dropping spans and points past the first 2M.
     @raise Invalid_argument if [interval <= 0]. *)
 
 val interval : t -> int
@@ -58,7 +58,6 @@ val finish : t -> cycle:int -> unit
 val samples : t -> sample list
 val spans : t -> span list
 val points : t -> point list
-val dropped_events : t -> int
 
 val sum_counter : t -> string -> int
 (** Sum of a counter probe's deltas across all samples taken so far. *)

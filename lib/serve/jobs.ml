@@ -12,9 +12,8 @@ exception Bad_job of string
 (* unknown bench / input / variant: the job can never run, as opposed to a
    run-time pipeline failure *)
 
-let graph_names =
-  [ "internet"; "USA-road-d-NY"; "coAuthorsDBLP"; "hugetrace-00000"; "Freescale1";
-    "as-Skitter"; "USA-road-d-USA" ]
+let graph_names () =
+  List.map (fun i -> i.Phloem_graph.Inputs.name) (Phloem_graph.Inputs.all ())
 
 let matrix_names () =
   List.map (fun i -> i.Phloem_sparse.Inputs.name) (Phloem_sparse.Inputs.all ())
@@ -22,7 +21,7 @@ let matrix_names () =
 let bind ~bench ~input ~scale : Workload.bound =
   match bench with
   | "bfs" | "cc" | "prd" | "radii" ->
-    if not (List.mem input graph_names) then
+    if not (List.mem input (graph_names ())) then
       raise (Bad_job (Printf.sprintf "unknown graph %s" input));
     let g =
       Lazy.force (Phloem_graph.Inputs.find ~scale input).Phloem_graph.Inputs.graph

@@ -6,8 +6,6 @@ exception Bad_job of string
     to a run-time pipeline failure, which raises
     {!Phloem_ir.Forensics.Pipeline_failure}). *)
 
-val graph_names : string list
-
 val bind :
   bench:string -> input:string -> scale:float -> Phloem_workloads.Workload.bound
 (** Bind a named benchmark to its named generated input at [scale].
@@ -21,6 +19,18 @@ val variant_pipeline :
   Phloem_ir.Types.pipeline * Phloem_workloads.Workload.inputs
 (** Select the serial / phloem / data-parallel / manual pipeline of a bound
     workload. @raise Bad_job on an unknown or unavailable variant. *)
+
+val payload_json :
+  job:Protocol.job ->
+  valid:bool ->
+  serial_cycles:int ->
+  faults:Pipette.Faults.t option ->
+  Pipette.Sim.run ->
+  Phloem_util.Json.t
+(** The result payload of a finished job: its bench, variant, input and
+    scale, [valid], [serial_cycles] and the speedup over them, then the
+    fields of {!Pipette.Sim.json_of_run}, then the injected-fault counters
+    when [faults] is given. *)
 
 val run : ?obs:Obs.t -> ?trace:int -> Protocol.job -> string
 (** Execute one job — serial baseline plus requested variant, faults

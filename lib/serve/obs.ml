@@ -24,28 +24,22 @@ type t = {
   ob_slow_s : float option;
   ob_next_trace : int Atomic.t;
   (* hot-path handles, resolved once *)
-  ob_requests : M.counter;
   ob_hits : M.counter;
   ob_misses : M.counter;
-  ob_shed : M.counter;
-  ob_errors : M.counter;
   ob_hit_latency : M.histogram;
   ob_miss_latency : M.histogram;
   ob_queue_wait : M.histogram;
 }
 
-let create ?slow_ms ?max_spans () =
+let create ?slow_ms () =
   let m = M.create () in
   {
     ob_metrics = m;
-    ob_recorder = M.recorder ?max_spans ();
+    ob_recorder = M.recorder ();
     ob_slow_s = Option.map (fun ms -> ms /. 1000.0) slow_ms;
     ob_next_trace = Atomic.make 1;
-    ob_requests = M.counter m "phloemd_requests";
     ob_hits = M.counter m "phloemd_cache_hits";
     ob_misses = M.counter m "phloemd_cache_misses";
-    ob_shed = M.counter m "phloemd_shed";
-    ob_errors = M.counter m "phloemd_errors";
     ob_hit_latency = M.histogram m "phloemd_request_latency_hit_s";
     ob_miss_latency = M.histogram m "phloemd_request_latency_miss_s";
     ob_queue_wait = M.histogram m "phloemd_queue_wait_s";
@@ -66,10 +60,6 @@ let span t ~trace ~track ~name f =
   Fun.protect
     ~finally:(fun () -> record t ~trace ~track ~name ~start ~stop:(now ()))
     f
-
-let on_request t = M.incr t.ob_requests
-let on_shed t = M.incr t.ob_shed
-let on_error t = M.incr t.ob_errors
 
 let observe_queue_wait t wait = M.observe t.ob_queue_wait wait
 

@@ -15,13 +15,14 @@
 
 type t
 
-val create : ?slow_ms:float -> ?max_spans:int -> unit -> t
-(** [slow_ms] enables the slow-request log at that latency threshold;
-    [max_spans] bounds the recorder (see {!Phloem_util.Metrics.recorder}). *)
+val create : ?slow_ms:float -> unit -> t
+(** [slow_ms] enables the slow-request log at that latency threshold. The
+    recorder keeps {!Phloem_util.Metrics.recorder}'s default bound. *)
 
 val metrics : t -> Phloem_util.Metrics.t
 (** The underlying registry, for callers adding their own instruments
-    (the autotuner's progress counters use this). *)
+    (the server's request counters and the autotuner's progress counters
+    use this). *)
 
 val spans : t -> Phloem_util.Metrics.span list
 (** All recorded request spans, sorted by start time. *)
@@ -39,10 +40,6 @@ val record :
 
 val span : t -> trace:int -> track:string -> name:string -> (unit -> 'a) -> 'a
 (** Time a thunk and record it as a span — also when it raises. *)
-
-val on_request : t -> unit
-val on_shed : t -> unit
-val on_error : t -> unit
 
 val observe_queue_wait : t -> float -> unit
 (** Feed one job's queue-wait (seconds) to the queue-wait histogram. *)

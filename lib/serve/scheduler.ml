@@ -23,7 +23,6 @@ type 'a t = {
   mutable queued : int;
   mutable closed : bool;
   mutable accepted : int;
-  mutable shed : int;
   mutable dispatched : int;
   mutable wait_total : float; (* summed queue-wait of dispatched jobs *)
   mutable wait_max : float;
@@ -33,7 +32,6 @@ type shed_info = { sh_queued : int; sh_limit : int }
 
 type stats = {
   st_accepted : int;
-  st_shed : int;
   st_dispatched : int;
   st_queued : int;
   st_limit : int;
@@ -53,7 +51,6 @@ let create ?(limit = 64) ?(clock = Phloem_util.Clock.now) () =
     queued = 0;
     closed = false;
     accepted = 0;
-    shed = 0;
     dispatched = 0;
     wait_total = 0.0;
     wait_max = 0.0;
@@ -65,14 +62,8 @@ let with_lock t f =
 
 let submit t ~client job =
   with_lock t (fun () ->
-      if t.closed then begin
-        t.shed <- t.shed + 1;
+      if t.closed || t.queued >= t.limit then
         Error { sh_queued = t.queued; sh_limit = t.limit }
-      end
-      else if t.queued >= t.limit then begin
-        t.shed <- t.shed + 1;
-        Error { sh_queued = t.queued; sh_limit = t.limit }
-      end
       else begin
         let q =
           match Hashtbl.find_opt t.queues client with
@@ -122,7 +113,6 @@ let stats t =
   with_lock t (fun () ->
       {
         st_accepted = t.accepted;
-        st_shed = t.shed;
         st_dispatched = t.dispatched;
         st_queued = t.queued;
         st_limit = t.limit;

@@ -10,7 +10,6 @@ type shed_info = { sh_queued : int; sh_limit : int }
 
 type stats = {
   st_accepted : int;
-  st_shed : int;
   st_dispatched : int;
   st_queued : int;
   st_limit : int;

@@ -10,7 +10,10 @@
    the scheduler, runs it, and answers it the moment it finishes, so a
    long job delays neither its neighbours nor the readers. Cache hits,
    stats, pings, and shed responses are answered directly on the reader
-   thread in O(lookup) — they never wait for a job.
+   thread in O(lookup) — they never wait for a job. A worker that takes a
+   job whose content key another worker is already running waits for that
+   run and answers with its result, so concurrent identical misses run
+   once.
 
    Failure containment: a job that deadlocks, livelocks, exhausts its
    budget, or raises for any other reason becomes a structured JSON error
@@ -21,6 +24,7 @@ module Json = Phloem_util.Json
 module Log = Phloem_util.Log
 module Fifo_cache = Phloem_util.Fifo_cache
 module Clock = Phloem_util.Clock
+module M = Phloem_util.Metrics
 
 type opts = {
   so_unix : string option; (* Unix-domain socket path *)
@@ -58,21 +62,31 @@ type entry = {
   en_t0 : float; (* request arrival, Clock seconds (0. when tracing is off) *)
 }
 
+(* One run of a content key: [None] until the worker running it publishes
+   the outcome. *)
+type flight = (string, exn) result option ref
+
 type t = {
   t_opts : opts;
   t_jobs : int; (* worker domains [run] spawns: so_jobs after the clamp *)
   t_cache : (string, string) Fifo_cache.t;
       (* content key -> payload bytes; weight = payload bytes *)
   t_sched : entry Scheduler.t;
+  t_inflight : (string, flight) Hashtbl.t; (* content keys being run *)
+  t_inflight_lock : Mutex.t;
+  t_landed : Condition.t; (* broadcast when a run publishes its outcome *)
   t_stopped : bool Atomic.t;
   t_listeners : Unix.file_descr list;
   t_clients : (int, client) Hashtbl.t;
   t_clients_lock : Mutex.t;
   t_next_client : int Atomic.t;
-  t_connections : int Atomic.t;
-  t_requests : int Atomic.t;
-  t_ok : int Atomic.t;
-  t_errors : int Atomic.t;
+  (* in [Obs.metrics] when observability is on, so stats and metrics read
+     the same counts *)
+  t_connections : M.counter;
+  t_requests : M.counter;
+  t_ok : M.counter;
+  t_errors : M.counter;
+  t_shed : M.counter;
   t_started : float; (* Clock seconds *)
 }
 
@@ -102,21 +116,28 @@ let create (opts : opts) : t =
     (match opts.so_unix with Some p -> [ unix_listener p ] | None -> [])
     @ match opts.so_tcp with Some p -> [ tcp_listener p ] | None -> []
   in
+  let m =
+    match opts.so_obs with Some o -> Obs.metrics o | None -> M.create ()
+  in
   {
     t_opts = opts;
     t_jobs = Phloem_util.Pool.clamp_jobs opts.so_jobs;
     t_cache =
       Fifo_cache.create ~weight:String.length ~capacity:opts.so_cache_entries ();
     t_sched = Scheduler.create ~limit:opts.so_queue_limit ();
+    t_inflight = Hashtbl.create 16;
+    t_inflight_lock = Mutex.create ();
+    t_landed = Condition.create ();
     t_stopped = Atomic.make false;
     t_listeners = listeners;
     t_clients = Hashtbl.create 16;
     t_clients_lock = Mutex.create ();
     t_next_client = Atomic.make 0;
-    t_connections = Atomic.make 0;
-    t_requests = Atomic.make 0;
-    t_ok = Atomic.make 0;
-    t_errors = Atomic.make 0;
+    t_connections = M.counter m "phloemd_connections";
+    t_requests = M.counter m "phloemd_requests";
+    t_ok = M.counter m "phloemd_ok";
+    t_errors = M.counter m "phloemd_errors";
+    t_shed = M.counter m "phloemd_shed";
     t_started = Clock.now ();
   }
 
@@ -157,11 +178,11 @@ let stats_json t : Json.t =
     ([
       ("uptime_s", Json.Float (Clock.now () -. t.t_started));
       ("jobs", Json.Int t.t_jobs);
-      ("connections", Json.Int (Atomic.get t.t_connections));
-      ("requests", Json.Int (Atomic.get t.t_requests));
-      ("ok", Json.Int (Atomic.get t.t_ok));
-      ("errors", Json.Int (Atomic.get t.t_errors));
-      ("shed", Json.Int sc.Scheduler.st_shed);
+      ("connections", Json.Int (M.counter_value t.t_connections));
+      ("requests", Json.Int (M.counter_value t.t_requests));
+      ("ok", Json.Int (M.counter_value t.t_ok));
+      ("errors", Json.Int (M.counter_value t.t_errors));
+      ("shed", Json.Int (M.counter_value t.t_shed));
       ( "result_cache",
         Json.Obj
           [
@@ -176,7 +197,7 @@ let stats_json t : Json.t =
         Json.Obj
           [
             ("accepted", Json.Int sc.Scheduler.st_accepted);
-            ("shed", Json.Int sc.Scheduler.st_shed);
+            ("shed", Json.Int (M.counter_value t.t_shed));
             ("dispatched", Json.Int sc.Scheduler.st_dispatched);
             ("queued", Json.Int sc.Scheduler.st_queued);
             ("limit", Json.Int sc.Scheduler.st_limit);
@@ -232,6 +253,34 @@ let job_label (job : Protocol.job) =
   Printf.sprintf "%s/%s/%s" job.Protocol.j_bench job.Protocol.j_variant
     job.Protocol.j_input
 
+(* Run a job's content key once across the workers. The first worker to
+   take the key registers it and runs the job; a worker that takes the same
+   key meanwhile waits, holding its slot as a second run would have, and
+   shares the outcome. The payload enters the result cache before the key
+   leaves the table, so a later miss finds one or the other. *)
+let run_once t (en : entry) (run : unit -> string) : (string, exn) result =
+  Mutex.lock t.t_inflight_lock;
+  match Hashtbl.find_opt t.t_inflight en.en_key with
+  | Some (flight : flight) ->
+    while Option.is_none !flight do
+      Condition.wait t.t_landed t.t_inflight_lock
+    done;
+    Mutex.unlock t.t_inflight_lock;
+    Option.get !flight
+  | None ->
+    let flight : flight = ref None in
+    Hashtbl.add t.t_inflight en.en_key flight;
+    Mutex.unlock t.t_inflight_lock;
+    let r = match run () with payload -> Ok payload | exception e -> Error e in
+    (match r with
+    | Ok payload -> Fifo_cache.add t.t_cache en.en_key payload
+    | Error _ -> ());
+    Mutex.protect t.t_inflight_lock (fun () ->
+        flight := Some r;
+        Hashtbl.remove t.t_inflight en.en_key;
+        Condition.broadcast t.t_landed);
+    r
+
 (* Answer one finished job. Every exception [Jobs.run] can raise becomes a
    structured error response: this is what keeps the daemon alive through
    any job, not a swallowed error. *)
@@ -244,28 +293,24 @@ let respond_result t ~track (en : entry) (r : (string, exn) result) =
   in
   (match r with
   | Ok payload ->
-    Fifo_cache.add t.t_cache en.en_key payload;
-    Atomic.incr t.t_ok;
+    M.incr t.t_ok;
     respond (fun () ->
         send t en.en_client
           (Protocol.ok_response ~id:en.en_id ~cached:false payload))
   | Error (Phloem_ir.Forensics.Pipeline_failure fr) ->
-    Atomic.incr t.t_errors;
-    Option.iter Obs.on_error obs;
+    M.incr t.t_errors;
     respond (fun () ->
         send t en.en_client
           (Protocol.error_response ~id:en.en_id ~code:(failure_code fr)
              ~failure:(Pipette.Analysis.json_of_failure fr)
              "pipeline failed; see the structured forensics report"))
   | Error (Jobs.Bad_job msg) ->
-    Atomic.incr t.t_errors;
-    Option.iter Obs.on_error obs;
+    M.incr t.t_errors;
     respond (fun () ->
         send t en.en_client
           (Protocol.error_response ~id:en.en_id ~code:"bad-job" msg))
   | Error e ->
-    Atomic.incr t.t_errors;
-    Option.iter Obs.on_error obs;
+    M.incr t.t_errors;
     respond (fun () ->
         send t en.en_client
           (Protocol.error_response ~id:en.en_id ~code:"job-failed"
@@ -301,9 +346,7 @@ let worker_loop t =
         Obs.record o ~trace:en.en_trace ~track:"queue" ~name:"queue-wait"
           ~start:(taken -. wait) ~stop:taken);
       respond_result t ~track en
-        (match Jobs.run ?obs ~trace:en.en_trace en.en_job with
-        | payload -> Ok payload
-        | exception e -> Error e);
+        (run_once t en (fun () -> Jobs.run ?obs ~trace:en.en_trace en.en_job));
       loop ()
   in
   loop ()
@@ -311,12 +354,10 @@ let worker_loop t =
 (* --- per-connection reader ---------------------------------------------- *)
 
 let handle_request t (c : client) (line : string) =
-  Atomic.incr t.t_requests;
+  M.incr t.t_requests;
   let obs = t.t_opts.so_obs in
   let t0 = match obs with None -> 0.0 | Some _ -> Obs.now () in
-  let trace =
-    match obs with None -> 0 | Some o -> Obs.on_request o; Obs.next_trace o
-  in
+  let trace = match obs with None -> 0 | Some o -> Obs.next_trace o in
   let track = Printf.sprintf "reader-%d" c.c_id in
   let reader_span name f =
     match obs with
@@ -328,22 +369,21 @@ let handle_request t (c : client) (line : string) =
         Protocol.parse_request ~max_bytes:t.t_opts.so_max_request line)
   with
   | Error rej ->
-    Atomic.incr t.t_errors;
-    Option.iter Obs.on_error obs;
+    M.incr t.t_errors;
     send t c (Protocol.error_response ~id:Json.Null ~code:rej.Protocol.rj_code
                 rej.Protocol.rj_msg)
   | Ok (Protocol.Ping { id }) ->
-    Atomic.incr t.t_ok;
+    M.incr t.t_ok;
     send t c (Protocol.ok_response ~id ~cached:false "\"pong\"")
   | Ok (Protocol.Stats { id }) ->
-    Atomic.incr t.t_ok;
+    M.incr t.t_ok;
     send t c (Protocol.ok_response ~id ~cached:false
                 (Json.to_string (stats_json t)))
   | Ok (Protocol.Shutdown { id }) ->
     (* stop before acknowledging, so a client holding the ack can rely on
        [stopped]; [run] closes connections under their write locks, so the
        ack still goes out *)
-    Atomic.incr t.t_ok;
+    M.incr t.t_ok;
     stop t;
     send t c (Protocol.ok_response ~id ~cached:false "\"shutting-down\"")
   | Ok (Protocol.Simulate { id; job }) -> (
@@ -352,7 +392,7 @@ let handle_request t (c : client) (line : string) =
     | Some payload ->
       (* content-addressed hit: answered on the reader thread, O(lookup),
          byte-identical to the cold response that filled the entry *)
-      Atomic.incr t.t_ok;
+      M.incr t.t_ok;
       reader_span "respond" (fun () ->
           send t c (Protocol.ok_response ~id ~cached:true payload));
       (match obs with
@@ -373,7 +413,7 @@ let handle_request t (c : client) (line : string) =
       with
       | Ok () -> ()
       | Error { Scheduler.sh_queued; sh_limit } ->
-        Option.iter Obs.on_shed obs;
+        M.incr t.t_shed;
         send t c (Protocol.shed_response ~id ~queued:sh_queued ~limit:sh_limit)))
 
 let reader_loop t (c : client) =
@@ -382,8 +422,8 @@ let reader_loop t (c : client) =
   let oversized () =
     (* no newline within the request bound: reject and drop the connection
        (resynchronizing inside an unbounded line is not worth the state) *)
-    Atomic.incr t.t_requests;
-    Atomic.incr t.t_errors;
+    M.incr t.t_requests;
+    M.incr t.t_errors;
     send t c
       (Protocol.error_response ~id:Json.Null ~code:"oversized"
          (Printf.sprintf "request exceeds %d bytes before a newline"
@@ -434,7 +474,7 @@ let accept_one t lfd =
         c_wlock = Mutex.create ();
       }
     in
-    Atomic.incr t.t_connections;
+    M.incr t.t_connections;
     Mutex.lock t.t_clients_lock;
     Hashtbl.add t.t_clients c.c_id c;
     Mutex.unlock t.t_clients_lock;
@@ -471,4 +511,4 @@ let run t =
           try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()))
     cs;
   Log.info ~component:"phloemd" "shut down cleanly (%d requests served)"
-    (Atomic.get t.t_requests)
+    (M.counter_value t.t_requests)

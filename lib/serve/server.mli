@@ -2,7 +2,9 @@
     Unix-domain (and optionally TCP) socket, serves repeated requests from
     the content-addressed result cache in O(lookup), and hands cold jobs
     through a bounded fair {!Scheduler} to worker domains, each running
-    one job at a time and answering it as soon as it finishes. Per-job
+    one job at a time and answering it as soon as it finishes; a job whose
+    content key another worker is running waits for that run and shares
+    its result. Per-job
     failures (deadlock, livelock, budget, bad names, any other exception)
     become structured JSON error responses on their own connection; the
     daemon never dies with a job. *)

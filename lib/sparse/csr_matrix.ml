@@ -27,7 +27,6 @@ let check m =
     (fun c -> if c < 0 || c >= m.cols then raise (Malformed "column out of range"))
     m.col_idx
 
-let nnz_row m r = m.row_ptr.(r + 1) - m.row_ptr.(r)
 let avg_nnz_row m = if m.rows = 0 then 0.0 else float_of_int m.nnz /. float_of_int m.rows
 
 (* Build from (row, col, value) triples; duplicates collapse by summation. *)

@@ -16,7 +16,6 @@ exception Malformed of string
 val check : t -> unit
 (** @raise Malformed on inconsistent structure. *)
 
-val nnz_row : t -> int -> int
 val avg_nnz_row : t -> float
 
 val of_triples : rows:int -> cols:int -> (int * int * float) list -> t

@@ -37,7 +37,6 @@ let default_sink r =
     r.r_component r.r_message
 
 let sink : (record -> unit) ref = ref default_sink
-let set_sink f = sink := f
 
 (* Emission is serialized: parallel harness jobs (Phloem_util.Pool) log
    from several domains at once, and neither stderr lines nor custom sinks

@@ -4,8 +4,8 @@
 
     Emission is domain-safe: a mutex serializes sink invocations, so
     records from parallel harness jobs never interleave and capture sinks
-    need no locking of their own. [set_level]/[set_sink] are still
-    process-global configuration — set them before fanning work out. *)
+    need no locking of their own. [set_level] is still process-global
+    configuration — set it before fanning work out. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -23,7 +23,6 @@ val set_level : level -> unit
 val level : unit -> level
 val enabled : level -> bool
 
-val set_sink : (record -> unit) -> unit
 val default_sink : record -> unit
 
 val debug : ?component:string -> ('a, unit, string, unit) format4 -> 'a

@@ -42,12 +42,9 @@ let get_or_create t tbl name mk =
 let counter t name = get_or_create t t.m_counters name (fun () -> Atomic.make 0)
 let gauge t name = get_or_create t t.m_gauges name (fun () -> Atomic.make 0.0)
 
-let histogram ?lo ?growth ?buckets t name =
+let histogram t name =
   get_or_create t t.m_hists name (fun () ->
-      {
-        hi_lock = Mutex.create ();
-        hi_hist = Stats.hist_create ?lo ?growth ?buckets ();
-      })
+      { hi_lock = Mutex.create (); hi_hist = Stats.hist_create () })
 
 let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c by : int)
 let counter_value c = Atomic.get c

@@ -25,10 +25,8 @@ val counter : t -> string -> counter
 
 val gauge : t -> string -> gauge
 
-val histogram :
-  ?lo:float -> ?growth:float -> ?buckets:int -> t -> string -> histogram
-(** Get or create; layout arguments (see {!Stats.hist_create}) apply only on
-    first creation. *)
+val histogram : t -> string -> histogram
+(** Get or create, with {!Stats.hist_create}'s default layout. *)
 
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int

@@ -1,18 +1,17 @@
 (* Work pool on OCaml 5 domains. A fixed set of worker domains blocks on a
-   task deque; [map] carves its item array into chunks, pushes one drain
-   task per worker, and the submitting domain drains chunks alongside them.
-   Results land in a pre-sized slot array indexed by item position, which
-   is what makes the returned order independent of the completion order. *)
+   task deque; [map] pushes one drain task per worker, and the submitting
+   domain drains items alongside them, one item at a time. Results land in
+   a pre-sized slot array indexed by item position, which is what makes
+   the returned order independent of the completion order. *)
 
 type batch_state = {
   b_mutex : Mutex.t; (* guards next/completed/exn of this batch *)
-  mutable b_next : int; (* next chunk index to hand out *)
+  mutable b_next : int; (* next item index to hand out *)
   mutable b_completed : int;
-  b_n_chunks : int;
   (* lowest-index failure so that which exception surfaces does not depend
      on the domain schedule *)
   mutable b_exn : (int * exn * Printexc.raw_backtrace) option;
-  b_done : Condition.t; (* signalled when completed = n_chunks *)
+  b_done : Condition.t; (* signalled when every item has completed *)
 }
 
 type t = {
@@ -83,74 +82,68 @@ let jobs t = t.n_jobs
 
 let serial_map f items = Array.init (Array.length items) (fun i -> f items.(i))
 
-let map ?(chunk = 1) t f items =
+let map t f items =
   let n = Array.length items in
-  let chunk = max 1 chunk in
   if n = 0 then [||]
   else if t.n_jobs <= 1 || n = 1 || Domain.DLS.get in_worker then
     (* serial / nested path: run inline, in order, in this domain *)
     serial_map f items
   else begin
     if t.stopped then invalid_arg "Pool.map: pool is shut down";
-    let n_chunks = (n + chunk - 1) / chunk in
     let results = Array.make n None in
     let batch =
       {
         b_mutex = Mutex.create ();
         b_next = 0;
         b_completed = 0;
-        b_n_chunks = n_chunks;
         b_exn = None;
         b_done = Condition.create ();
       }
     in
-    let take_chunk () =
+    let take () =
       Mutex.lock batch.b_mutex;
-      let ci = batch.b_next in
-      let r = if ci < n_chunks then (batch.b_next <- ci + 1; Some ci) else None in
+      let i = batch.b_next in
+      let r = if i < n then (batch.b_next <- i + 1; Some i) else None in
       Mutex.unlock batch.b_mutex;
       r
     in
-    let run_chunk ci =
-      let lo = ci * chunk in
-      let hi = min n (lo + chunk) in
-      let failure = ref None in
-      (try
-         for i = lo to hi - 1 do
-           results.(i) <- Some (f items.(i))
-         done
-       with e -> failure := Some (lo, e, Printexc.get_raw_backtrace ()));
+    let run_item i =
+      let failure =
+        match results.(i) <- Some (f items.(i)) with
+        | () -> None
+        | exception e -> Some (i, e, Printexc.get_raw_backtrace ())
+      in
       Mutex.lock batch.b_mutex;
-      (match (!failure, batch.b_exn) with
+      (match (failure, batch.b_exn) with
       | Some (i, _, _), Some (j, _, _) when j <= i -> ()
-      | Some _, _ -> batch.b_exn <- !failure
+      | Some _, _ -> batch.b_exn <- failure
       | None, _ -> ());
       batch.b_completed <- batch.b_completed + 1;
-      if batch.b_completed = n_chunks then Condition.broadcast batch.b_done;
+      if batch.b_completed = n then Condition.broadcast batch.b_done;
       Mutex.unlock batch.b_mutex
     in
     let drain () =
       let rec go () =
-        match take_chunk () with
-        | Some ci ->
-          run_chunk ci;
+        match take () with
+        | Some i ->
+          run_item i;
           go ()
         | None -> ()
       in
       go ()
     in
     (* one drain task per worker; a task arriving after the batch is spent
-       finds no chunk and exits immediately *)
+       finds no item and exits immediately *)
     Mutex.lock t.mutex;
-    for _ = 2 to min t.n_jobs n_chunks do
+    for _ = 2 to min t.n_jobs n do
       Queue.add drain t.tasks
     done;
     Condition.broadcast t.work;
     Mutex.unlock t.mutex;
-    (* the submitter works too, then waits out any straggler chunks *)
+    (* the submitter works too, then waits out any straggler items *)
     drain ();
     Mutex.lock batch.b_mutex;
-    while batch.b_completed < n_chunks do
+    while batch.b_completed < n do
       Condition.wait batch.b_done batch.b_mutex
     done;
     Mutex.unlock batch.b_mutex;
@@ -160,7 +153,7 @@ let map ?(chunk = 1) t f items =
       Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map_list ?chunk t f l = Array.to_list (map ?chunk t f (Array.of_list l))
+let map_list t f l = Array.to_list (map t f (Array.of_list l))
 let run t thunks = map_list t (fun thunk -> thunk ()) thunks
 
 let shutdown t =

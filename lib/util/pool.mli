@@ -34,15 +34,14 @@ val create : ?jobs:int -> unit -> t
 val jobs : t -> int
 (** Total domain count (workers + the submitting caller). *)
 
-val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
+val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f items] applies [f] to every element, fanning the work out
-    across the pool's domains, and returns the results in submission
-    order. [chunk] (default 1) groups that many consecutive items into one
-    unit of scheduling — raise it for very fine-grained jobs. Blocks until
-    the whole batch is done. If any job raised, the batch still runs to
-    completion and the lowest-index exception is re-raised. *)
+    across the pool's domains one item at a time, and returns the results
+    in submission order. Blocks until the whole batch is done. If any job
+    raised, the batch still runs to completion and the lowest-index
+    exception is re-raised. *)
 
-val map_list : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map] over a list, preserving order. *)
 
 val run : t -> (unit -> 'a) list -> 'a list

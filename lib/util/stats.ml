@@ -28,11 +28,6 @@ let percentile p = function
     let idx = int_of_float (ceil (p *. float_of_int n)) - 1 in
     a.(max 0 (min (n - 1) idx))
 
-let stddev xs =
-  let m = mean xs in
-  let var = mean (List.map (fun x -> (x -. m) *. (x -. m)) xs) in
-  sqrt var
-
 (* --- log-bucketed histograms -------------------------------------------
 
    Retaining every latency sample of a long-lived daemon is unbounded

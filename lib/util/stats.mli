@@ -13,8 +13,6 @@ val min_max : float list -> float * float
 val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [\[0,1\]], nearest-rank on the sorted list. *)
 
-val stddev : float list -> float
-
 (** {1 Log-bucketed histograms}
 
     Bounded-memory summaries for long-lived services: percentiles are derived

@@ -143,14 +143,12 @@ let test_fixed_key_replay () =
   Alcotest.(check bool) "faults actually injected" true (n1 > 0);
   Alcotest.(check int) "replay: same cycles" c1 c2;
   Alcotest.(check int) "replay: same fault count" n1 n2;
-  (* a rekeyed retry attempt draws an independent stream but the same specs *)
-  let plan' = Faults.rekey plan ~attempt:1 in
-  Alcotest.(check bool) "rekey changes the key" true
-    (plan'.Faults.fp_key <> plan.Faults.fp_key);
+  (* another key draws an independent stream but replays just as exactly *)
+  let plan' = { plan with Faults.fp_key = 43 } in
   let c3, n3 = run_with plan' in
   let c3', n3' = run_with plan' in
-  Alcotest.(check int) "rekeyed replay: same cycles" c3 c3';
-  Alcotest.(check int) "rekeyed replay: same fault count" n3 n3'
+  Alcotest.(check int) "second key replay: same cycles" c3 c3';
+  Alcotest.(check int) "second key replay: same fault count" n3 n3'
 
 let test_no_faults_is_clean () =
   let base = Pipette.Sim.cycles (Pipette.Sim.run (healthy_pipeline ())) in

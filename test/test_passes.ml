@@ -1,12 +1,11 @@
 (* Pass-manager tests: per-pass verification over every workload, the
-   manager's report, IR snapshot dumping, the pass registry, and the
+   manager's report, IR snapshot dumping, the standard pass order, and the
    structured diagnostics sink. *)
 
 open Phloem_ir.Types
 module Log = Phloem_util.Log
 
-let verify_options =
-  { Phloem.Pass.default_options with verify_each = true; keep_snapshots = true }
+let verify_options = { Phloem.Pass.default_options with verify_each = true }
 
 (* Every workload must compile with per-pass verification on: each
    intermediate pipeline passes Phloem_ir.Validate and the pass invariants. *)
@@ -54,16 +53,7 @@ let test_workloads_verify_each () =
             Alcotest.(check bool)
               (Printf.sprintf "%s/%s op counts positive" name pr.Phloem.Pass.pr_name)
               true
-              (pr.Phloem.Pass.pr_ops_before > 0 && pr.Phloem.Pass.pr_ops_after > 0);
-            match pr.Phloem.Pass.pr_snapshot with
-            | Some s ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s/%s snapshot nonempty" name pr.Phloem.Pass.pr_name)
-                true
-                (String.length s > 0)
-            | None ->
-              Alcotest.failf "%s/%s: keep_snapshots set but no snapshot" name
-                pr.Phloem.Pass.pr_name)
+              (pr.Phloem.Pass.pr_ops_before > 0 && pr.Phloem.Pass.pr_ops_after > 0))
           report.Phloem.Pass.rep_passes
       | exception Phloem.Compile.Unsupported _ ->
         (* no legal decoupling for this kernel/input shape: acceptable, but
@@ -151,15 +141,7 @@ let test_dump_ir () =
   List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
   Sys.rmdir dir
 
-let test_registry () =
-  List.iter
-    (fun name ->
-      Alcotest.(check bool)
-        (name ^ " registered")
-        true
-        (Phloem.Pass.find name <> None))
-    [ "decouple"; "scan-chain"; "cleanup"; "check-deadlock"; "check-limits"; "validate" ];
-  Alcotest.(check bool) "unknown pass absent" true (Phloem.Pass.find "nonesuch" = None);
+let test_standard_order () =
   let std = List.map Phloem.Pass.name_of (Phloem.Passes.standard ~flags:Phloem.Pass.all_passes) in
   Alcotest.(check (list string)) "standard order (all gates)"
     [ "decouple"; "scan-chain"; "cleanup"; "check-deadlock"; "check-limits"; "validate" ]
@@ -340,7 +322,7 @@ let suite =
     Alcotest.test_case "broken pass ignored without verify-each" `Quick
       test_broken_pass_unchecked;
     Alcotest.test_case "dump-ir writes numbered snapshots" `Quick test_dump_ir;
-    Alcotest.test_case "pass registry" `Quick test_registry;
+    Alcotest.test_case "standard pass order" `Quick test_standard_order;
     Alcotest.test_case "report rendering" `Quick test_report_to_string;
     Alcotest.test_case "log level filtering" `Quick test_log_levels;
     Alcotest.test_case "log capture restores state" `Quick test_log_capture_restores;

@@ -32,14 +32,6 @@ let test_jobs1_matches_serial () =
       let ds = Pool.map pool (fun _ -> Domain.self ()) (Array.make 8 ()) in
       Alcotest.(check bool) "runs inline" true (Array.for_all (( = ) self) ds))
 
-let test_chunked_map () =
-  let items = Array.init 101 Fun.id in
-  let expected = Array.map job items in
-  Pool.with_pool ~jobs:3 (fun pool ->
-      Alcotest.(check bool) "chunk=8" true (Pool.map ~chunk:8 pool job items = expected);
-      Alcotest.(check bool) "chunk>n" true
-        (Pool.map ~chunk:1000 pool job items = expected))
-
 let test_exception_propagation () =
   Pool.with_pool ~jobs:4 (fun pool ->
       (* several jobs fail; the lowest-index failure must surface *)
@@ -144,7 +136,6 @@ let () =
         [
           Alcotest.test_case "submission order" `Quick test_submission_order;
           Alcotest.test_case "jobs=1 serial path" `Quick test_jobs1_matches_serial;
-          Alcotest.test_case "chunked map" `Quick test_chunked_map;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
           Alcotest.test_case "nested submit" `Quick test_nested_submit;
           Alcotest.test_case "run thunks" `Quick test_run_thunks;

@@ -7,8 +7,9 @@
    repeated request must come back as a cache hit with byte-identical
    payload bytes and without re-running any compile/trace phase, a full
    queue must answer with a structured shed-load response rather than
-   blocking or dying, and a short cold job must not wait for a long one
-   running on another worker. *)
+   blocking or dying, a short cold job must not wait for a long one
+   running on another worker, and an identical job arriving while one runs
+   must share that run. *)
 
 module Protocol = Phloem_serve.Protocol
 module Scheduler = Phloem_serve.Scheduler
@@ -203,7 +204,6 @@ let test_scheduler_shed () =
     Alcotest.(check (pair int int)) "shed reports occupancy" (2, 2)
       (sh_queued, sh_limit));
   let st = Scheduler.stats s in
-  Alcotest.(check int) "shed counted" 1 st.Scheduler.st_shed;
   Alcotest.(check int) "accepted unaffected" 2 st.Scheduler.st_accepted;
   (* limit 0 sheds everything — drain mode *)
   let z = Scheduler.create ~limit:0 () in
@@ -597,6 +597,37 @@ let test_e2e_observability () =
           | None -> Alcotest.fail "scheduler stats need queue_wait_total_s")
         | None -> Alcotest.fail "stats payload needs a scheduler section"))
 
+(* The stats payload, requested on a connection of its own. *)
+let stats_of sock =
+  match
+    Protocol.response_payload_raw
+      (Client.with_unix sock (fun fd ->
+           Client.request fd (Protocol.plain_request "stats")))
+  with
+  | Some p -> Json.of_string p
+  | None -> Alcotest.fail "stats response needs a payload"
+
+let stats_int stats path =
+  match
+    List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some stats) path
+  with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.failf "stats lack int %s" (String.concat "." path)
+
+(* about 2 s on a 2-vCPU host; tiny_job takes a few tens of ms *)
+let long_job =
+  { Protocol.default_job with Protocol.j_input = "USA-road-d-USA"; j_scale = 1.5 }
+
+(* Send [long_job] on [fd] and return once a worker has taken it. *)
+let start_long_job sock fd =
+  Client.send_line fd (Protocol.simulate_request ~id:(Json.Int 1) long_job);
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while stats_int (stats_of sock) [ "scheduler"; "dispatched" ] < 1 do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "long job not taken within 5 s";
+    Thread.delay 0.001
+  done
+
 (* Two workers: a short cold job submitted while a long one runs is taken
    by the idle worker and answered before the long one finishes. *)
 let test_e2e_cold_jobs_independent () =
@@ -604,36 +635,8 @@ let test_e2e_cold_jobs_independent () =
     Alcotest.skip ();
   with_server ~jobs:2 (fun sock _server ->
       Pipette.Sim.clear_caches ();
-      let dispatched () =
-        let stats =
-          Client.with_unix sock (fun fd ->
-              Client.request fd (Protocol.plain_request "stats"))
-        in
-        match
-          Option.bind (Protocol.response_payload_raw stats) (fun p ->
-              Option.bind (Json.member "scheduler" (Json.of_string p))
-                (Json.member "dispatched"))
-        with
-        | Some (Json.Int n) -> n
-        | _ -> Alcotest.fail "stats lack scheduler.dispatched"
-      in
-      (* about 2 s on a 2-vCPU host; tiny_job takes a few tens of ms *)
-      let long_job =
-        {
-          Protocol.default_job with
-          Protocol.j_input = "USA-road-d-USA";
-          j_scale = 1.5;
-        }
-      in
       Client.with_unix sock (fun fd_a ->
-          Client.send_line fd_a
-            (Protocol.simulate_request ~id:(Json.Int 1) long_job);
-          let deadline = Unix.gettimeofday () +. 5.0 in
-          while dispatched () < 1 do
-            if Unix.gettimeofday () > deadline then
-              Alcotest.fail "long job not taken within 5 s";
-            Thread.delay 0.001
-          done;
+          start_long_job sock fd_a;
           let b =
             Client.with_unix sock (fun fd_b ->
                 Client.request fd_b
@@ -650,6 +653,70 @@ let test_e2e_cold_jobs_independent () =
             false a_ready;
           Alcotest.(check string) "long job ok" "ok"
             (Protocol.response_status (Json.of_string (Client.recv_line fd_a)))))
+
+(* Two workers: a second client asks for the job the first one's request is
+   running. The second worker waits for that run instead of repeating it,
+   so both clients get the same uncached bytes from one execution. *)
+let test_e2e_identical_misses_run_once () =
+  if Domain.recommended_domain_count () < 2 then
+    Alcotest.skip ();
+  let obs = Obs.create () in
+  with_server ~jobs:2 ~obs (fun sock _server ->
+      Pipette.Sim.clear_caches ();
+      Client.with_unix sock (fun fd_a ->
+          start_long_job sock fd_a;
+          let b =
+            Client.with_unix sock (fun fd_b ->
+                Client.request fd_b
+                  (Protocol.simulate_request ~id:(Json.Int 2) long_job))
+          in
+          let a = Client.recv_line fd_a in
+          List.iter
+            (fun (name, r) ->
+              let j = Json.of_string r in
+              Alcotest.(check string) (name ^ " ok") "ok"
+                (Protocol.response_status j);
+              Alcotest.(check bool) (name ^ " not cached") false
+                (Protocol.response_cached j))
+            [ ("first", a); ("second", b) ];
+          (match
+             (Protocol.response_payload_raw a, Protocol.response_payload_raw b)
+           with
+          | Some pa, Some pb -> Alcotest.(check string) "same payload bytes" pa pb
+          | _ -> Alcotest.fail "both responses must carry raw payloads");
+          let executes =
+            List.filter (fun s -> s.Metrics.sp_name = "execute") (Obs.spans obs)
+          in
+          Alcotest.(check int) "one execution for both" 1 (List.length executes);
+          let stats = stats_of sock in
+          Alcotest.(check int) "both dispatched" 2
+            (stats_int stats [ "scheduler"; "dispatched" ]);
+          Alcotest.(check int) "both result-cache misses" 2
+            (stats_int stats [ "result_cache"; "misses" ])))
+
+(* Observability on: a line rejected before parsing counts in the stats'
+   requests and errors and in the metrics' phloemd_requests and
+   phloemd_errors alike, because both read the same counters. *)
+let test_e2e_counters_agree () =
+  let obs = Obs.create () in
+  with_server ~max_request:128 ~obs (fun sock _server ->
+      Client.with_unix sock (fun fd ->
+          let raw = Bytes.of_string (String.make 512 '{') in
+          let n = Bytes.length raw in
+          let rec wloop off =
+            if off < n then wloop (off + Unix.write fd raw off (n - off))
+          in
+          wloop 0;
+          ignore (Client.recv_line fd));
+      let stats = stats_of sock in
+      let int = stats_int stats in
+      Alcotest.(check int) "requests" 2 (int [ "requests" ]);
+      Alcotest.(check int) "metrics requests equal stats requests"
+        (int [ "requests" ])
+        (int [ "metrics"; "counters"; "phloemd_requests" ]);
+      Alcotest.(check int) "metrics errors equal stats errors"
+        (int [ "errors" ])
+        (int [ "metrics"; "counters"; "phloemd_errors" ]))
 
 let test_e2e_shutdown_request () =
   with_server (fun sock server ->
@@ -709,6 +776,10 @@ let () =
             test_e2e_observability;
           Alcotest.test_case "cold jobs do not wait for each other" `Quick
             test_e2e_cold_jobs_independent;
+          Alcotest.test_case "identical cold misses run once" `Quick
+            test_e2e_identical_misses_run_once;
+          Alcotest.test_case "stats and metrics counters agree" `Quick
+            test_e2e_counters_agree;
           Alcotest.test_case "shutdown request" `Quick test_e2e_shutdown_request;
         ] );
     ]
