@@ -94,7 +94,9 @@ let serve socket tcp jobs queue_limit cache_entries sim_cache max_request
                  entries)\n%!"
     socket
     (match tcp with Some p -> Printf.sprintf " and 127.0.0.1:%d" p | None -> "")
-    (Phloem_util.Pool.clamp_jobs jobs)
+    (Serve.Server.worker_domains
+       ~recommended:(Domain.recommended_domain_count ())
+       jobs)
     queue_limit cache_entries;
   Serve.Server.run server;
   Option.iter Thread.join flusher;
@@ -130,8 +132,8 @@ let jobs_arg =
     & opt int (Phloem_util.Pool.default_jobs ())
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "worker domains executing jobs, one job each at a time (default \
-           and maximum: the recommended domain count)")
+          "worker domains executing jobs, one job each at a time (default: \
+           the recommended domain count; at most that count, and at most 127)")
 
 let queue_arg =
   Arg.(

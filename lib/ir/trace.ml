@@ -31,74 +31,66 @@ let op_atomic = 8
 
 let no_dep = -1
 
-(* Plain-array snapshot of a finished thread trace. The timing engine indexes
-   trace columns on its hottest paths; replaying through Vec's bounds checks
-   (and re-copying the columns on every replay of a memoized trace) is pure
-   overhead, so a finished trace is packed once and the arrays reused. *)
-type packed = {
-  pk_kind : int array;
-  pk_pa : int array;
-  pk_pb : int array;
-  pk_dep1 : int array;
-  pk_dep2 : int array;
-  pk_dep3 : int array;
+(* The six columns of a thread trace are plain int arrays that grow together
+   and share one length: [push] writes each op's fields exactly once, and
+   the timing engine reads the columns in place over [0, length). Slots at
+   and beyond [length] are growth slack, never read. A finished trace is
+   read-only, so replays on several domains share it once a memo table has
+   published it. *)
+type thread_trace = {
+  mutable kind : int array;
+  mutable pa : int array;
+  mutable pb : int array;
+  mutable dep1 : int array;
+  mutable dep2 : int array;
+  mutable dep3 : int array;
+  mutable len : int;
 }
 
-type thread_trace = {
-  kind : Vec.Int_vec.t;
-  pa : Vec.Int_vec.t;
-  pb : Vec.Int_vec.t;
-  dep1 : Vec.Int_vec.t;
-  dep2 : Vec.Int_vec.t;
-  dep3 : Vec.Int_vec.t;
-  mutable packed : packed option;
-      (* filled by [pack] after the interpreter finishes; never while ops
-         are still being appended *)
-}
+let initial_capacity = 1024
 
 let create_thread () =
   {
-    kind = Vec.Int_vec.create ~capacity:1024 ();
-    pa = Vec.Int_vec.create ~capacity:1024 ();
-    pb = Vec.Int_vec.create ~capacity:1024 ();
-    dep1 = Vec.Int_vec.create ~capacity:1024 ();
-    dep2 = Vec.Int_vec.create ~capacity:1024 ();
-    dep3 = Vec.Int_vec.create ~capacity:1024 ();
-    packed = None;
+    kind = Array.make initial_capacity 0;
+    pa = Array.make initial_capacity 0;
+    pb = Array.make initial_capacity 0;
+    dep1 = Array.make initial_capacity 0;
+    dep2 = Array.make initial_capacity 0;
+    dep3 = Array.make initial_capacity 0;
+    len = 0;
   }
 
-(* Snapshot (and cache) the columns of a finished thread trace. Call only
-   once no more ops will be appended. A trace that is about to be shared
-   across domains (the harness memo cache) must be packed *before* it is
-   published, so concurrent replays only ever read the cached arrays. *)
-let pack t =
-  match t.packed with
-  | Some p -> p
-  | None ->
-    let p =
-      {
-        pk_kind = Vec.Int_vec.to_array t.kind;
-        pk_pa = Vec.Int_vec.to_array t.pa;
-        pk_pb = Vec.Int_vec.to_array t.pb;
-        pk_dep1 = Vec.Int_vec.to_array t.dep1;
-        pk_dep2 = Vec.Int_vec.to_array t.dep2;
-        pk_dep3 = Vec.Int_vec.to_array t.dep3;
-      }
-    in
-    t.packed <- Some p;
-    p
+let length t = t.len
 
-let length t = Vec.Int_vec.length t.kind
+(* Copy through an int-typed loop: [Array.blit] into a major-heap array
+   takes the generic path, which is slower for int columns. *)
+let grow (a : int array) cap =
+  let b = Array.make cap 0 in
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set b i (Array.unsafe_get a i)
+  done;
+  b
 
 (* Append an op; returns its index (the token consumers depend on). *)
 let push t ~kind ~pa ~pb ~dep1 ~dep2 ~dep3 =
-  let idx = Vec.Int_vec.length t.kind in
-  Vec.Int_vec.push t.kind kind;
-  Vec.Int_vec.push t.pa pa;
-  Vec.Int_vec.push t.pb pb;
-  Vec.Int_vec.push t.dep1 dep1;
-  Vec.Int_vec.push t.dep2 dep2;
-  Vec.Int_vec.push t.dep3 dep3;
+  let idx = t.len in
+  if idx = Array.length t.kind then begin
+    let cap = 2 * idx in
+    t.kind <- grow t.kind cap;
+    t.pa <- grow t.pa cap;
+    t.pb <- grow t.pb cap;
+    t.dep1 <- grow t.dep1 cap;
+    t.dep2 <- grow t.dep2 cap;
+    t.dep3 <- grow t.dep3 cap
+  end;
+  (* [idx] < capacity, the common length of all six columns *)
+  Array.unsafe_set t.kind idx kind;
+  Array.unsafe_set t.pa idx pa;
+  Array.unsafe_set t.pb idx pb;
+  Array.unsafe_set t.dep1 idx dep1;
+  Array.unsafe_set t.dep2 idx dep2;
+  Array.unsafe_set t.dep3 idx dep3;
+  t.len <- idx + 1;
   idx
 
 (* One reference-accelerator event: the RA consumed input sequence [in_seq]
@@ -150,5 +142,3 @@ let create ~n_threads ~n_ras ~n_queues =
 
 let op_count t =
   Array.fold_left (fun acc th -> acc + length th) 0 t.threads
-
-let instruction_count t = op_count t

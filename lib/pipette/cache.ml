@@ -3,11 +3,14 @@
    inclusive fills on miss. Prefetched lines carry an availability time so a
    demand access shortly after a prefetch pays the remaining latency only. *)
 
+type access_result = { latency : int; level_hit : int (* 1..3, 4 = DRAM *) }
+
 type level = {
   sets : int;
   set_mask : int; (* sets - 1 when sets is a power of two, else -1 *)
   ways : int;
   latency : int;
+  hit : access_result; (* what a demand hit here returns, built once *)
   tags : int array; (* set * ways; -1 = invalid *)
   lru : int array; (* recency stamp per way *)
   mutable stamp : int;
@@ -15,14 +18,15 @@ type level = {
   mutable misses : int;
 }
 
-let make_level (p : Config.cache_params) ~line_bytes ~size_scale =
+let make_level (p : Config.cache_params) ~level ~line_bytes ~size_scale =
   let bytes = p.size_kb * 1024 * size_scale in
-  let sets = max 1 (bytes / (line_bytes * p.ways)) in
+  let sets = Int.max 1 (bytes / (line_bytes * p.ways)) in
   {
     sets;
     set_mask = (if sets land (sets - 1) = 0 then sets - 1 else -1);
     ways = p.ways;
     latency = p.latency;
+    hit = { latency = p.latency; level_hit = level };
     tags = Array.make (sets * p.ways) (-1);
     lru = Array.make (sets * p.ways) 0;
     stamp = 0;
@@ -51,19 +55,19 @@ type t = {
   mutable prefetch_dram : int; (* prefetch fills that went to DRAM *)
 }
 
-type access_result = { latency : int; level_hit : int (* 1..3, 4 = DRAM *) }
-
 let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
   go 0 n
 
 let create (cfg : Config.t) =
-  let mk p scale = make_level p ~line_bytes:cfg.line_bytes ~size_scale:scale in
+  let mk p level scale =
+    make_level p ~level ~line_bytes:cfg.line_bytes ~size_scale:scale
+  in
   {
     line_shift = log2 cfg.line_bytes;
-    l1s = Array.init cfg.n_cores (fun _ -> mk cfg.l1 1);
-    l2s = Array.init cfg.n_cores (fun _ -> mk cfg.l2 1);
-    l3 = mk cfg.l3 cfg.n_cores;
+    l1s = Array.init cfg.n_cores (fun _ -> mk cfg.l1 1 1);
+    l2s = Array.init cfg.n_cores (fun _ -> mk cfg.l2 2 1);
+    l3 = mk cfg.l3 3 cfg.n_cores;
     dram =
       {
         min_latency = cfg.dram_latency;
@@ -77,39 +81,42 @@ let create (cfg : Config.t) =
     prefetch_dram = 0;
   }
 
-(* Lookup a line in a level; on hit, refresh LRU and return true. *)
-let lookup lvl line =
+let set_base lvl line =
   let set =
     (* the set count is a power of two for every realistic geometry; mask
        instead of paying an integer division on the hot lookup path *)
     if lvl.set_mask >= 0 then line land lvl.set_mask else line mod lvl.sets
   in
-  (* [set < sets] and [w < ways], so [base + w] is always within the
-     [sets * ways] arrays: unchecked indexing on the per-access loops *)
-  let base = set * lvl.ways in
-  let rec find w =
-    if w >= lvl.ways then None
-    else if Array.unsafe_get lvl.tags (base + w) = line then Some w
-    else find (w + 1)
-  in
-  match find 0 with
-  | Some w ->
+  set * lvl.ways
+
+(* The way of the set at [base] that holds [line], or -1. [set < sets] and
+   [w < ways], so [base + w] is always within the [sets * ways] arrays:
+   unchecked indexing on the per-access loops. *)
+let rec find_way lvl base line w =
+  if w >= lvl.ways then -1
+  else if Array.unsafe_get lvl.tags (base + w) = line then w
+  else find_way lvl base line (w + 1)
+
+(* Look a line up in a level without touching its hit/miss counters; on a
+   hit, refresh LRU and return true. *)
+let probe lvl line =
+  let base = set_base lvl line in
+  let w = find_way lvl base line 0 in
+  if w >= 0 then begin
     lvl.stamp <- lvl.stamp + 1;
-    Array.unsafe_set lvl.lru (base + w) lvl.stamp;
-    lvl.hits <- lvl.hits + 1;
-    true
-  | None ->
-    lvl.misses <- lvl.misses + 1;
-    false
+    Array.unsafe_set lvl.lru (base + w) lvl.stamp
+  end;
+  w >= 0
+
+(* A demand lookup: [probe] plus the level's hit/miss counters. *)
+let lookup lvl line =
+  let hit = probe lvl line in
+  if hit then lvl.hits <- lvl.hits + 1 else lvl.misses <- lvl.misses + 1;
+  hit
 
 (* Insert a line, evicting the LRU way. *)
 let insert lvl line =
-  let set =
-    (* the set count is a power of two for every realistic geometry; mask
-       instead of paying an integer division on the hot lookup path *)
-    if lvl.set_mask >= 0 then line land lvl.set_mask else line mod lvl.sets
-  in
-  let base = set * lvl.ways in
+  let base = set_base lvl line in
   let victim = ref 0 in
   for w = 1 to lvl.ways - 1 do
     if
@@ -126,7 +133,7 @@ let insert lvl line =
    bandwidth but are counted separately). *)
 let dram_occupy d line ~now =
   let ctrl = line mod Array.length d.next_free in
-  let start = max now d.next_free.(ctrl) in
+  let start = Int.max now d.next_free.(ctrl) in
   d.next_free.(ctrl) <- start + d.cycles_per_line;
   start - now + d.min_latency
 
@@ -135,58 +142,42 @@ let dram_access d line ~now =
   dram_occupy d line ~now
 
 (* A demand access from [core] at cycle [now]. Fills all levels on the way
-   back (inclusive). Returns the load-to-use latency. *)
+   back (inclusive). Returns the load-to-use latency; a cache hit returns
+   the level's shared result, so only a DRAM access or a wait on an
+   in-flight prefetch allocates. *)
 let access t ~core ~addr ~now =
   let line = addr lsr t.line_shift in
   let l1 = t.l1s.(core) and l2 = t.l2s.(core) in
   let base_lat =
-    if lookup l1 line then { latency = l1.latency; level_hit = 1 }
+    if lookup l1 line then l1.hit
     else if lookup l2 line then begin
       insert l1 line;
-      { latency = l2.latency; level_hit = 2 }
+      l2.hit
     end
     else if lookup t.l3 line then begin
       insert l2 line;
       insert l1 line;
-      { latency = t.l3.latency; level_hit = 3 }
+      t.l3.hit
     end
     else begin
       let lat = dram_access t.dram line ~now in
       insert t.l3 line;
       insert l2 line;
       insert l1 line;
-      { latency = max lat t.l3.latency; level_hit = 4 }
+      { latency = Int.max lat t.l3.latency; level_hit = 4 }
     end
   in
-  (* If the line is still in flight from a prefetch, wait for its arrival. *)
-  match Hashtbl.find_opt t.inflight line with
-  | Some avail when avail > now ->
-    { base_lat with latency = max base_lat.latency (avail - now) }
-  | Some _ ->
-    Hashtbl.remove t.inflight line;
-    base_lat
-  | None -> base_lat
-
-(* Probe a level without touching its hit/miss counters; refreshes LRU on a
-   hit exactly like a demand lookup would. *)
-let probe lvl line =
-  let set =
-    (* the set count is a power of two for every realistic geometry; mask
-       instead of paying an integer division on the hot lookup path *)
-    if lvl.set_mask >= 0 then line land lvl.set_mask else line mod lvl.sets
-  in
-  let base = set * lvl.ways in
-  let rec find w =
-    if w >= lvl.ways then None
-    else if Array.unsafe_get lvl.tags (base + w) = line then Some w
-    else find (w + 1)
-  in
-  match find 0 with
-  | Some w ->
-    lvl.stamp <- lvl.stamp + 1;
-    Array.unsafe_set lvl.lru (base + w) lvl.stamp;
-    true
-  | None -> false
+  (* If the line is still in flight from a prefetch, wait for its arrival.
+     Most runs prefetch nothing, so skip the lookup on an empty table. *)
+  if Hashtbl.length t.inflight = 0 then base_lat
+  else
+    match Hashtbl.find_opt t.inflight line with
+    | Some avail when avail > now ->
+      { base_lat with latency = Int.max base_lat.latency (avail - now) }
+    | Some _ ->
+      Hashtbl.remove t.inflight line;
+      base_lat
+    | None -> base_lat
 
 (* Bring a line into every level without touching any demand or prefetch
    counter — the "no-op that still fills". Returns the fill latency and
@@ -210,7 +201,7 @@ let fill t ~core ~addr ~now =
     insert t.l3 line;
     insert l2 line;
     insert l1 line;
-    (max lat t.l3.latency, false)
+    (Int.max lat t.l3.latency, false)
   end
 
 (* A software/compiler prefetch: brings the line in through its own

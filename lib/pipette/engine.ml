@@ -182,6 +182,163 @@ let default_thread_core (cfg : Config.t) n_threads =
 let default_cycle_budget = 500_000_000
 let default_watchdog = 5_000_000
 
+(* --- cycle-loop helpers ---------------------------------------------------
+
+   The helpers the cycle loop calls are closed top-level functions that take
+   the thread and the current cycle as arguments: a local function over
+   [run]'s state would be allocated afresh at every call. They use the same
+   unchecked indexing as [run] (see the invariant stated there). *)
+
+(* Earliest cycle this op's unmet dependencies could all be satisfied: a
+   set completion time is exact; an unset one (producer not yet issued)
+   contributes only the conservative [now + 1]. *)
+let dep_wake1 th now d acc =
+  if d = Trace.no_dep then acc
+  else begin
+    let c = Array.unsafe_get th.comp d in
+    if c <= now then acc
+    else if c = unset then Int.max acc (now + 1)
+    else Int.max acc c
+  end
+
+let dep_wake th i now =
+  dep_wake1 th now (Array.unsafe_get th.dep1 i)
+    (dep_wake1 th now (Array.unsafe_get th.dep2 i)
+       (dep_wake1 th now (Array.unsafe_get th.dep3 i) (now + 1)))
+
+(* After a walk, record the earliest cycle the next walk could behave
+   differently: the minimum recorded wake over the ops the next walk
+   would probe (the first ops of the unissued list, up to the per-pass
+   step limit). An op never yet probed (wake still 0) keeps the thread
+   hot, and an enqueue disables the cache outright — a same-cycle
+   dequeue can free a slot and fault drop rolls are per-attempt. An
+   empty prefix sleeps until dispatch appends (which resets the field),
+   and an issue from this thread also resets it, so the prefix is fixed
+   for the whole validity window. *)
+let rec scan_wake_from th node steps acc =
+  if node < 0 || steps >= 4 then acc
+  else if Bytes.unsafe_get th.issued node = '\001' then
+    scan_wake_from th (Array.unsafe_get th.link node) steps acc
+  else if Array.unsafe_get th.kind node = Trace.op_enq then 0
+  else
+    scan_wake_from th (Array.unsafe_get th.link node) (steps + 1)
+      (Int.min acc (Array.unsafe_get th.wake node))
+
+let refresh_scan_wake th = th.scan_wake <- scan_wake_from th th.unissued_head 0 max_int
+
+(* Oldest dispatched op not yet issued, or -1. *)
+let rec first_unissued th node =
+  if node < 0 then -1
+  else if Bytes.get th.issued node = '\000' then node
+  else first_unissued th th.link.(node)
+
+(* The stall reasons that carry an argument, built once per run and shared,
+   so classifying a stalled cycle allocates nothing. *)
+type reasons = {
+  rs_backend : stall_reason array; (* by serving level, 0..4 *)
+  rs_queue_full : stall_reason array; (* by queue id *)
+  rs_queue_empty : stall_reason array;
+}
+
+let make_reasons n_queues =
+  {
+    rs_backend = Array.init 5 (fun l -> R_backend l);
+    rs_queue_full = Array.init n_queues (fun q -> R_queue_full q);
+    rs_queue_empty = Array.init n_queues (fun q -> R_queue_empty q);
+  }
+
+(* Serving cache level of the first pending load/atomic operand, or 0 when
+   the wait is a port conflict / not memory-shaped. *)
+let dep_level1 th now d acc =
+  if d <> Trace.no_dep && th.comp.(d) > now then
+    let dk = th.kind.(d) in
+    if dk = Trace.op_load || dk = Trace.op_atomic then Char.code (Bytes.get th.svc d)
+    else acc
+  else acc
+
+let dep_level th i now =
+  dep_level1 th now th.dep1.(i)
+    (dep_level1 th now th.dep2.(i) (dep_level1 th now th.dep3.(i) 0))
+
+(* A plain operand stall cannot change verdict before the earliest pending
+   producer completes; queue and barrier verdicts can flip any cycle, so
+   they only cache for the current one. *)
+let dep_horizon1 th now d acc =
+  if d = Trace.no_dep then acc
+  else
+    let c = th.comp.(d) in
+    if c <= now then acc else if c = unset then Int.min acc (now + 1) else Int.min acc c
+
+let dep_horizon th i now =
+  let h =
+    dep_horizon1 th now th.dep1.(i)
+      (dep_horizon1 th now th.dep2.(i) (dep_horizon1 th now th.dep3.(i) max_int))
+  in
+  if h = max_int then now + 1 else h
+
+(* Blocked on operands: attribute by the producer's kind. *)
+let dep_kind1 rs th now d acc =
+  if d <> Trace.no_dep && th.comp.(d) > now then
+    let dk = th.kind.(d) in
+    if dk = Trace.op_load || dk = Trace.op_atomic then
+      rs.rs_backend.(Char.code (Bytes.get th.svc d))
+    else if dk = Trace.op_deq then rs.rs_queue_empty.(th.pa.(d))
+    else acc
+  else acc
+
+let dep_kind rs th i now =
+  dep_kind1 rs th now th.dep1.(i)
+    (dep_kind1 rs th now th.dep2.(i)
+       (dep_kind1 rs th now th.dep3.(i) rs.rs_backend.(0)))
+
+(* Stall classification for accounting. The reason refines the 4-way
+   class; [class_of_reason] maps it back so the aggregate split is
+   unchanged by the finer attribution. *)
+let classify rs queues now th =
+  if th.issued_this_cycle > 0 then R_issue
+  else if th.blocked_branch >= 0 then R_other
+  else if th.cl_until > now then th.cl_reason
+  else begin
+    let i = first_unissued th th.unissued_head in
+    if i < 0 then begin
+      (* window empty: frontend. Nothing can issue, so the verdict holds
+         until dispatch appends an op (which resets the cache). *)
+      th.cl_reason <- R_other;
+      th.cl_until <- max_int;
+      R_other
+    end
+    else begin
+      let k = th.kind.(i) in
+      let r =
+        if k = Trace.op_enq then
+          let q = queues.(th.pa.(i)) in
+          if q.occupancy >= q.qs_capacity then rs.rs_queue_full.(th.pa.(i))
+          else rs.rs_backend.(dep_level th i now)
+        else if k = Trace.op_deq then
+          let q = queues.(th.pa.(i)) in
+          if
+            q.deq_issued >= Vec.Int_vec.length q.arrived_at
+            || Vec.Int_vec.get q.arrived_at q.deq_issued > now
+          then rs.rs_queue_empty.(th.pa.(i))
+          else rs.rs_backend.(dep_level th i now)
+        else if k = Trace.op_barrier then R_barrier
+        else dep_kind rs th i now
+      in
+      th.cl_reason <- r;
+      th.cl_until <-
+        (if k = Trace.op_enq || k = Trace.op_deq || k = Trace.op_barrier then now + 1
+         else dep_horizon th i now);
+      r
+    end
+  end
+
+(* Next calendar entry strictly after [now], or -1 when there is none. *)
+let rec next_event events now =
+  if Heap.is_empty events then -1
+  else
+    let t = Heap.pop events in
+    if t > now then t else next_event events now
+
 let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
     ?(queue_caps = []) ?telemetry ?faults ?(watchdog = default_watchdog)
     ?(cycle_budget = default_cycle_budget) (p : Types.pipeline)
@@ -203,29 +360,25 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
     Array.mapi
       (fun i (tt : Trace.thread_trace) ->
         let n = Trace.length tt in
-        (* Packed columns are cached on the trace: replaying a memoized
-           trace across many variant configs reuses one snapshot instead of
-           re-copying six columns per replay. The engine only ever reads
-           them. (Traces published to a cross-domain cache are packed
-           before publication — see Sim — so this is not a racing write.) *)
-        let pk = Trace.pack tt in
+        (* The trace's own columns, read in place and only over [0, n):
+           replaying a memoized trace under many configs copies nothing. *)
         {
           th_id = i;
           th_core = thread_core.(i);
-          kind = pk.Trace.pk_kind;
-          pa = pk.Trace.pk_pa;
-          pb = pk.Trace.pk_pb;
-          dep1 = pk.Trace.pk_dep1;
-          dep2 = pk.Trace.pk_dep2;
-          dep3 = pk.Trace.pk_dep3;
+          kind = tt.Trace.kind;
+          pa = tt.Trace.pa;
+          pb = tt.Trace.pb;
+          dep1 = tt.Trace.dep1;
+          dep2 = tt.Trace.dep2;
+          dep3 = tt.Trace.dep3;
           n_ops = n;
-          comp = Array.make (max n 1) unset;
-          wake = Array.make (max n 1) 0;
-          issued = Bytes.make (max n 1) '\000';
+          comp = Array.make (Int.max n 1) unset;
+          wake = Array.make (Int.max n 1) 0;
+          issued = Bytes.make (Int.max n 1) '\000';
           scan_wake = 0;
           cl_until = 0;
           cl_reason = R_other;
-          link = Array.make (max n 1) (-1);
+          link = Array.make (Int.max n 1) (-1);
           unissued_head = -1;
           unissued_tail = -1;
           dispatch_ptr = 0;
@@ -237,52 +390,27 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
           cy_backend = 0;
           cy_queue = 0;
           cy_other = 0;
-          aq_full = Array.make (max n_queues 1) 0;
-          aq_empty = Array.make (max n_queues 1) 0;
+          aq_full = Array.make (Int.max n_queues 1) 0;
+          aq_empty = Array.make (Int.max n_queues 1) 0;
           cy_barrier = 0;
           backend_lvl = Array.make 5 0;
-          enq_ops = Array.make (max n_queues 1) 0;
-          deq_ops = Array.make (max n_queues 1) 0;
-          svc = Bytes.make (max n 1) '\000';
+          enq_ops = Array.make (Int.max n_queues 1) 0;
+          deq_ops = Array.make (Int.max n_queues 1) 0;
+          svc = Bytes.make (Int.max n 1) '\000';
         })
       trace.Trace.threads
   in
-  (* Queue state: size each enq_done array by total enqueues seen. *)
-  let enq_counts = Array.make (max n_queues 1) 0 in
-  Array.iter
-    (fun th ->
-      for i = 0 to th.n_ops - 1 do
-        if th.kind.(i) = Trace.op_enq then
-          enq_counts.(th.pa.(i)) <- max enq_counts.(th.pa.(i)) (th.pb.(i) + 1)
-      done)
-    threads;
-  Array.iter
-    (fun (rt : Trace.ra_trace) ->
-      (* RA deliveries count as enqueues into the out queue; their queue id
-         is recovered from the pipeline's RA configs below, so here we only
-         need sequence bounds, handled after ra_states are built. *)
-      ignore rt)
-    trace.Trace.ras;
   let ra_cfgs = Array.of_list p.Types.p_ras in
-  Array.iteri
-    (fun r (rt : Trace.ra_trace) ->
-      let out_q = ra_cfgs.(r).Types.ra_out in
-      let n = Trace.ra_length rt in
-      for i = 0 to n - 1 do
-        let seq = Vec.Int_vec.get rt.Trace.rt_out_seq i in
-        enq_counts.(out_q) <- max enq_counts.(out_q) (seq + 1)
-      done)
-    trace.Trace.ras;
   (* q_id -> capacity, precomputed once: looking each queue up with
      List.find_opt over the declarations is O(queues) per queue, O(q^2)
      total at setup, which shows up on wide replicated pipelines. *)
   let q_caps =
     let top =
       List.fold_left
-        (fun acc (d : Types.queue_decl) -> max acc (d.q_id + 1))
+        (fun acc (d : Types.queue_decl) -> Int.max acc (d.q_id + 1))
         n_queues p.Types.p_queues
     in
-    let caps = Array.make (max top 1) cfg.queue_depth in
+    let caps = Array.make (Int.max top 1) cfg.queue_depth in
     List.iter
       (fun (d : Types.queue_decl) ->
         if d.q_id >= 0 then caps.(d.q_id) <- d.q_capacity)
@@ -300,8 +428,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
   in
   let cap_of q = if q < Array.length q_caps then q_caps.(q) else cfg.queue_depth in
   let queues =
-    Array.init (max n_queues 1) (fun q ->
-        ignore enq_counts.(q);
+    Array.init (Int.max n_queues 1) (fun q ->
         {
           qs_capacity = cap_of q;
           arrived_at = Vec.Int_vec.create ~capacity:64 ();
@@ -314,7 +441,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
      spent holding exactly [o] elements. Advanced with the same deltas as
      stall accounting, so each histogram partitions the run's cycles. *)
   let occ_hist =
-    Array.init (max n_queues 1) (fun q ->
+    Array.init (Int.max n_queues 1) (fun q ->
         Array.make (queues.(q).qs_capacity + 1) 0)
   in
   let ras =
@@ -330,7 +457,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
           raddr = Vec.Int_vec.to_array rt.Trace.rt_addr;
           rsize = Vec.Int_vec.to_array rt.Trace.rt_size;
           rn = n;
-          fetch_done = Array.make (max n 1) unset;
+          fetch_done = Array.make (Int.max n 1) unset;
           next_start = 0;
           next_deliver = 0;
           outstanding = 0;
@@ -378,7 +505,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
   (* Per-core ROB share, recomputed only when some thread finishes
      ([done_] flips only in [retire]); value is identical to the fold the
      old [window_room] performed on every call. *)
-  let core_share = Array.make (max cfg.n_cores 1) cfg.rob_size in
+  let core_share = Array.make (Int.max cfg.n_cores 1) cfg.rob_size in
   let shares_dirty = ref true in
   let recompute_shares () =
     Array.iteri
@@ -386,7 +513,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
         let active =
           Array.fold_left (fun acc t -> if t.done_ then acc else acc + 1) 0 ct
         in
-        core_share.(ci) <- max 16 (cfg.rob_size / max 1 active))
+        core_share.(ci) <- Int.max 16 (cfg.rob_size / Int.max 1 active))
       cores;
     shares_dirty := false
   in
@@ -404,8 +531,8 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
      is refreshed once per simulated cycle. [last_retire] feeds the
      watchdog that separates livelock from budget exhaustion; with
      [?faults:None] these are dead weight and no counter changes. *)
-  let killed = Array.make (max n_threads 1) false in
-  let stalled_now = Array.make (max n_threads 1) false in
+  let killed = Array.make (Int.max n_threads 1) false in
+  let stalled_now = Array.make (Int.max n_threads 1) false in
   let last_retire = ref 0 in
   let inactive th = killed.(th.th_id) || stalled_now.(th.th_id) in
 
@@ -475,9 +602,10 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
 
   (* Hot-path accesses below use unchecked indexing: every op index is
      drawn from the unissued list or the retire/dispatch pointers (all
-     < [n_ops], the allocation size of every per-op column), and every
-     dependence index comes from the tracer's producer columns, which only
-     ever name earlier ops of the same thread. *)
+     < [n_ops], the allocation size of every per-op array and at most the
+     capacity of every trace column), and every dependence index comes
+     from the tracer's producer columns, which only ever name earlier ops
+     of the same thread. Nothing below allocates per simulated cycle. *)
   let dep_met th d =
     d = Trace.no_dep || Array.unsafe_get th.comp d <= !now
   in
@@ -533,7 +661,8 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
   in
 
   (* The front end is shared: a core's dispatch bandwidth is split across
-     its active threads each cycle (budget passed in by the caller). *)
+     its active threads each cycle. Dispatches at most [budget] ops and
+     returns how many it dispatched. *)
   let dispatch th budget =
     if th.blocked_branch >= 0 then begin
       let b = th.blocked_branch in
@@ -542,16 +671,17 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
         progress := true
       end
     end;
+    let n = ref 0 in
     if th.blocked_branch < 0 then begin
       let continue = ref true in
-      while !continue && !budget > 0 && th.dispatch_ptr < th.n_ops && window_room th do
+      while !continue && !n < budget && th.dispatch_ptr < th.n_ops && window_room th do
         let i = th.dispatch_ptr in
         th.dispatch_ptr <- i + 1;
         push_unissued th i;
         (* a fresh op may have entered the probe prefix *)
         th.scan_wake <- 0;
         th.cl_until <- 0;
-        decr budget;
+        incr n;
         progress := true;
         if th.kind.(i) = Trace.op_branch then begin
           let correct =
@@ -569,194 +699,152 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
           end
         end
       done
-    end
+    end;
+    !n
+  in
+  (* A thread with no pending branch redirect and either a drained program
+     or a full window slice can never consume front-end bandwidth this
+     cycle: the dispatch sweep skips the call. *)
+  let can_dispatch th =
+    th.blocked_branch >= 0 || (th.dispatch_ptr < th.n_ops && window_room th)
   in
 
-  (* Earliest cycle this op's unmet dependencies could all be satisfied: a
-     set completion time is exact; an unset one (producer not yet issued)
-     contributes only the conservative [now + 1]. *)
-  let dep_wake th i =
-    let one d acc =
-      if d = Trace.no_dep then acc
-      else begin
-        let c = Array.unsafe_get th.comp d in
-        if c <= !now then acc
-        else if c = unset then max acc (!now + 1)
-        else max acc c
-      end
-    in
-    one (Array.unsafe_get th.dep1 i)
-      (one (Array.unsafe_get th.dep2 i)
-         (one (Array.unsafe_get th.dep3 i) (!now + 1)))
+  (* Memory ports left on the core being scanned; reset per core per cycle
+     by [issue_core]. *)
+  let mem_budget = ref 0 in
+  (* Bookkeeping once op [i] of kind [k] has issued with [latency] (-1 and
+     -2: a barrier, whose completion is set when its group completes). *)
+  let issued th i k ~is_mem latency =
+    if is_mem then decr mem_budget;
+    Bytes.unsafe_set th.issued i '\001';
+    (* the unissued prefix and the stall picture both just changed *)
+    th.scan_wake <- 0;
+    th.cl_until <- 0;
+    (match latency with
+    | -1 | -2 -> ()
+    | l ->
+      Array.unsafe_set th.comp i (!now + l);
+      schedule_wake (!now + l));
+    if k = Trace.op_branch && th.blocked_branch = i then
+      schedule_wake (th.comp.(i) + cfg.mispredict_penalty);
+    th.issued_this_cycle <- th.issued_this_cycle + 1;
+    progress := true;
+    -1
+  in
+  let spike level =
+    match faults with Some f -> Faults.spike f ~level | None -> 0
   in
   (* Issue one op if it is ready; returns -1 if issued, else the earliest
      cycle a retry could succeed (see [wake] on [thread_state]). *)
-  let try_issue th i ~mem_budget =
+  let try_issue th i =
     let k = Array.unsafe_get th.kind i in
     let is_mem = k = Trace.op_load || k = Trace.op_store || k = Trace.op_atomic || k = Trace.op_prefetch in
     if is_mem && !mem_budget <= 0 then !now + 1
-    else if not (deps_met th i) then dep_wake th i
-    else begin
-      let ok, latency =
-        if k = Trace.op_alu then (true, 1)
-        else if k = Trace.op_branch then (true, 1)
-        else if k = Trace.op_load then begin
-          let r = Cache.access caches ~core:th.th_core ~addr:th.pa.(i) ~now:!now in
-          Bytes.set th.svc i (Char.chr r.Cache.level_hit);
-          let extra =
-            match faults with
-            | Some f -> Faults.spike f ~level:r.Cache.level_hit
-            | None -> 0
-          in
-          (true, r.Cache.latency + extra)
-        end
-        else if k = Trace.op_store then begin
-          ignore (Cache.access caches ~core:th.th_core ~addr:th.pa.(i) ~now:!now);
-          (true, 1) (* retires through the store buffer *)
-        end
-        else if k = Trace.op_atomic then begin
-          (* locked read-modify-write: pays the access plus serialization *)
-          let r = Cache.access caches ~core:th.th_core ~addr:th.pa.(i) ~now:!now in
-          Bytes.set th.svc i (Char.chr r.Cache.level_hit);
-          let extra =
-            match faults with
-            | Some f -> Faults.spike f ~level:r.Cache.level_hit
-            | None -> 0
-          in
-          (true, r.Cache.latency + 18 + extra)
-        end
-        else if k = Trace.op_prefetch then begin
-          Cache.prefetch caches ~core:th.th_core ~addr:th.pa.(i) ~now:!now;
-          (true, 1)
-        end
-        else if k = Trace.op_enq then begin
-          let q = queues.(th.pa.(i)) in
-          if q.occupancy >= q.qs_capacity then (false, !now)
-          else begin
-            match faults with
-            | Some f when Faults.drop_enq f ~queue:th.pa.(i) ->
-              (* transient enqueue failure: the op retries (and the fault
-                 re-rolls) on a later issue attempt; keep the clock moving
-                 so a long streak of drops reads as livelock rather than an
-                 eventless deadlock *)
-              Heap.push events (!now + 1);
-              (false, !now)
-            | _ ->
-              q.occupancy <- q.occupancy + 1;
-              Vec.Int_vec.push q.arrived_at (!now + 1);
-              incr queue_ops;
-              th.enq_ops.(th.pa.(i)) <- th.enq_ops.(th.pa.(i)) + 1;
-              (match faults with
-              | Some f
-                when q.occupancy < q.qs_capacity
-                     && Faults.dup_enq f ~queue:th.pa.(i) ->
-                (* phantom duplicate: occupies a slot until the end of the
-                   run — no consumer op in the trace will ever drain it *)
-                q.occupancy <- q.occupancy + 1;
-                Vec.Int_vec.push q.arrived_at (!now + 1)
-              | _ -> ());
-              (true, 1)
-          end
-        end
-        else if k = Trace.op_deq then begin
-          let q = queues.(th.pa.(i)) in
-          if
-            q.deq_issued < Vec.Int_vec.length q.arrived_at
-            && Vec.Int_vec.get q.arrived_at q.deq_issued <= !now
-          then begin
-            q.deq_issued <- q.deq_issued + 1;
-            q.occupancy <- q.occupancy - 1;
-            incr queue_ops;
-            th.deq_ops.(th.pa.(i)) <- th.deq_ops.(th.pa.(i)) + 1;
-            (true, 1)
-          end
-          else
-            (* starved, or the head arrival is still in flight: its arrival
-               time bounds the earliest useful retry *)
-            ( false,
-              if q.deq_issued < Vec.Int_vec.length q.arrived_at then
-                Vec.Int_vec.get q.arrived_at q.deq_issued
-              else !now + 1 )
-        end
-        else if k = Trace.op_barrier then begin
-          let key = (th.pa.(i), th.pb.(i)) in
-          let n, arrived =
-            try Hashtbl.find barrier_arrived key with Not_found -> (0, [])
-          in
-          let n = n + 1 and arrived = (th, i) :: arrived in
-          if n = Hashtbl.find barrier_total key then begin
-            (* all threads resume after a fixed resynchronization penalty;
-               the group is complete, so drop its arrival state rather than
-               retaining every (thread, op) list for the whole run *)
-            Hashtbl.remove barrier_arrived key;
-            let release = !now + 40 in
-            List.iter
-              (fun (th', i') ->
-                th'.comp.(i') <- release;
-                schedule_wake release)
-              arrived;
-            (* comp already set; mark latency 0 sentinel below *)
-            (true, -1)
-          end
-          else begin
-            Hashtbl.replace barrier_arrived key (n, arrived);
-            (true, -2) (* arrived; completion set when group completes *)
-          end
-        end
-        else (true, 1)
-      in
-      if not ok then latency (* carries the retry wake cycle on failure *)
+    else if not (deps_met th i) then dep_wake th i !now
+    else if k = Trace.op_alu || k = Trace.op_branch then issued th i k ~is_mem 1
+    else if k = Trace.op_load then begin
+      let r = Cache.access caches ~core:th.th_core ~addr:th.pa.(i) ~now:!now in
+      Bytes.set th.svc i (Char.chr r.Cache.level_hit);
+      issued th i k ~is_mem (r.Cache.latency + spike r.Cache.level_hit)
+    end
+    else if k = Trace.op_store then begin
+      ignore (Cache.access caches ~core:th.th_core ~addr:th.pa.(i) ~now:!now);
+      issued th i k ~is_mem 1 (* retires through the store buffer *)
+    end
+    else if k = Trace.op_atomic then begin
+      (* locked read-modify-write: pays the access plus serialization *)
+      let r = Cache.access caches ~core:th.th_core ~addr:th.pa.(i) ~now:!now in
+      Bytes.set th.svc i (Char.chr r.Cache.level_hit);
+      issued th i k ~is_mem (r.Cache.latency + 18 + spike r.Cache.level_hit)
+    end
+    else if k = Trace.op_prefetch then begin
+      Cache.prefetch caches ~core:th.th_core ~addr:th.pa.(i) ~now:!now;
+      issued th i k ~is_mem 1
+    end
+    else if k = Trace.op_enq then begin
+      let q = queues.(th.pa.(i)) in
+      if q.occupancy >= q.qs_capacity then !now
       else begin
-        if is_mem then decr mem_budget;
-        Bytes.unsafe_set th.issued i '\001';
-        (* the unissued prefix and the stall picture both just changed *)
-        th.scan_wake <- 0;
-        th.cl_until <- 0;
-        (match latency with
-        | -1 | -2 -> () (* barrier: comp handled above or pending *)
-        | l ->
-          Array.unsafe_set th.comp i (!now + l);
-          schedule_wake (!now + l));
-        if k = Trace.op_branch && th.blocked_branch = i then
-          schedule_wake (th.comp.(i) + cfg.mispredict_penalty);
-        th.issued_this_cycle <- th.issued_this_cycle + 1;
-        progress := true;
-        -1
+        match faults with
+        | Some f when Faults.drop_enq f ~queue:th.pa.(i) ->
+          (* transient enqueue failure: the op retries (and the fault
+             re-rolls) on a later issue attempt; keep the clock moving
+             so a long streak of drops reads as livelock rather than an
+             eventless deadlock *)
+          Heap.push events (!now + 1);
+          !now
+        | _ ->
+          q.occupancy <- q.occupancy + 1;
+          Vec.Int_vec.push q.arrived_at (!now + 1);
+          incr queue_ops;
+          th.enq_ops.(th.pa.(i)) <- th.enq_ops.(th.pa.(i)) + 1;
+          (match faults with
+          | Some f
+            when q.occupancy < q.qs_capacity
+                 && Faults.dup_enq f ~queue:th.pa.(i) ->
+            (* phantom duplicate: occupies a slot until the end of the
+               run — no consumer op in the trace will ever drain it *)
+            q.occupancy <- q.occupancy + 1;
+            Vec.Int_vec.push q.arrived_at (!now + 1)
+          | _ -> ());
+          issued th i k ~is_mem 1
       end
     end
+    else if k = Trace.op_deq then begin
+      let q = queues.(th.pa.(i)) in
+      if
+        q.deq_issued < Vec.Int_vec.length q.arrived_at
+        && Vec.Int_vec.get q.arrived_at q.deq_issued <= !now
+      then begin
+        q.deq_issued <- q.deq_issued + 1;
+        q.occupancy <- q.occupancy - 1;
+        incr queue_ops;
+        th.deq_ops.(th.pa.(i)) <- th.deq_ops.(th.pa.(i)) + 1;
+        issued th i k ~is_mem 1
+      end
+      else if q.deq_issued < Vec.Int_vec.length q.arrived_at then
+        (* the head arrival is still in flight: its arrival time bounds
+           the earliest useful retry *)
+        Vec.Int_vec.get q.arrived_at q.deq_issued
+      else !now + 1 (* starved *)
+    end
+    else if k = Trace.op_barrier then begin
+      let key = (th.pa.(i), th.pb.(i)) in
+      let n, arrived =
+        try Hashtbl.find barrier_arrived key with Not_found -> (0, [])
+      in
+      let n = n + 1 and arrived = (th, i) :: arrived in
+      if n = Hashtbl.find barrier_total key then begin
+        (* all threads resume after a fixed resynchronization penalty;
+           the group is complete, so drop its arrival state rather than
+           retaining every (thread, op) list for the whole run *)
+        Hashtbl.remove barrier_arrived key;
+        let release = !now + 40 in
+        List.iter
+          (fun (th', i') ->
+            th'.comp.(i') <- release;
+            schedule_wake release)
+          arrived;
+        issued th i k ~is_mem (-1) (* comp already set *)
+      end
+      else begin
+        Hashtbl.replace barrier_arrived key (n, arrived);
+        issued th i k ~is_mem (-2) (* arrived; completion set when group completes *)
+      end
+    end
+    else issued th i k ~is_mem 1
   in
 
   (* Per-core scan counters, reset by fill each cycle instead of being
      reallocated: issue_core runs every simulated cycle per core. *)
   let scan_bufs =
-    Array.map (fun ct -> Array.make (max 1 (Array.length ct)) 0) cores
-  in
-  (* After a walk, record the earliest cycle the next walk could behave
-     differently: the minimum recorded wake over the ops the next walk
-     would probe (the first ops of the unissued list, up to the per-pass
-     step limit). An op never yet probed (wake still 0) keeps the thread
-     hot, and an enqueue disables the cache outright — a same-cycle
-     dequeue can free a slot and fault drop rolls are per-attempt. An
-     empty prefix sleeps until dispatch appends (which resets the field),
-     and an issue from this thread also resets it, so the prefix is fixed
-     for the whole validity window. *)
-  let refresh_scan_wake th =
-    let rec go node steps acc =
-      if node < 0 || steps >= 4 then acc
-      else if Bytes.unsafe_get th.issued node = '\001' then
-        go (Array.unsafe_get th.link node) steps acc
-      else if Array.unsafe_get th.kind node = Trace.op_enq then 0
-      else
-        go (Array.unsafe_get th.link node) (steps + 1)
-          (min acc (Array.unsafe_get th.wake node))
-    in
-    th.scan_wake <- go th.unissued_head 0 max_int
+    Array.map (fun ct -> Array.make (Int.max 1 (Array.length ct)) 0) cores
   in
   let issue_core ci core_threads =
     let nth = Array.length core_threads in
     if nth > 0 then begin
       let issue_budget = ref cfg.issue_width in
-      let mem_budget = ref cfg.mem_ports in
+      mem_budget := cfg.mem_ports;
       let start = !now mod nth in
       (* Interleave threads round-robin, scanning each thread's oldest
          unissued ops; stop when the issue budget is spent. *)
@@ -779,8 +867,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
             let prev = ref (-1) in
             let node = ref th.unissued_head in
             let steps = ref 0 in
-            let continue = ref true in
-            while !continue && !node >= 0 && !steps < 4 && !issue_budget > 0 do
+            while !node >= 0 && !steps < 4 && !issue_budget > 0 do
               let i = !node in
               let next = Array.unsafe_get th.link i in
               if Bytes.unsafe_get th.issued i = '\001' then begin
@@ -807,7 +894,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
                   node := next
                 end
                 else begin
-                  let w = try_issue th i ~mem_budget in
+                  let w = try_issue th i in
                   if w < 0 then begin
                     decr issue_budget;
                     made_progress := true;
@@ -825,7 +912,6 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
                 end
               end
             done;
-            ignore !continue;
             refresh_scan_wake th
           end
         done
@@ -890,9 +976,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
               (Cache.access caches ~core:ra.ra_core ~addr:ra.raddr.(i) ~now:!now)
                 .Cache.latency
             in
-            match faults with
-            | Some f -> base + Faults.spike f ~level:0
-            | None -> base
+            base + spike 0
           end
         in
         ra.fetch_done.(i) <- !now + lat;
@@ -905,94 +989,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
     done
   in
 
-  (* Stall classification for accounting. The reason refines the 4-way
-     class; [class_of_reason] maps it back so the aggregate split is
-     unchanged by the finer attribution. *)
-  let classify th : stall_reason =
-    if th.issued_this_cycle > 0 then R_issue
-    else if th.blocked_branch >= 0 then R_other
-    else if th.cl_until > !now then th.cl_reason
-    else begin
-      (* find first unissued op *)
-      let rec first node =
-        if node < 0 then -1
-        else if Bytes.get th.issued node = '\000' then node
-        else first th.link.(node)
-      in
-      let i = first th.unissued_head in
-      if i < 0 then begin
-        (* window empty: frontend. Nothing can issue, so the verdict holds
-           until dispatch appends an op (which resets the cache). *)
-        th.cl_reason <- R_other;
-        th.cl_until <- max_int;
-        R_other
-      end
-      else begin
-        let k = th.kind.(i) in
-        (* serving cache level of the first pending load/atomic operand,
-           or 0 when the wait is a port conflict / not memory-shaped *)
-        let dep_level () =
-          let lvl d acc =
-            if d <> Trace.no_dep && th.comp.(d) > !now then
-              let dk = th.kind.(d) in
-              if dk = Trace.op_load || dk = Trace.op_atomic then
-                Char.code (Bytes.get th.svc d)
-              else acc
-            else acc
-          in
-          lvl th.dep1.(i) (lvl th.dep2.(i) (lvl th.dep3.(i) 0))
-        in
-        (* A plain operand stall cannot change verdict before the earliest
-           pending producer completes; queue and barrier verdicts can flip
-           any cycle, so they only cache for the current one. *)
-        let dep_horizon () =
-          let one d acc =
-            if d = Trace.no_dep then acc
-            else
-              let c = th.comp.(d) in
-              if c <= !now then acc
-              else if c = unset then min acc (!now + 1)
-              else min acc c
-          in
-          let h = one th.dep1.(i) (one th.dep2.(i) (one th.dep3.(i) max_int)) in
-          if h = max_int then !now + 1 else h
-        in
-        let r, horizon =
-          if k = Trace.op_enq then
-            let q = queues.(th.pa.(i)) in
-            if q.occupancy >= q.qs_capacity then
-              (R_queue_full th.pa.(i), !now + 1)
-            else (R_backend (dep_level ()), !now + 1)
-          else if k = Trace.op_deq then
-            let q = queues.(th.pa.(i)) in
-            if
-              q.deq_issued >= Vec.Int_vec.length q.arrived_at
-              || Vec.Int_vec.get q.arrived_at q.deq_issued > !now
-            then (R_queue_empty th.pa.(i), !now + 1)
-            else (R_backend (dep_level ()), !now + 1)
-          else if k = Trace.op_barrier then (R_barrier, !now + 1)
-          else begin
-            (* blocked on operands: attribute by the producer's kind *)
-            let dep_kind d acc =
-              if d <> Trace.no_dep && th.comp.(d) > !now then
-                let dk = th.kind.(d) in
-                if dk = Trace.op_load || dk = Trace.op_atomic then
-                  R_backend (Char.code (Bytes.get th.svc d))
-                else if dk = Trace.op_deq then R_queue_empty th.pa.(d)
-                else acc
-              else acc
-            in
-            ( dep_kind th.dep1.(i)
-                (dep_kind th.dep2.(i) (dep_kind th.dep3.(i) (R_backend 0))),
-              dep_horizon () )
-          end
-        in
-        th.cl_reason <- r;
-        th.cl_until <- horizon;
-        r
-      end
-    end
-  in
+  let reasons = make_reasons (Array.length queues) in
   let state_name = function
     | Sc_issue -> "issue"
     | Sc_backend -> "backend"
@@ -1002,36 +999,37 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
   let account delta =
     for q = 0 to n_queues - 1 do
       let h = occ_hist.(q) in
-      let b = min queues.(q).occupancy (Array.length h - 1) in
+      let b = Int.min queues.(q).occupancy (Array.length h - 1) in
       h.(b) <- h.(b) + delta
     done;
-    Array.iter
-      (fun th ->
-        if not th.done_ then begin
-          (* live set not yet pruned this cycle, so recheck done_ *)
-          let r = classify th in
-          (match r with
-          | R_issue -> th.cy_issue <- th.cy_issue + delta
-          | R_backend lvl ->
-            th.cy_backend <- th.cy_backend + delta;
-            th.backend_lvl.(lvl) <- th.backend_lvl.(lvl) + delta
-          | R_queue_full q ->
-            th.cy_queue <- th.cy_queue + delta;
-            th.aq_full.(q) <- th.aq_full.(q) + delta
-          | R_queue_empty q ->
-            th.cy_queue <- th.cy_queue + delta;
-            th.aq_empty.(q) <- th.aq_empty.(q) + delta
-          | R_barrier ->
-            th.cy_queue <- th.cy_queue + delta;
-            th.cy_barrier <- th.cy_barrier + delta
-          | R_other -> th.cy_other <- th.cy_other + delta);
-          match telemetry with
-          | Some tel ->
-            Telemetry.set_thread_state tel ~thread:th.th_id ~cycle:!now
-              (state_name (class_of_reason r))
-          | None -> ()
-        end)
-      !live
+    let lv = !live in
+    for j = 0 to Array.length lv - 1 do
+      let th = lv.(j) in
+      if not th.done_ then begin
+        (* live set not yet pruned this cycle, so recheck done_ *)
+        let r = classify reasons queues !now th in
+        (match r with
+        | R_issue -> th.cy_issue <- th.cy_issue + delta
+        | R_backend lvl ->
+          th.cy_backend <- th.cy_backend + delta;
+          th.backend_lvl.(lvl) <- th.backend_lvl.(lvl) + delta
+        | R_queue_full q ->
+          th.cy_queue <- th.cy_queue + delta;
+          th.aq_full.(q) <- th.aq_full.(q) + delta
+        | R_queue_empty q ->
+          th.cy_queue <- th.cy_queue + delta;
+          th.aq_empty.(q) <- th.aq_empty.(q) + delta
+        | R_barrier ->
+          th.cy_queue <- th.cy_queue + delta;
+          th.cy_barrier <- th.cy_barrier + delta
+        | R_other -> th.cy_other <- th.cy_other + delta);
+        match telemetry with
+        | Some tel ->
+          Telemetry.set_thread_state tel ~thread:th.th_id ~cycle:!now
+            (state_name (class_of_reason r))
+        | None -> ()
+      end
+    done
   in
 
   (* Build and raise the structured failure report (cold path). Blocked-on
@@ -1040,14 +1038,6 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
   let fail_run kind =
     let names = Forensics.agent_names p in
     let _, producers, consumers = Forensics.queue_users p in
-    let first_unissued th =
-      let rec go node =
-        if node < 0 then -1
-        else if Bytes.get th.issued node = '\000' then node
-        else go th.link.(node)
-      in
-      go th.unissued_head
-    in
     (* The oldest unissued op in the window is the root cause and takes
        priority over the frontend state: a stage wedged on a full-queue
        enqueue usually also has an unresolved branch stuck behind it, and
@@ -1057,7 +1047,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
       if th.done_ then Forensics.Finished
       else if killed.(th.th_id) then Forensics.Killed
       else begin
-        let i = first_unissued th in
+        let i = first_unissued th th.unissued_head in
         if i < 0 then
           if th.blocked_branch >= 0 then Forensics.On_frontend
           else if th.retire_ptr < th.dispatch_ptr then Forensics.On_memory
@@ -1237,66 +1227,52 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
          else Forensics.Budget_exhausted)
     else if !now - !last_retire > watchdog then fail_run Forensics.Livelock;
     progress := false;
+    let lv = !live in
     (match faults with
     | None -> ()
     | Some f ->
-      Array.iter
-        (fun th ->
-          let rel = Faults.stall_release f ~thread:th.th_id ~now:!now in
-          stalled_now.(th.th_id) <- rel >= 0;
-          if rel >= 0 then Heap.push events rel)
-        !live);
-    Array.iter
-      (fun th ->
-        th.issued_this_cycle <- 0;
-        if (not th.done_) && not (inactive th) then retire th)
-      !live;
+      for j = 0 to Array.length lv - 1 do
+        let th = lv.(j) in
+        let rel = Faults.stall_release f ~thread:th.th_id ~now:!now in
+        stalled_now.(th.th_id) <- rel >= 0;
+        if rel >= 0 then Heap.push events rel
+      done);
+    for j = 0 to Array.length lv - 1 do
+      let th = lv.(j) in
+      th.issued_this_cycle <- 0;
+      if (not th.done_) && not (inactive th) then retire th
+    done;
     if !shares_dirty then recompute_shares ();
-    Array.iter
-      (fun core_threads ->
-        let nth = Array.length core_threads in
-        if nth > 0 then begin
-          let budget = ref cfg.dispatch_width in
-          let start = !now mod nth in
-          (* round-robin the shared front-end bandwidth, giving each live
-             thread a fair share plus any slack left by stalled threads *)
-          let share = max 1 (cfg.dispatch_width / max 1 nth) in
-          (* a thread with no pending branch redirect and either a drained
-             program or a full window slice can never consume front-end
-             bandwidth this cycle: skip the call *)
-          let can_dispatch th =
-            th.blocked_branch >= 0
-            || (th.dispatch_ptr < th.n_ops && window_room th)
-          in
-          for off = 0 to nth - 1 do
-            let th = core_threads.((start + off) mod nth) in
-            if (not th.done_) && (not (inactive th)) && can_dispatch th then begin
-              let slice = ref (min share !budget) in
-              let before = !slice in
-              dispatch th slice;
-              budget := !budget - (before - !slice)
-            end
-          done;
-          (* leftover bandwidth flows to the threads that can still use it,
-             in the same round-robin order, until it is exhausted *)
-          let off = ref 0 in
-          while !budget > 0 && !off < nth do
-            let th = core_threads.((start + !off) mod nth) in
-            if (not th.done_) && (not (inactive th)) && can_dispatch th then begin
-              let slice = ref !budget in
-              let before = !slice in
-              dispatch th slice;
-              budget := !budget - (before - !slice)
-            end;
-            incr off
-          done;
-          (* per-cycle dispatch-bandwidth conservation: a core can never
-             dispatch more than its front-end width in one cycle *)
-          let used = cfg.dispatch_width - !budget in
-          assert (used >= 0 && used <= cfg.dispatch_width);
-          total_dispatched := !total_dispatched + used
-        end)
-      cores;
+    for ci = 0 to Array.length cores - 1 do
+      let core_threads = cores.(ci) in
+      let nth = Array.length core_threads in
+      if nth > 0 then begin
+        let budget = ref cfg.dispatch_width in
+        let start = !now mod nth in
+        (* round-robin the shared front-end bandwidth, giving each live
+           thread a fair share plus any slack left by stalled threads *)
+        let share = Int.max 1 (cfg.dispatch_width / Int.max 1 nth) in
+        for off = 0 to nth - 1 do
+          let th = core_threads.((start + off) mod nth) in
+          if (not th.done_) && (not (inactive th)) && can_dispatch th then
+            budget := !budget - dispatch th (Int.min share !budget)
+        done;
+        (* leftover bandwidth flows to the threads that can still use it,
+           in the same round-robin order, until it is exhausted *)
+        let off = ref 0 in
+        while !budget > 0 && !off < nth do
+          let th = core_threads.((start + !off) mod nth) in
+          if (not th.done_) && (not (inactive th)) && can_dispatch th then
+            budget := !budget - dispatch th !budget;
+          incr off
+        done;
+        (* per-cycle dispatch-bandwidth conservation: a core can never
+           dispatch more than its front-end width in one cycle *)
+        let used = cfg.dispatch_width - !budget in
+        assert (used >= 0 && used <= cfg.dispatch_width);
+        total_dispatched := !total_dispatched + used
+      end
+    done;
     Array.iteri issue_core cores;
     Array.iter advance_ra ras;
     account 1;
@@ -1309,23 +1285,19 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
     end
     else begin
       (* fast-forward to the next event *)
-      let rec next_event () =
-        if Heap.is_empty events then None
-        else
-          let t = Heap.pop events in
-          if t > !now then Some t else next_event ()
-      in
-      match next_event () with
-      | Some t ->
+      let t = next_event events !now in
+      if t >= 0 then begin
         account (t - !now - 1);
         now := t
-      | None ->
+      end
+      else begin
         (* no pending event and no progress: once transient effects are
            given a few cycles to settle, this is a true deadlock — nothing
            can ever run again *)
         incr guard;
         if !guard > 4 then fail_run Forensics.Deadlock;
         incr now
+      end
     end;
     if !live_dirty then begin
       live :=

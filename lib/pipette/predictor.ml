@@ -31,7 +31,7 @@ let predict_update t ~thread ~pc ~taken =
   t.lookups <- t.lookups + 1;
   let correct = predicted_taken = taken in
   if not correct then t.mispredicts <- t.mispredicts + 1;
-  t.table.(idx) <- (if taken then min 3 (ctr + 1) else max 0 (ctr - 1));
+  t.table.(idx) <- (if taken then Int.min 3 (ctr + 1) else Int.max 0 (ctr - 1));
   t.histories.(thread) <- ((h lsl 1) lor (if taken then 1 else 0)) land t.history_mask;
   correct
 

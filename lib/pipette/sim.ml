@@ -97,8 +97,10 @@ let ra_cores (p : Types.pipeline) (thread_core : int array) =
    pipeline, functional results keyed by (pipeline, inputs, op budget).
    The caches are FIFO-bounded and mutex-guarded; the mutex also provides
    the happens-before edge that publishes a result built on one domain to
-   pool workers on another. Traces are column-packed before publication so
-   concurrent engine replays only ever read them. *)
+   pool workers on another. Each key is built once at a time: a domain
+   that misses a key another domain is building waits for that build.
+   Nothing writes a trace once [Flat.run] has returned, so concurrent
+   engine replays only ever read it. *)
 
 let program_cache : (string, Phloem_ir.Flat.program array) Fifo_cache.t =
   Fifo_cache.create ~capacity:64 ()
@@ -141,30 +143,18 @@ let cache_counters () =
     cc_capacity = p.Fifo_cache.capacity;
   }
 
-let memo cache key build =
-  match Fifo_cache.find cache key with
-  | Some v -> v
-  | None ->
-    let v = build () in
-    Fifo_cache.add cache key v;
-    v
-
 let prepare (p : Types.pipeline) : Phloem_ir.Flat.program array =
   Validate.check p;
-  memo program_cache (Key.of_value p) (fun () -> Phloem_ir.Flat.compile p)
+  Fifo_cache.find_or_add program_cache (Key.of_value p) (fun () ->
+      Phloem_ir.Flat.compile p)
 
 let functional ?(inputs = []) (p : Types.pipeline) : Interp.result =
   let programs = prepare p in
   (* The op budget changes which executions complete, so it is part of the
      key; failed runs raise before the insert and are never cached. *)
-  memo trace_cache
+  Fifo_cache.find_or_add trace_cache
     (Key.of_value (p, inputs, Interp.max_ops ()))
-    (fun () ->
-      let r = Phloem_ir.Flat.run ~inputs ~programs p in
-      Array.iter
-        (fun tt -> ignore (Trace.pack tt))
-        r.Interp.r_trace.Trace.threads;
-      r)
+    (fun () -> Phloem_ir.Flat.run ~inputs ~programs p)
 
 let simulate ?(cfg = Config.default) ?thread_core ?queue_caps ?telemetry
     ?faults ?watchdog ?cycle_budget (p : Types.pipeline) (fr : Interp.result) :

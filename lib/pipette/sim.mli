@@ -29,10 +29,10 @@ val functional :
   Phloem_ir.Types.pipeline ->
   Phloem_ir.Interp.result
 (** Execute the functional (Kahn-network) semantics on the compiled µop
-    core. Memoized by (pipeline, inputs, op budget); cached traces are
-    column-packed before publication so concurrent timing replays on pool
-    domains share one read-only snapshot. Failed executions raise and are
-    never cached. *)
+    core. Memoized by (pipeline, inputs, op budget), each key built once at
+    a time: a concurrent call for a key being built waits for it. Cached
+    traces are shared read-only by concurrent timing replays on pool
+    domains. Failed executions raise and are never cached. *)
 
 val simulate :
   ?cfg:Config.t ->

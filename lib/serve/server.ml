@@ -109,6 +109,14 @@ let tcp_listener port =
   Unix.listen fd 64;
   fd
 
+(* OCaml 5.1 runs at most 128 domains at once (its [Max_domains]) and the
+   daemon's own domain reads the sockets, so at most 127 workers fit
+   beside it, even where the recommended domain count is 128 or more. *)
+let max_workers = 127
+
+let worker_domains ~recommended jobs =
+  Int.max 1 (Int.min jobs (Int.min recommended max_workers))
+
 let create (opts : opts) : t =
   if opts.so_unix = None && opts.so_tcp = None then
     invalid_arg "Serve.Server.create: need a Unix socket path or a TCP port";
@@ -121,7 +129,9 @@ let create (opts : opts) : t =
   in
   {
     t_opts = opts;
-    t_jobs = Phloem_util.Pool.clamp_jobs opts.so_jobs;
+    t_jobs =
+      worker_domains ~recommended:(Domain.recommended_domain_count ())
+        opts.so_jobs;
     t_cache =
       Fifo_cache.create ~weight:String.length ~capacity:opts.so_cache_entries ();
     t_sched = Scheduler.create ~limit:opts.so_queue_limit ();

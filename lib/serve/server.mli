@@ -13,8 +13,7 @@ type opts = {
   so_unix : string option;  (** Unix-domain socket path *)
   so_tcp : int option;  (** TCP port on 127.0.0.1 *)
   so_jobs : int;
-      (** worker domains executing jobs, clamped by
-          {!Phloem_util.Pool.clamp_jobs} *)
+      (** worker domains executing jobs, clamped by {!worker_domains} *)
   so_queue_limit : int;  (** job-queue bound; submits past it shed *)
   so_cache_entries : int;  (** result-cache entry bound *)
   so_max_request : int;  (** request line byte bound *)
@@ -27,6 +26,12 @@ type opts = {
 val default_opts : opts
 (** jobs 1, queue limit 64, 256 cache entries, 1 MiB requests,
     observability off; no listeners — set [so_unix] and/or [so_tcp]. *)
+
+val worker_domains : recommended:int -> int -> int
+(** [worker_domains ~recommended jobs] is how many worker domains {!run}
+    spawns for [so_jobs = jobs] on a machine whose recommended domain
+    count is [recommended]: [jobs] clamped to [1 .. min recommended 127].
+    OCaml 5.1 runs at most 128 domains, and the caller's domain is one. *)
 
 type t
 

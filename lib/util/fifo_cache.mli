@@ -28,6 +28,14 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
     capacity; if [k] is present the cache is unchanged (concurrent
     identical misses both compute, and the second insert is dropped). *)
 
+val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
+(** [find_or_add t k build] is [k]'s value, calling [build] (outside the
+    lock) and inserting its result on a miss. Each key is built at most
+    once at a time: a concurrent call for a key being built waits for that
+    build and counts a hit. A [build] that raises caches nothing and wakes
+    its waiters, which retry; the exception reaches its own caller only.
+    [build] must not call [find_or_add] on the same key. *)
+
 val set_capacity : ('k, 'v) t -> int -> unit
 (** Set the entry bound. Shrinking evicts oldest-first immediately, so the
     bound always holds. @raise Invalid_argument if the capacity is < 1. *)

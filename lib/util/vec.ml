@@ -91,18 +91,7 @@ module Int_vec = struct
     if i < 0 || i >= v.len then invalid_arg "Int_vec.get";
     v.data.(i)
 
-  let set v i x =
-    if i < 0 || i >= v.len then invalid_arg "Int_vec.set";
-    v.data.(i) <- x
-
-  let clear v = v.len <- 0
   let to_array v = Array.sub v.data 0 v.len
-  let of_array a = { data = Array.copy a; len = Array.length a }
-
-  let iter f v =
-    for i = 0 to v.len - 1 do
-      f v.data.(i)
-    done
 
   let fold_left f acc v =
     let acc = ref acc in

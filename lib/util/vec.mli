@@ -1,8 +1,8 @@
 (** Growable arrays.
 
     [Vec.t] is a generic growable array; [Int_vec.t] is an unboxed-int
-    specialization used on the hot paths of the interpreter and the timing
-    engine, where traces routinely hold millions of entries. *)
+    specialization, used for reference-accelerator traces and the timing
+    engine's per-queue arrival logs. *)
 
 type 'a t
 
@@ -31,10 +31,6 @@ module Int_vec : sig
   val length : t -> int
   val push : t -> int -> unit
   val get : t -> int -> int
-  val set : t -> int -> int -> unit
-  val clear : t -> unit
   val to_array : t -> int array
-  val of_array : int array -> t
-  val iter : (int -> unit) -> t -> unit
   val fold_left : ('acc -> int -> 'acc) -> 'acc -> t -> 'acc
 end

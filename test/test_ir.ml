@@ -356,9 +356,9 @@ let test_trace_deps_wellformed () =
           if d <> Trace.no_dep && d >= i then
             Alcotest.failf "op %d depends on later op %d" i d
         in
-        check_dep (Phloem_util.Vec.Int_vec.get th.Trace.dep1 i);
-        check_dep (Phloem_util.Vec.Int_vec.get th.Trace.dep2 i);
-        check_dep (Phloem_util.Vec.Int_vec.get th.Trace.dep3 i)
+        check_dep th.Trace.dep1.(i);
+        check_dep th.Trace.dep2.(i);
+        check_dep th.Trace.dep3.(i)
       done)
     tr.Trace.threads;
   Alcotest.(check bool) "ops recorded" true (Trace.op_count tr > 0)

@@ -252,6 +252,19 @@ let test_scheduler_close_drains () =
     "closed and drained yields the exit signal" true
     (Scheduler.take s = None)
 
+(* OCaml 5.1 runs at most 128 domains and the daemon's own domain is one
+   of them: the worker count never exceeds 127, whatever the machine
+   recommends. Pure arithmetic; no domain is spawned. *)
+let test_worker_domains () =
+  let w recommended jobs = Server.worker_domains ~recommended jobs in
+  Alcotest.(check int) "as asked" 3 (w 8 3);
+  Alcotest.(check int) "at least one" 1 (w 8 0);
+  Alcotest.(check int) "recommended count bounds" 8 (w 8 20);
+  Alcotest.(check int) "default jobs on a 128-CPU host" 127 (w 128 128);
+  Alcotest.(check int) "large hosts" 127 (w 256 1000);
+  Alcotest.(check int) "just under the cap" 126 (w 256 126);
+  Alcotest.(check int) "at the cap" 127 (w 127 127)
+
 (* --- client --------------------------------------------------------------- *)
 
 (* Two lines in one write, the first longer than the client's read chunk:
@@ -400,8 +413,8 @@ let test_e2e_rejects_and_shed () =
             | Some (Json.Int n) -> n
             | _ -> Alcotest.failf "stats lacks int %s" (String.concat "." path)
           in
-          Alcotest.(check int) "effective worker count" recommended
-            (int [ "jobs" ]);
+          Alcotest.(check int) "effective worker count"
+            (Int.min recommended 127) (int [ "jobs" ]);
           Alcotest.(check int) "requests" 5 (int [ "requests" ]);
           Alcotest.(check int) "ok" 2 (int [ "ok" ]);
           Alcotest.(check int) "errors" 2 (int [ "errors" ]);
@@ -759,6 +772,11 @@ let () =
           Alcotest.test_case "queue wait accounting" `Quick
             test_scheduler_queue_wait;
           Alcotest.test_case "close drains" `Quick test_scheduler_close_drains;
+        ] );
+      ( "server",
+        [
+          Alcotest.test_case "worker domains stay within 127" `Quick
+            test_worker_domains;
         ] );
       ( "client",
         [

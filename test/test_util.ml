@@ -291,6 +291,71 @@ let test_cache_fifo_eviction () =
     (String.length "22" + String.length "333")
     (Fifo_cache.stats c).Fifo_cache.weight
 
+(* Two domains miss one key at once: one build, one miss, one hit. The
+   build holds on until the second domain is about to call, so that call
+   lands while the build runs. *)
+let test_cache_single_flight () =
+  let c = Fifo_cache.create ~capacity:4 () in
+  let builds = Atomic.make 0 and second_calling = Atomic.make false in
+  let build () =
+    Atomic.incr builds;
+    while not (Atomic.get second_calling) do
+      Domain.cpu_relax ()
+    done;
+    Unix.sleepf 0.05;
+    "v"
+  in
+  let first = Domain.spawn (fun () -> Fifo_cache.find_or_add c "k" build) in
+  while Atomic.get builds = 0 do
+    Domain.cpu_relax ()
+  done;
+  Atomic.set second_calling true;
+  let second = Fifo_cache.find_or_add c "k" build in
+  let first = Domain.join first in
+  Alcotest.(check (pair string string)) "both get the value" ("v", "v")
+    (first, second);
+  Alcotest.(check int) "one build" 1 (Atomic.get builds);
+  let s = Fifo_cache.stats c in
+  Alcotest.(check (pair int int)) "1 miss, 1 hit" (1, 1)
+    (s.Fifo_cache.misses, s.Fifo_cache.hits)
+
+(* A build that raises caches nothing and wakes its waiter, which retries
+   and builds; the exception reaches only the failed build's caller. *)
+let test_cache_single_flight_failure () =
+  let c = Fifo_cache.create ~capacity:4 () in
+  let builds = Atomic.make 0 and second_calling = Atomic.make false in
+  let failing () =
+    Atomic.incr builds;
+    while not (Atomic.get second_calling) do
+      Domain.cpu_relax ()
+    done;
+    Unix.sleepf 0.05;
+    failwith "build failed"
+  in
+  let first =
+    Domain.spawn (fun () ->
+        match Fifo_cache.find_or_add c "k" failing with
+        | v -> "returned " ^ v
+        | exception Failure m -> m)
+  in
+  while Atomic.get builds = 0 do
+    Domain.cpu_relax ()
+  done;
+  Atomic.set second_calling true;
+  let second =
+    Fifo_cache.find_or_add c "k" (fun () ->
+        Atomic.incr builds;
+        "retried")
+  in
+  Alcotest.(check string) "failure reaches its caller" "build failed"
+    (Domain.join first);
+  Alcotest.(check string) "waiter retries" "retried" second;
+  Alcotest.(check int) "two builds" 2 (Atomic.get builds);
+  let s = Fifo_cache.stats c in
+  Alcotest.(check (pair int int)) "2 misses, 0 hits" (2, 0)
+    (s.Fifo_cache.misses, s.Fifo_cache.hits);
+  Alcotest.(check int) "only the retry is cached" 1 s.Fifo_cache.entries
+
 type cache_op =
   | Find of int
   | Add of int * string
@@ -451,6 +516,9 @@ let cache_suite =
   [
     Alcotest.test_case "hit and miss" `Quick test_cache_hit_miss;
     Alcotest.test_case "fifo eviction" `Quick test_cache_fifo_eviction;
+    Alcotest.test_case "single flight" `Quick test_cache_single_flight;
+    Alcotest.test_case "single flight build failure" `Quick
+      test_cache_single_flight_failure;
     QCheck_alcotest.to_alcotest prop_cache_model;
   ]
 
