@@ -467,16 +467,16 @@ let run_ra st (ra : ra_config) (rt : Trace.ra_trace) =
     if idx < 0 || idx >= Array.length arr.st_data then
       error "RA %d on %s: index %d out of bounds" ra.ra_id ra.ra_array idx;
     let out_seq = queue_push st ra.ra_out arr.st_data.(idx) in
-    Trace.ra_push rt ~in_seq ~out_seq ~addr:(arr.st_base + (idx * esize)) ~size:esize
+    Trace.ra_push rt ~in_seq ~out_seq ~addr:(arr.st_base + (idx * esize))
   in
   let passthrough v in_seq =
     let out_seq = queue_push st ra.ra_out v in
-    Trace.ra_push rt ~in_seq ~out_seq ~addr:(-1) ~size:0
+    Trace.ra_push rt ~in_seq ~out_seq ~addr:(-1)
   in
   (* record that an input element was consumed without producing output
      (scan range bounds, empty ranges); the timing model frees the input
      queue slot when it replays this entry. *)
-  let consume_only in_seq = Trace.ra_push rt ~in_seq ~out_seq:(-1) ~addr:(-2) ~size:0 in
+  let consume_only in_seq = Trace.ra_push rt ~in_seq ~out_seq:(-1) ~addr:(-2) in
   match ra.ra_mode with
   | Ra_indirect ->
     let rec loop () =
@@ -553,9 +553,12 @@ let make_state ?(inputs = []) (p : pipeline) : state =
     trace = Trace.create ~n_threads:n_stages ~n_ras ~n_queues;
   }
 
-(* Package the architectural result of a finished execution. *)
+(* Package the architectural result of a finished execution. This is the
+   one point where both execution paths publish a trace, so it is sealed
+   here: every column trimmed to its exact length. *)
 let mk_result (p : pipeline) (st : state) : result =
   let trace = st.trace in
+  Trace.seal trace;
   trace.Trace.total_ops <- Trace.op_count trace;
   {
     r_arrays =

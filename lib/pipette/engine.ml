@@ -39,13 +39,13 @@ let class_of_reason = function
 type thread_state = {
   th_id : int;
   th_core : int;
-  (* trace columns *)
-  kind : int array;
-  pa : int array;
-  pb : int array;
-  dep1 : int array;
-  dep2 : int array;
-  dep3 : int array;
+  (* the trace's own columns, read in place (see [Trace]) *)
+  kind : Bytes.t;
+  pa : Bytes.t;
+  pb : Bytes.t;
+  dep1 : Bytes.t;
+  dep2 : Bytes.t;
+  dep3 : Bytes.t;
   n_ops : int;
   comp : int array; (* completion cycle per op; [unset] until issued *)
   wake : int array;
@@ -97,11 +97,13 @@ type thread_state = {
 
 type queue_state = {
   qs_capacity : int;
-  arrived_at : Vec.Int_vec.t;
-      (* completion time of each arrival, in arrival (issue) order: FIFO
-         matching, which is what the hardware does — the functional
-         scheduler's interleaving on multi-producer queues need not be
-         replayable under bounded capacity *)
+  arrived : int array;
+      (* ring of the latest [capacity + 1] arrival times, in arrival
+         (issue) order: FIFO matching, which is what the hardware does —
+         the functional scheduler's interleaving on multi-producer queues
+         need not be replayable under bounded capacity. See [arrival]. *)
+  mutable pushed : int; (* arrivals so far *)
+  mutable next_slot : int; (* ring slot of the next arrival: [pushed] mod slots *)
   mutable deq_issued : int; (* consumer progress *)
   mutable ra_consumed : int; (* RA-input progress *)
   mutable occupancy : int;
@@ -111,10 +113,10 @@ type ra_state = {
   ra_core : int;
   ra_in_q : int;
   ra_out_q : int;
-  rin_seq : int array;
-  rout_seq : int array;
-  raddr : int array;
-  rsize : int array;
+  (* the RA trace's own columns, read in place *)
+  rin_seq : Bytes.t;
+  rout_seq : Bytes.t;
+  raddr : Bytes.t;
   rn : int;
   fetch_done : int array;
   mutable next_start : int;
@@ -182,6 +184,44 @@ let default_thread_core (cfg : Config.t) n_threads =
 let default_cycle_budget = 500_000_000
 let default_watchdog = 5_000_000
 
+(* --- trace and queue readers --------------------------------------------
+
+   Trace columns hold fixed-width native-endian fields (see [Trace]). The
+   [_u] readers skip the bounds check, under the invariant stated at
+   [run]'s hot path; the others check against the sealed column. None
+   boxes: each is a load the compiler unboxes in place. *)
+let[@inline] kind_u th i = Char.code (Bytes.unsafe_get th.kind i)
+let[@inline] kind_of th i = Char.code (Bytes.get th.kind i)
+let[@inline] get32u col i = Int32.to_int (Trace.get32u col (4 * i))
+let[@inline] get32 col i = Int32.to_int (Bytes.get_int32_ne col (4 * i))
+let[@inline] get64u col i = Int64.to_int (Trace.get64u col (8 * i))
+let[@inline] get64 col i = Int64.to_int (Bytes.get_int64_ne col (8 * i))
+
+(* A queue never holds more than its capacity, so the elements its
+   consumer can still read (the unconsumed ones, plus the last one an RA
+   consumed, which a scan RA rereads for the outputs that share it) are
+   among the latest [capacity + 1] arrivals: [arrived] keeps exactly those.
+   [arrival q i] is the arrival time of the [i]-th element ever enqueued on
+   [q], for [pushed - (capacity + 1) <= i < pushed]; an older [i] has been
+   overwritten and raises rather than read a later element's time. *)
+let[@inline never] overwritten q i =
+  invalid_arg
+    (Printf.sprintf "Engine.arrival: element %d is not among the %d latest of %d" i
+       (Array.length q.arrived) q.pushed)
+
+let arrival q i =
+  let slots = Array.length q.arrived in
+  let back = q.pushed - i in
+  if back < 1 || back > slots then overwritten q i;
+  let s = q.next_slot - back in
+  Array.unsafe_get q.arrived (if s < 0 then s + slots else s)
+
+let arrive q t =
+  Array.unsafe_set q.arrived q.next_slot t;
+  let s = q.next_slot + 1 in
+  q.next_slot <- (if s = Array.length q.arrived then 0 else s);
+  q.pushed <- q.pushed + 1
+
 (* --- cycle-loop helpers ---------------------------------------------------
 
    The helpers the cycle loop calls are closed top-level functions that take
@@ -202,9 +242,8 @@ let dep_wake1 th now d acc =
   end
 
 let dep_wake th i now =
-  dep_wake1 th now (Array.unsafe_get th.dep1 i)
-    (dep_wake1 th now (Array.unsafe_get th.dep2 i)
-       (dep_wake1 th now (Array.unsafe_get th.dep3 i) (now + 1)))
+  dep_wake1 th now (get32u th.dep1 i)
+    (dep_wake1 th now (get32u th.dep2 i) (dep_wake1 th now (get32u th.dep3 i) (now + 1)))
 
 (* After a walk, record the earliest cycle the next walk could behave
    differently: the minimum recorded wake over the ops the next walk
@@ -219,7 +258,7 @@ let rec scan_wake_from th node steps acc =
   if node < 0 || steps >= 4 then acc
   else if Bytes.unsafe_get th.issued node = '\001' then
     scan_wake_from th (Array.unsafe_get th.link node) steps acc
-  else if Array.unsafe_get th.kind node = Trace.op_enq then 0
+  else if kind_u th node = Trace.op_enq then 0
   else
     scan_wake_from th (Array.unsafe_get th.link node) (steps + 1)
       (Int.min acc (Array.unsafe_get th.wake node))
@@ -251,14 +290,14 @@ let make_reasons n_queues =
    the wait is a port conflict / not memory-shaped. *)
 let dep_level1 th now d acc =
   if d <> Trace.no_dep && th.comp.(d) > now then
-    let dk = th.kind.(d) in
+    let dk = kind_of th d in
     if dk = Trace.op_load || dk = Trace.op_atomic then Char.code (Bytes.get th.svc d)
     else acc
   else acc
 
 let dep_level th i now =
-  dep_level1 th now th.dep1.(i)
-    (dep_level1 th now th.dep2.(i) (dep_level1 th now th.dep3.(i) 0))
+  dep_level1 th now (get32 th.dep1 i)
+    (dep_level1 th now (get32 th.dep2 i) (dep_level1 th now (get32 th.dep3 i) 0))
 
 (* A plain operand stall cannot change verdict before the earliest pending
    producer completes; queue and barrier verdicts can flip any cycle, so
@@ -271,25 +310,25 @@ let dep_horizon1 th now d acc =
 
 let dep_horizon th i now =
   let h =
-    dep_horizon1 th now th.dep1.(i)
-      (dep_horizon1 th now th.dep2.(i) (dep_horizon1 th now th.dep3.(i) max_int))
+    dep_horizon1 th now (get32 th.dep1 i)
+      (dep_horizon1 th now (get32 th.dep2 i) (dep_horizon1 th now (get32 th.dep3 i) max_int))
   in
   if h = max_int then now + 1 else h
 
 (* Blocked on operands: attribute by the producer's kind. *)
 let dep_kind1 rs th now d acc =
   if d <> Trace.no_dep && th.comp.(d) > now then
-    let dk = th.kind.(d) in
+    let dk = kind_of th d in
     if dk = Trace.op_load || dk = Trace.op_atomic then
       rs.rs_backend.(Char.code (Bytes.get th.svc d))
-    else if dk = Trace.op_deq then rs.rs_queue_empty.(th.pa.(d))
+    else if dk = Trace.op_deq then rs.rs_queue_empty.(get64 th.pa d)
     else acc
   else acc
 
 let dep_kind rs th i now =
-  dep_kind1 rs th now th.dep1.(i)
-    (dep_kind1 rs th now th.dep2.(i)
-       (dep_kind1 rs th now th.dep3.(i) rs.rs_backend.(0)))
+  dep_kind1 rs th now (get32 th.dep1 i)
+    (dep_kind1 rs th now (get32 th.dep2 i)
+       (dep_kind1 rs th now (get32 th.dep3 i) rs.rs_backend.(0)))
 
 (* Stall classification for accounting. The reason refines the 4-way
    class; [class_of_reason] maps it back so the aggregate split is
@@ -308,18 +347,18 @@ let classify rs queues now th =
       R_other
     end
     else begin
-      let k = th.kind.(i) in
+      let k = kind_of th i in
       let r =
         if k = Trace.op_enq then
-          let q = queues.(th.pa.(i)) in
-          if q.occupancy >= q.qs_capacity then rs.rs_queue_full.(th.pa.(i))
+          let qid = get64 th.pa i in
+          let q = queues.(qid) in
+          if q.occupancy >= q.qs_capacity then rs.rs_queue_full.(qid)
           else rs.rs_backend.(dep_level th i now)
         else if k = Trace.op_deq then
-          let q = queues.(th.pa.(i)) in
-          if
-            q.deq_issued >= Vec.Int_vec.length q.arrived_at
-            || Vec.Int_vec.get q.arrived_at q.deq_issued > now
-          then rs.rs_queue_empty.(th.pa.(i))
+          let qid = get64 th.pa i in
+          let q = queues.(qid) in
+          if q.deq_issued >= q.pushed || arrival q q.deq_issued > now then
+            rs.rs_queue_empty.(qid)
           else rs.rs_backend.(dep_level th i now)
         else if k = Trace.op_barrier then R_barrier
         else dep_kind rs th i now
@@ -431,7 +470,9 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
     Array.init (Int.max n_queues 1) (fun q ->
         {
           qs_capacity = cap_of q;
-          arrived_at = Vec.Int_vec.create ~capacity:64 ();
+          arrived = Array.make (cap_of q + 1) 0;
+          pushed = 0;
+          next_slot = 0;
           deq_issued = 0;
           ra_consumed = 0;
           occupancy = 0;
@@ -452,10 +493,9 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
           ra_core = (if r < Array.length ra_core then ra_core.(r) else 0);
           ra_in_q = ra_cfgs.(r).Types.ra_in;
           ra_out_q = ra_cfgs.(r).Types.ra_out;
-          rin_seq = Vec.Int_vec.to_array rt.Trace.rt_in_seq;
-          rout_seq = Vec.Int_vec.to_array rt.Trace.rt_out_seq;
-          raddr = Vec.Int_vec.to_array rt.Trace.rt_addr;
-          rsize = Vec.Int_vec.to_array rt.Trace.rt_size;
+          rin_seq = rt.Trace.rt_in_seq;
+          rout_seq = rt.Trace.rt_out_seq;
+          raddr = rt.Trace.rt_addr;
           rn = n;
           fetch_done = Array.make (Int.max n 1) unset;
           next_start = 0;
@@ -470,8 +510,8 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
   Array.iter
     (fun th ->
       for i = 0 to th.n_ops - 1 do
-        if th.kind.(i) = Trace.op_barrier then begin
-          let key = (th.pa.(i), th.pb.(i)) in
+        if kind_of th i = Trace.op_barrier then begin
+          let key = (get64 th.pa i, get32 th.pb i) in
           let c = try Hashtbl.find barrier_total key with Not_found -> 0 in
           Hashtbl.replace barrier_total key (c + 1)
         end
@@ -602,17 +642,15 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
 
   (* Hot-path accesses below use unchecked indexing: every op index is
      drawn from the unissued list or the retire/dispatch pointers (all
-     < [n_ops], the allocation size of every per-op array and at most the
-     capacity of every trace column), and every dependence index comes
+     < [n_ops], the allocation size of every per-op array and the number
+     of ops every trace column holds), and every dependence index comes
      from the tracer's producer columns, which only ever name earlier ops
      of the same thread. Nothing below allocates per simulated cycle. *)
   let dep_met th d =
     d = Trace.no_dep || Array.unsafe_get th.comp d <= !now
   in
   let deps_met th i =
-    dep_met th (Array.unsafe_get th.dep1 i)
-    && dep_met th (Array.unsafe_get th.dep2 i)
-    && dep_met th (Array.unsafe_get th.dep3 i)
+    dep_met th (get32u th.dep1 i) && dep_met th (get32u th.dep2 i) && dep_met th (get32u th.dep3 i)
   in
 
   let push_unissued th i =
@@ -683,10 +721,10 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
         th.cl_until <- 0;
         incr n;
         progress := true;
-        if th.kind.(i) = Trace.op_branch then begin
+        if kind_of th i = Trace.op_branch then begin
           let correct =
-            Predictor.predict_update pred ~thread:th.th_id ~pc:th.pa.(i)
-              ~taken:(th.pb.(i) = 1)
+            Predictor.predict_update pred ~thread:th.th_id ~pc:(get64 th.pa i)
+              ~taken:(get32 th.pb i = 1)
           in
           let correct =
             match faults with
@@ -737,36 +775,37 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
   (* Issue one op if it is ready; returns -1 if issued, else the earliest
      cycle a retry could succeed (see [wake] on [thread_state]). *)
   let try_issue th i =
-    let k = Array.unsafe_get th.kind i in
+    let k = kind_u th i in
     let is_mem = k = Trace.op_load || k = Trace.op_store || k = Trace.op_atomic || k = Trace.op_prefetch in
     if is_mem && !mem_budget <= 0 then !now + 1
     else if not (deps_met th i) then dep_wake th i !now
     else if k = Trace.op_alu || k = Trace.op_branch then issued th i k ~is_mem 1
     else if k = Trace.op_load then begin
-      let r = Cache.access caches ~core:th.th_core ~addr:th.pa.(i) ~now:!now in
+      let r = Cache.access caches ~core:th.th_core ~addr:(get64 th.pa i) ~now:!now in
       Bytes.set th.svc i (Char.chr r.Cache.level_hit);
       issued th i k ~is_mem (r.Cache.latency + spike r.Cache.level_hit)
     end
     else if k = Trace.op_store then begin
-      ignore (Cache.access caches ~core:th.th_core ~addr:th.pa.(i) ~now:!now);
+      ignore (Cache.access caches ~core:th.th_core ~addr:(get64 th.pa i) ~now:!now);
       issued th i k ~is_mem 1 (* retires through the store buffer *)
     end
     else if k = Trace.op_atomic then begin
       (* locked read-modify-write: pays the access plus serialization *)
-      let r = Cache.access caches ~core:th.th_core ~addr:th.pa.(i) ~now:!now in
+      let r = Cache.access caches ~core:th.th_core ~addr:(get64 th.pa i) ~now:!now in
       Bytes.set th.svc i (Char.chr r.Cache.level_hit);
       issued th i k ~is_mem (r.Cache.latency + 18 + spike r.Cache.level_hit)
     end
     else if k = Trace.op_prefetch then begin
-      Cache.prefetch caches ~core:th.th_core ~addr:th.pa.(i) ~now:!now;
+      Cache.prefetch caches ~core:th.th_core ~addr:(get64 th.pa i) ~now:!now;
       issued th i k ~is_mem 1
     end
     else if k = Trace.op_enq then begin
-      let q = queues.(th.pa.(i)) in
+      let qid = get64 th.pa i in
+      let q = queues.(qid) in
       if q.occupancy >= q.qs_capacity then !now
       else begin
         match faults with
-        | Some f when Faults.drop_enq f ~queue:th.pa.(i) ->
+        | Some f when Faults.drop_enq f ~queue:qid ->
           (* transient enqueue failure: the op retries (and the fault
              re-rolls) on a later issue attempt; keep the clock moving
              so a long streak of drops reads as livelock rather than an
@@ -775,41 +814,42 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
           !now
         | _ ->
           q.occupancy <- q.occupancy + 1;
-          Vec.Int_vec.push q.arrived_at (!now + 1);
+          arrive q (!now + 1);
           incr queue_ops;
-          th.enq_ops.(th.pa.(i)) <- th.enq_ops.(th.pa.(i)) + 1;
+          th.enq_ops.(qid) <- th.enq_ops.(qid) + 1;
           (match faults with
           | Some f
             when q.occupancy < q.qs_capacity
-                 && Faults.dup_enq f ~queue:th.pa.(i) ->
+                 && Faults.dup_enq f ~queue:qid ->
             (* phantom duplicate: occupies a slot until the end of the
                run — no consumer op in the trace will ever drain it *)
             q.occupancy <- q.occupancy + 1;
-            Vec.Int_vec.push q.arrived_at (!now + 1)
+            arrive q (!now + 1)
           | _ -> ());
           issued th i k ~is_mem 1
       end
     end
     else if k = Trace.op_deq then begin
-      let q = queues.(th.pa.(i)) in
-      if
-        q.deq_issued < Vec.Int_vec.length q.arrived_at
-        && Vec.Int_vec.get q.arrived_at q.deq_issued <= !now
-      then begin
-        q.deq_issued <- q.deq_issued + 1;
-        q.occupancy <- q.occupancy - 1;
-        incr queue_ops;
-        th.deq_ops.(th.pa.(i)) <- th.deq_ops.(th.pa.(i)) + 1;
-        issued th i k ~is_mem 1
+      let qid = get64 th.pa i in
+      let q = queues.(qid) in
+      if q.deq_issued >= q.pushed then !now + 1 (* starved *)
+      else begin
+        let t = arrival q q.deq_issued in
+        if t <= !now then begin
+          q.deq_issued <- q.deq_issued + 1;
+          q.occupancy <- q.occupancy - 1;
+          incr queue_ops;
+          th.deq_ops.(qid) <- th.deq_ops.(qid) + 1;
+          issued th i k ~is_mem 1
+        end
+        else
+          (* the head arrival is still in flight: its arrival time bounds
+             the earliest useful retry *)
+          t
       end
-      else if q.deq_issued < Vec.Int_vec.length q.arrived_at then
-        (* the head arrival is still in flight: its arrival time bounds
-           the earliest useful retry *)
-        Vec.Int_vec.get q.arrived_at q.deq_issued
-      else !now + 1 (* starved *)
     end
     else if k = Trace.op_barrier then begin
-      let key = (th.pa.(i), th.pb.(i)) in
+      let key = (get64 th.pa i, get32 th.pb i) in
       let n, arrived =
         try Hashtbl.find barrier_arrived key with Not_found -> (0, [])
       in
@@ -881,9 +921,9 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
                 scanned.(ti) <- scanned.(ti) + 1;
                 if
                   Array.unsafe_get th.wake i > !now
-                  || (Array.unsafe_get th.kind i = Trace.op_enq
+                  || (kind_u th i = Trace.op_enq
                      &&
-                     let q = queues.(Array.unsafe_get th.pa i) in
+                     let q = queues.(get64u th.pa i) in
                      q.occupancy >= q.qs_capacity)
                 then begin
                   (* cached or recheckable failure: [try_issue] would fail
@@ -925,7 +965,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
     let continue = ref true in
     while !continue && ra.next_deliver < ra.rn do
       let i = ra.next_deliver in
-      if ra.rout_seq.(i) < 0 then begin
+      if get32 ra.rout_seq i < 0 then begin
         (* consume-only entry: no output to deliver *)
         if ra.fetch_done.(i) <> unset && ra.fetch_done.(i) <= !now then begin
           ra.next_deliver <- i + 1;
@@ -940,7 +980,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
            && out.occupancy < out.qs_capacity
         then begin
           out.occupancy <- out.occupancy + 1;
-          Vec.Int_vec.push out.arrived_at (!now + 1);
+          arrive out (!now + 1);
           schedule_wake (!now + 1);
           ra.next_deliver <- i + 1;
           ra.outstanding <- ra.outstanding - 1;
@@ -954,28 +994,25 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
     while !continue && ra.next_start < ra.rn && ra.outstanding < cfg.ra_mshrs do
       let i = ra.next_start in
       let inq = queues.(ra.ra_in_q) in
-      let in_seq = ra.rin_seq.(i) in
+      let in_seq = get32 ra.rin_seq i in
       (* several scan outputs share one input element; only the first
          consumes it *)
-      let first_use = i = 0 || ra.rin_seq.(i - 1) <> in_seq in
+      let first_use = i = 0 || get32 ra.rin_seq (i - 1) <> in_seq in
       let needed = if first_use then inq.ra_consumed + 1 else inq.ra_consumed in
       let input_ready =
-        needed <= Vec.Int_vec.length inq.arrived_at
-        && (needed = 0 || Vec.Int_vec.get inq.arrived_at (needed - 1) <= !now)
+        needed <= inq.pushed && (needed = 0 || arrival inq (needed - 1) <= !now)
       in
       if input_ready then begin
         if first_use then begin
           inq.ra_consumed <- inq.ra_consumed + 1;
           inq.occupancy <- inq.occupancy - 1
         end;
+        let addr = get64 ra.raddr i in
         let lat =
-          if ra.raddr.(i) < 0 then 1
+          if addr < 0 then 1
           else begin
             ra.fetches <- ra.fetches + 1;
-            let base =
-              (Cache.access caches ~core:ra.ra_core ~addr:ra.raddr.(i) ~now:!now)
-                .Cache.latency
-            in
+            let base = (Cache.access caches ~core:ra.ra_core ~addr ~now:!now).Cache.latency in
             base + spike 0
           end
         in
@@ -1053,21 +1090,20 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
           else if th.retire_ptr < th.dispatch_ptr then Forensics.On_memory
           else Forensics.On_frontend
         else
-          let k = th.kind.(i) in
+          let k = kind_of th i in
+          let qid = get64 th.pa i in
           if k = Trace.op_enq then begin
-            let q = queues.(th.pa.(i)) in
-            if q.occupancy >= q.qs_capacity then Forensics.On_queue_full th.pa.(i)
+            let q = queues.(qid) in
+            if q.occupancy >= q.qs_capacity then Forensics.On_queue_full qid
             else Forensics.Running
           end
           else if k = Trace.op_deq then begin
-            let q = queues.(th.pa.(i)) in
-            if
-              q.deq_issued >= Vec.Int_vec.length q.arrived_at
-              || Vec.Int_vec.get q.arrived_at q.deq_issued > !now
-            then Forensics.On_queue_empty th.pa.(i)
+            let q = queues.(qid) in
+            if q.deq_issued >= q.pushed || arrival q q.deq_issued > !now then
+              Forensics.On_queue_empty qid
             else Forensics.Running
           end
-          else if k = Trace.op_barrier then Forensics.On_barrier th.pa.(i)
+          else if k = Trace.op_barrier then Forensics.On_barrier qid
           else if th.blocked_branch >= 0 then Forensics.On_frontend
           else Forensics.On_memory
       end

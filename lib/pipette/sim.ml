@@ -105,8 +105,10 @@ let ra_cores (p : Types.pipeline) (thread_core : int array) =
 let program_cache : (string, Phloem_ir.Flat.program array) Fifo_cache.t =
   Fifo_cache.create ~capacity:64 ()
 
+(* Weighed by the bytes of the sealed trace, which dominate a cached
+   functional result. *)
 let trace_cache : (string, Interp.result) Fifo_cache.t =
-  Fifo_cache.create ~capacity:64 ()
+  Fifo_cache.create ~weight:(fun r -> Trace.bytes r.Interp.r_trace) ~capacity:64 ()
 
 let set_cache_capacity n =
   if n < 1 then invalid_arg "Sim.set_cache_capacity: capacity must be >= 1";
@@ -126,6 +128,7 @@ type cache_counters = {
   cc_trace_misses : int;
   cc_trace_evictions : int;
   cc_trace_entries : int;
+  cc_trace_bytes : int;
   cc_capacity : int;
 }
 
@@ -140,6 +143,7 @@ let cache_counters () =
     cc_trace_misses = t.Fifo_cache.misses;
     cc_trace_evictions = t.Fifo_cache.evictions;
     cc_trace_entries = t.Fifo_cache.entries;
+    cc_trace_bytes = t.Fifo_cache.weight;
     cc_capacity = p.Fifo_cache.capacity;
   }
 

@@ -109,6 +109,9 @@ type cache_counters = {
   cc_trace_misses : int;
   cc_trace_evictions : int;
   cc_trace_entries : int;  (** functional traces currently cached *)
+  cc_trace_bytes : int;
+      (** bytes of trace columns the cached traces hold: the sum of their
+          {!Phloem_ir.Trace.bytes} *)
   cc_capacity : int;  (** current FIFO bound of each cache *)
 }
 (** Hit / miss / eviction / occupancy counters of both memo tables, for a

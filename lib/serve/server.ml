@@ -51,6 +51,11 @@ type client = {
   c_id : int;
   c_fd : Unix.file_descr;
   c_wlock : Mutex.t; (* reader thread and workers both respond *)
+  mutable c_open : bool;
+      (* false once the reader has closed [c_fd]. Set and read under
+         [c_wlock]: a response finished after its client hung up is
+         dropped, not written to a later connection that was given the
+         same descriptor number. *)
 }
 
 type entry = {
@@ -161,16 +166,17 @@ let send t (c : client) (line : string) =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock c.c_wlock)
     (fun () ->
-      try
-        let n = Bytes.length data in
-        let rec loop off =
-          if off < n then
-            let w = Unix.write c.c_fd data off (n - off) in
-            loop (off + w)
-        in
-        loop 0
-      with Unix.Unix_error _ | Sys_error _ ->
-        Log.debug ~component:"phloemd" "client %d write failed (gone?)" c.c_id);
+      if c.c_open then
+        try
+          let n = Bytes.length data in
+          let rec loop off =
+            if off < n then
+              let w = Unix.write c.c_fd data off (n - off) in
+              loop (off + w)
+          in
+          loop 0
+        with Unix.Unix_error _ | Sys_error _ ->
+          Log.debug ~component:"phloemd" "client %d write failed (gone?)" c.c_id);
   ignore t
 
 (* --- stats -------------------------------------------------------------- *)
@@ -232,6 +238,7 @@ let stats_json t : Json.t =
             ("trace_misses", Json.Int cc.Pipette.Sim.cc_trace_misses);
             ("trace_evictions", Json.Int cc.Pipette.Sim.cc_trace_evictions);
             ("trace_entries", Json.Int cc.Pipette.Sim.cc_trace_entries);
+            ("trace_bytes", Json.Int cc.Pipette.Sim.cc_trace_bytes);
           ] );
     ]
     @ metrics_section)
@@ -469,7 +476,9 @@ let reader_loop t (c : client) =
   Mutex.lock t.t_clients_lock;
   Hashtbl.remove t.t_clients c.c_id;
   Mutex.unlock t.t_clients_lock;
-  try Unix.close c.c_fd with Unix.Unix_error _ -> ()
+  Mutex.protect c.c_wlock (fun () ->
+      c.c_open <- false;
+      try Unix.close c.c_fd with Unix.Unix_error _ -> ())
 
 (* --- accept loop -------------------------------------------------------- *)
 
@@ -482,6 +491,7 @@ let accept_one t lfd =
         c_id = Atomic.fetch_and_add t.t_next_client 1;
         c_fd = fd;
         c_wlock = Mutex.create ();
+        c_open = true;
       }
     in
     M.incr t.t_connections;
@@ -518,7 +528,8 @@ let run t =
     (fun c ->
       (* under the write lock: a response being written finishes first *)
       Mutex.protect c.c_wlock (fun () ->
-          try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()))
+          if c.c_open then
+            try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()))
     cs;
   Log.info ~component:"phloemd" "shut down cleanly (%d requests served)"
     (M.counter_value t.t_requests)

@@ -11,9 +11,10 @@
 
    The cases reach every engine path: each kernel's variants on a smoke
    input (SpMM's and BFS's manual pipelines drive reference accelerators),
-   prefetches, atomics and barriers, four cores with one stage per core, a
-   queue-capacity override, telemetry, and fault plans that end clean, in
-   deadlock, in livelock and in budget exhaustion. *)
+   prefetches, atomics and barriers, four cores with one stage per core,
+   queue-capacity overrides down to capacity 1 around reference
+   accelerators, telemetry, and fault plans that end clean, in deadlock, in
+   livelock and in budget exhaustion. *)
 
 open Phloem_ir
 open Phloem_ir.Builder
@@ -189,6 +190,41 @@ let machine_cases () =
       fun () -> outcome (fun () -> Sim.run ~cycle_budget:100 (faulty_pipe 64)) );
   ]
 
+(* Queues at their tightest: capacity 1 and 2 on the queues that feed and
+   join BFS's two chained reference accelerators, and capacity 1 on all
+   four RA input queues of SpMM's. A scan RA rereads the last input it
+   consumed, one slot behind its consumer, so these are the cases where an
+   arrival log shorter than capacity + 1 would lose a live entry. Their
+   digests were recorded while each queue still logged every arrival of
+   the run. *)
+let ring_cases () =
+  let a = Phloem_sparse.Gen.random ~rows:24 ~cols:24 ~nnz_per_row:3 ~seed:41 in
+  let bt = Phloem_sparse.Gen.random ~rows:24 ~cols:24 ~nnz_per_row:3 ~seed:42 in
+  let manual (b : Workload.bound) =
+    match b.Workload.b_manual with
+    | Some m -> m
+    | None -> Alcotest.fail (b.Workload.b_name ^ ": no manual pipeline")
+  in
+  let case name (b : Workload.bound) queue_caps =
+    ( name,
+      fun () ->
+        let p, inputs = manual b in
+        outcome (fun () -> Sim.simulate ~queue_caps p (Sim.functional ~inputs p)) )
+  in
+  let bfs graph_name g =
+    let b = Bfs.bind g in
+    List.map
+      (fun (caps_name, caps) -> case ("BFS/manual/" ^ graph_name ^ "/" ^ caps_name) b caps)
+      [
+        ("q1=1", [ (1, 1) ]);
+        ("q1=2", [ (1, 2) ]);
+        ("q0,q1,q2=1", [ (0, 1); (1, 1); (2, 1) ]);
+      ]
+  in
+  bfs "grid" (grid ())
+  @ bfs "rmat" (Phloem_graph.Gen.rmat ~scale:8 ~edge_factor:4 ~seed:7)
+  @ [ case "SpMM/manual/ra-inputs=1" (Spmm.bind a bt) [ (0, 1); (1, 1); (2, 1); (3, 1) ] ]
+
 (* Recorded before the hot-path rework; see the header. *)
 let golden =
   [
@@ -223,6 +259,13 @@ let golden =
     ("faulty/deadlock", "deadlock:574c51a09b827cf1fbd187f89715515c");
     ("faulty/livelock", "livelock:56453335314afe95ce24a6fd6f14a14a");
     ("faulty/budget-exhausted", "budget-exhausted:72c2314ea73bf8bd32f0dd8092d87789");
+    ("BFS/manual/grid/q1=1", "9983cab271eb31447b88fad677efeb36");
+    ("BFS/manual/grid/q1=2", "40ec099ce3e42c6405caa2213ef24a1c");
+    ("BFS/manual/grid/q0,q1,q2=1", "9f215e9a4ffd2beab264e0f4de6b456b");
+    ("BFS/manual/rmat/q1=1", "5033ddb7846402c9fce4ee6cf90fe3e3");
+    ("BFS/manual/rmat/q1=2", "2fec1148e3bcbfdce970cfad119453aa");
+    ("BFS/manual/rmat/q0,q1,q2=1", "89a965390e81d52e0e91433ac0cc76b3");
+    ("SpMM/manual/ra-inputs=1", "e020285348bc470ec536e30d6ca4a8e7");
   ]
 
 let test_case (name, run) =
@@ -238,7 +281,7 @@ let test_case (name, run) =
 
 (* The cycle loop allocates nothing per simulated cycle: what [Engine.run]
    takes from the minor heap is its per-run set-up plus rare events (a
-   queue's arrival log growing, a DRAM access, a barrier completing).
+   DRAM access, a barrier completing).
    Words per cycle on this replay of CC's static pipeline: 0.4 with the
    allocation-free loop, 94 before it; the bound sits between. The trace
    is large enough that every per-op array goes straight to the major
@@ -270,5 +313,6 @@ let () =
     [
       ("golden kernels", List.map test_case (kernel_cases ()));
       ("golden machine", List.map test_case (machine_cases ()));
+      ("golden ring", List.map test_case (ring_cases ()));
       ("allocation", [ Alcotest.test_case "minor words per cycle" `Quick test_alloc_guard ]);
     ]

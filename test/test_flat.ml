@@ -12,7 +12,6 @@
 open Phloem_ir
 open Phloem_ir.Builder
 open Phloem_workloads
-module Vec = Phloem_util.Vec
 
 (* --- equality of everything the rest of the system can observe --- *)
 
@@ -20,20 +19,18 @@ let check_trace_eq name (a : Trace.t) (b : Trace.t) =
   Alcotest.(check int)
     (name ^ ": thread count") (Array.length a.Trace.threads)
     (Array.length b.Trace.threads);
+  (* sealed traces: every column holds exactly its length, so whole
+     columns compare *)
   Array.iteri
     (fun i ta ->
       let tb = b.Trace.threads.(i) in
-      (* every column over [0, length); the slack beyond is never read *)
       let cols (t : Trace.thread_trace) =
-        List.map
-          (fun c -> Array.sub c 0 (Trace.length t))
-          [ t.Trace.kind; t.Trace.pa; t.Trace.pb; t.Trace.dep1; t.Trace.dep2;
-            t.Trace.dep3 ]
+        [ t.Trace.kind; t.Trace.pa; t.Trace.pb; t.Trace.dep1; t.Trace.dep2; t.Trace.dep3 ]
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s: thread %d trace columns identical" name i)
         true
-        (Trace.length ta = Trace.length tb && cols ta = cols tb))
+        (Trace.length ta = Trace.length tb && List.for_all2 Bytes.equal (cols ta) (cols tb)))
     a.Trace.threads;
   Alcotest.(check int)
     (name ^ ": RA count") (Array.length a.Trace.ras)
@@ -41,16 +38,11 @@ let check_trace_eq name (a : Trace.t) (b : Trace.t) =
   Array.iteri
     (fun i ra ->
       let rb = b.Trace.ras.(i) in
-      let cols (r : Trace.ra_trace) =
-        ( Vec.Int_vec.to_array r.Trace.rt_in_seq,
-          Vec.Int_vec.to_array r.Trace.rt_out_seq,
-          Vec.Int_vec.to_array r.Trace.rt_addr,
-          Vec.Int_vec.to_array r.Trace.rt_size )
-      in
+      let cols (r : Trace.ra_trace) = [ r.Trace.rt_in_seq; r.Trace.rt_out_seq; r.Trace.rt_addr ] in
       Alcotest.(check bool)
         (Printf.sprintf "%s: RA %d trace identical" name i)
         true
-        (cols ra = cols rb))
+        (Trace.ra_length ra = Trace.ra_length rb && List.for_all2 Bytes.equal (cols ra) (cols rb)))
     a.Trace.ras;
   Alcotest.(check int) (name ^ ": total ops") a.Trace.total_ops b.Trace.total_ops
 
@@ -664,6 +656,33 @@ let test_sim_cache_single_flight () =
         "trace cache: 1 miss, 1 hit" (1, 1)
         (c.Sim.cc_trace_misses, c.Sim.cc_trace_hits))
 
+(* The trace cache weighs each entry by its sealed trace's bytes: 25 per
+   op and 16 per RA event, with no growth slack. *)
+let test_sim_cache_trace_bytes () =
+  Fun.protect ~finally:Sim.clear_caches (fun () ->
+      Sim.clear_caches ();
+      let b = Bfs.bind (grid ()) in
+      let serial = b.Workload.b_serial in
+      let manual = Option.get b.Workload.b_manual in
+      let traces =
+        List.map (fun (p, inputs) -> (Sim.functional ~inputs p).Interp.r_trace) [ serial; manual ]
+      in
+      List.iter
+        (fun tr ->
+          let events = Array.fold_left (fun n r -> n + Trace.ra_length r) 0 tr.Trace.ras in
+          Alcotest.(check int)
+            "bytes = 25 per op + 16 per RA event"
+            ((25 * Trace.op_count tr) + (16 * events))
+            (Trace.bytes tr))
+        traces;
+      Alcotest.(check bool) "the manual pipeline drives RAs" true
+        (Array.exists (fun r -> Trace.ra_length r > 0) (List.nth traces 1).Trace.ras);
+      let c = Sim.cache_counters () in
+      Alcotest.(check int) "two misses" 2 c.Sim.cc_trace_misses;
+      Alcotest.(check int) "cc_trace_bytes sums both traces"
+        (List.fold_left (fun n tr -> n + Trace.bytes tr) 0 traces)
+        c.Sim.cc_trace_bytes)
+
 (* A two-stage producer/consumer whose queue is the fault target. [n] is
    larger than the queue depth so occupancy faults bite. *)
 let faulty_pipe n =
@@ -766,6 +785,8 @@ let () =
             test_sim_cache_ignores_sharing;
           Alcotest.test_case "concurrent misses build once" `Quick
             test_sim_cache_single_flight;
+          Alcotest.test_case "trace cache weighs trace bytes" `Quick
+            test_sim_cache_trace_bytes;
           Alcotest.test_case "fault perturbation" `Quick
             test_sim_fault_perturbed;
           Alcotest.test_case "fault deadlock" `Quick test_sim_fault_deadlock;

@@ -1,6 +1,6 @@
 (* Tests for the Phloem IR: interpreter semantics, queue/Kahn behaviour,
-   control values and handlers, reference accelerators, validation, and the
-   pipeline-equals-serial property on random programs. *)
+   control values and handlers, reference accelerators, trace columns,
+   validation, and the pipeline-equals-serial property on random programs. *)
 
 open Phloem_ir
 open Types
@@ -356,12 +356,132 @@ let test_trace_deps_wellformed () =
           if d <> Trace.no_dep && d >= i then
             Alcotest.failf "op %d depends on later op %d" i d
         in
-        check_dep th.Trace.dep1.(i);
-        check_dep th.Trace.dep2.(i);
-        check_dep th.Trace.dep3.(i)
+        let dep col = Int32.to_int (Bytes.get_int32_ne col (4 * i)) in
+        check_dep (dep th.Trace.dep1);
+        check_dep (dep th.Trace.dep2);
+        check_dep (dep th.Trace.dep3)
       done)
     tr.Trace.threads;
   Alcotest.(check bool) "ops recorded" true (Trace.op_count tr > 0)
+
+(* --- trace columns --- *)
+
+let max32 = 0x7fff_ffff
+let min32 = -0x8000_0000
+
+(* Every field of a thread op and an RA event, read back both unchecked
+   ([Trace.get32u]/[get64u], [Bytes.unsafe_get]) and checked
+   ([Bytes.get_int32_ne]/[get_int64_ne], [Bytes.get]): the readers the
+   timing engine uses. *)
+let op_reads (th : Trace.thread_trace) i =
+  let u32 c = Int32.to_int (Trace.get32u c (4 * i))
+  and c32 c = Int32.to_int (Bytes.get_int32_ne c (4 * i)) in
+  let u64 c = Int64.to_int (Trace.get64u c (8 * i))
+  and c64 c = Int64.to_int (Bytes.get_int64_ne c (8 * i)) in
+  let open Trace in
+  [
+    ( Char.code (Bytes.unsafe_get th.kind i),
+      u64 th.pa, u32 th.pb, u32 th.dep1, u32 th.dep2, u32 th.dep3 );
+    (Char.code (Bytes.get th.kind i), c64 th.pa, c32 th.pb, c32 th.dep1, c32 th.dep2, c32 th.dep3);
+  ]
+
+let event_reads (r : Trace.ra_trace) i =
+  let open Trace in
+  [
+    ( Int32.to_int (get32u r.rt_in_seq (4 * i)),
+      Int32.to_int (get32u r.rt_out_seq (4 * i)),
+      Int64.to_int (get64u r.rt_addr (8 * i)) );
+    ( Int32.to_int (Bytes.get_int32_ne r.rt_in_seq (4 * i)),
+      Int32.to_int (Bytes.get_int32_ne r.rt_out_seq (4 * i)),
+      Int64.to_int (Bytes.get_int64_ne r.rt_addr (8 * i)) );
+  ]
+
+(* Random ops and RA events, weighted towards each column's boundaries;
+   lengths cross the initial capacities so the columns grow. *)
+let gen_columns =
+  let open QCheck.Gen in
+  let edge l g = frequency [ (1, oneofl l); (2, g) ] in
+  let i32 = edge [ Trace.no_dep; 0; max32; min32 ] (int_range min32 max32) in
+  let i64 = edge [ 0; -1; -2; max_int; min_int; 1 lsl 61; (1 lsl 62) - 1 ] int in
+  let op = tup6 (edge [ 0; 255 ] (int_range 0 255)) i64 i32 i32 i32 i32 in
+  let event = triple i32 (edge [ -1 ] i32) i64 in
+  pair (array_size (int_range 0 2500) op) (array_size (int_range 0 700) event)
+
+let prop_trace_round_trip =
+  QCheck.Test.make ~count:40 ~name:"trace fields round-trip before and after seal"
+    (QCheck.make
+       ~print:(fun (ops, evs) ->
+         Printf.sprintf "%d ops, %d RA events" (Array.length ops) (Array.length evs))
+       gen_columns)
+    (fun (ops, events) ->
+      let tr = Trace.create ~n_threads:1 ~n_ras:1 ~n_queues:0 in
+      let th = tr.Trace.threads.(0) and ra = tr.Trace.ras.(0) in
+      Array.iteri
+        (fun i (kind, pa, pb, dep1, dep2, dep3) ->
+          if Trace.push th ~kind ~pa ~pb ~dep1 ~dep2 ~dep3 <> i then
+            QCheck.Test.fail_reportf "push %d returned another index" i)
+        ops;
+      Array.iter (fun (in_seq, out_seq, addr) -> Trace.ra_push ra ~in_seq ~out_seq ~addr) events;
+      let read_back when_ =
+        Array.iteri
+          (fun i op ->
+            if List.exists (( <> ) op) (op_reads th i) then
+              QCheck.Test.fail_reportf "op %d reads back changed %s" i when_)
+          ops;
+        Array.iteri
+          (fun i ev ->
+            if List.exists (( <> ) ev) (event_reads ra i) then
+              QCheck.Test.fail_reportf "RA event %d reads back changed %s" i when_)
+          events
+      in
+      read_back "before seal";
+      Trace.seal tr;
+      read_back "after seal";
+      let n = Array.length ops and m = Array.length events in
+      let open Trace in
+      (* sealed: no slack in any column *)
+      List.for_all2
+        (fun c w -> Bytes.length c = w * n)
+        [ th.kind; th.pa; th.pb; th.dep1; th.dep2; th.dep3 ]
+        [ 1; 8; 4; 4; 4; 4 ]
+      && List.for_all2
+           (fun c w -> Bytes.length c = w * m)
+           [ ra.rt_in_seq; ra.rt_out_seq; ra.rt_addr ]
+           [ 4; 4; 8 ]
+      && Trace.bytes tr = (Trace.op_bytes * n) + (Trace.ra_event_bytes * m)
+      && Trace.op_bytes = 25 && Trace.ra_event_bytes = 16)
+
+(* A value wider than its column raises, naming the column, and leaves the
+   trace as it was: nothing is stored wrapped. Op indices reach a column
+   only as dependences, so a dependence one past 2^31 - 1 stands in for an
+   op index a 2^31-op trace would produce. *)
+let test_trace_narrowing () =
+  let tr = Trace.create ~n_threads:1 ~n_ras:1 ~n_queues:0 in
+  let th = tr.Trace.threads.(0) and ra = tr.Trace.ras.(0) in
+  let push ?(kind = Trace.op_alu) ?(pb = 0) ?(dep1 = Trace.no_dep) ?(dep2 = Trace.no_dep)
+      ?(dep3 = Trace.no_dep) () =
+    ignore (Trace.push th ~kind ~pa:max_int ~pb ~dep1 ~dep2 ~dep3)
+  in
+  push ~pb:max32 ~dep1:max32 ~dep2:min32 ~dep3:0 ~kind:255 ();
+  let raises fn col v f =
+    Alcotest.check_raises
+      (Printf.sprintf "%s %d" col v)
+      (Invalid_argument (Printf.sprintf "Trace.%s: %s %d does not fit its column" fn col v))
+      f
+  in
+  raises "push" "kind" 256 (fun () -> push ~kind:256 ());
+  raises "push" "kind" (-1) (fun () -> push ~kind:(-1) ());
+  raises "push" "pb" (max32 + 1) (fun () -> push ~pb:(max32 + 1) ());
+  raises "push" "dep1" (max32 + 1) (fun () -> push ~dep1:(max32 + 1) ());
+  raises "push" "dep2" (min32 - 1) (fun () -> push ~dep2:(min32 - 1) ());
+  raises "push" "dep3" max_int (fun () -> push ~dep3:max_int ());
+  raises "push" "dep3" min_int (fun () -> push ~dep3:min_int ());
+  raises "ra_push" "in_seq" (max32 + 1) (fun () ->
+      Trace.ra_push ra ~in_seq:(max32 + 1) ~out_seq:0 ~addr:0);
+  raises "ra_push" "out_seq" (min32 - 1) (fun () ->
+      Trace.ra_push ra ~in_seq:0 ~out_seq:(min32 - 1) ~addr:0);
+  Alcotest.(check int) "failed pushes append nothing" 1 (Trace.length th);
+  Alcotest.(check int) "failed RA pushes append nothing" 0 (Trace.ra_length ra)
 
 (* --- validation --- *)
 
@@ -462,11 +582,13 @@ let suite =
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
     Alcotest.test_case "enq_indexed distribution" `Quick test_enq_indexed;
     Alcotest.test_case "trace deps well-formed" `Quick test_trace_deps_wellformed;
+    Alcotest.test_case "trace narrowing raises" `Quick test_trace_narrowing;
     Alcotest.test_case "validate: multi-consumer" `Quick test_validate_multiconsumer;
     Alcotest.test_case "validate: undeclared queue" `Quick test_validate_undeclared_queue;
     Alcotest.test_case "validate: break outside loop" `Quick test_validate_break_outside_loop;
     QCheck_alcotest.to_alcotest prop_two_stage_equiv;
     QCheck_alcotest.to_alcotest prop_queue_traffic_counts;
+    QCheck_alcotest.to_alcotest prop_trace_round_trip;
   ]
 
 let () = Alcotest.run "phloem_ir" [ ("ir", suite) ]

@@ -731,6 +731,57 @@ let test_e2e_counters_agree () =
         (int [ "errors" ])
         (int [ "metrics"; "counters"; "phloemd_errors" ]))
 
+(* A client that sends a cold job and hangs up before the answer: the
+   daemon's write to it must fail quietly (EPIPE, with SIGPIPE ignored as
+   phloemd does) and reach no one else. The job still runs and is cached,
+   and a second client, connected while it runs and so likely to be given
+   the vanished client's descriptor number, gets its own answers only. The
+   daemon then stops on request. *)
+let test_e2e_client_vanishes () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  with_server (fun sock server ->
+      Pipette.Sim.clear_caches ();
+      let job id = Protocol.simulate_request ~id:(Json.Int id) tiny_job in
+      let fd_a = Client.connect_unix sock in
+      Client.send_line fd_a (job 1);
+      Unix.close fd_a;
+      Client.with_unix sock (fun fd_b ->
+          let id_of j = Json.member "id" j in
+          let pong = Json.of_string (Client.request fd_b (Protocol.plain_request ~id:(Json.Int 2) "ping")) in
+          Alcotest.(check bool) "B's ping answered" true
+            (Protocol.response_status pong = "ok" && id_of pong = Some (Json.Int 2));
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while stats_int (stats_of sock) [ "result_cache"; "entries" ] < 1 do
+            if Unix.gettimeofday () > deadline then
+              Alcotest.fail "the vanished client's job was not cached within 10 s";
+            Thread.delay 0.005
+          done;
+          let r = Client.request fd_b (job 3) in
+          let j = Json.of_string r in
+          Alcotest.(check bool) "B gets its own answer" true (id_of j = Some (Json.Int 3));
+          Alcotest.(check string) "job ok" "ok" (Protocol.response_status j);
+          Alcotest.(check bool) "served from the cache" true (Protocol.response_cached j);
+          match Protocol.response_payload_raw r with
+          | Some p -> (
+            match Json.member "valid" (Json.of_string p) with
+            | Some (Json.Bool v) -> Alcotest.(check bool) "result valid" true v
+            | _ -> Alcotest.fail "payload needs a valid field")
+          | None -> Alcotest.fail "the cached response must carry a payload");
+      let resp =
+        Client.with_unix sock (fun fd ->
+            Client.request fd (Protocol.plain_request ~id:(Json.Int 4) "shutdown"))
+      in
+      Alcotest.(check string) "shutdown acknowledged" "ok"
+        (Protocol.response_status (Json.of_string resp));
+      let rec wait n =
+        if Server.stopped server then ()
+        else if n = 0 then Alcotest.fail "server did not stop"
+        else (
+          Thread.delay 0.001;
+          wait (n - 1))
+      in
+      wait 5000)
+
 let test_e2e_shutdown_request () =
   with_server (fun sock server ->
       let resp =
@@ -798,6 +849,8 @@ let () =
             test_e2e_identical_misses_run_once;
           Alcotest.test_case "stats and metrics counters agree" `Quick
             test_e2e_counters_agree;
+          Alcotest.test_case "client vanishes mid-response" `Quick
+            test_e2e_client_vanishes;
           Alcotest.test_case "shutdown request" `Quick test_e2e_shutdown_request;
         ] );
     ]

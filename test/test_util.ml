@@ -1,33 +1,7 @@
-(* Tests for the utility substrate: vectors, heap, PRNG, stats, tables,
+(* Tests for the utility substrate: heap, PRNG, stats, tables,
    metrics and the bounded FIFO cache. *)
 
 open Phloem_util
-
-let test_vec_growth () =
-  let v = Vec.create ~dummy:0 () in
-  for i = 0 to 999 do
-    Vec.push v (i * 2)
-  done;
-  Alcotest.(check int) "length" 1000 (Vec.length v);
-  Alcotest.(check int) "get" 998 (Vec.get v 499);
-  Vec.set v 499 7;
-  Alcotest.(check int) "set" 7 (Vec.get v 499);
-  Alcotest.(check int) "last" 1998 (Vec.last v);
-  Alcotest.(check int) "fold" (List.init 1000 (fun i -> i * 2) |> List.fold_left ( + ) 0 |> fun s -> s - 998 + 7)
-    (Vec.fold_left ( + ) 0 v)
-
-let test_vec_bounds () =
-  let v = Vec.of_list ~dummy:0 [ 1; 2; 3 ] in
-  Alcotest.check_raises "get oob" (Invalid_argument "Vec.get") (fun () ->
-      ignore (Vec.get v 3))
-
-let test_int_vec () =
-  let v = Vec.Int_vec.create () in
-  for i = 0 to 99 do
-    Vec.Int_vec.push v i
-  done;
-  Alcotest.(check int) "sum" 4950 (Vec.Int_vec.fold_left ( + ) 0 v);
-  Alcotest.(check (array int)) "to_array" (Array.init 100 Fun.id) (Vec.Int_vec.to_array v)
 
 let test_heap_sorts () =
   let h = Heap.create () in
@@ -490,9 +464,6 @@ let prop_percentile_bounds =
 
 let suite =
   [
-    Alcotest.test_case "vec growth" `Quick test_vec_growth;
-    Alcotest.test_case "vec bounds" `Quick test_vec_bounds;
-    Alcotest.test_case "int vec" `Quick test_int_vec;
     Alcotest.test_case "heap sorts" `Quick test_heap_sorts;
     Alcotest.test_case "heap empty" `Quick test_heap_empty;
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
