@@ -84,7 +84,13 @@ val spike : t -> level:int -> int
 
 val stall_release : t -> thread:int -> now:int -> int
 (** If [thread] is force-stalled at cycle [now], the first cycle it runs
-    again; [-1] when not stalled. Counts the stalled cycle. *)
+    again; [-1] when not stalled. Counts nothing: see {!count_stalls}. *)
+
+val count_stalls : t -> thread:int -> until:int -> unit
+(** Add to [c_stall_cycles] every cycle before [until] that [thread]
+    spends inside one of its stall windows. The engine calls it once per
+    thread, with the cycle the thread finishes or the run fails, so the
+    count covers the cycles it fast-forwards over. *)
 
 val should_kill : t -> thread:int -> retired:int -> bool
 (** True exactly once, when [thread] crosses its kill threshold. *)

@@ -14,7 +14,12 @@
    prefetches, atomics and barriers, four cores with one stage per core,
    queue-capacity overrides down to capacity 1 around reference
    accelerators, telemetry, and fault plans that end clean, in deadlock, in
-   livelock and in budget exhaustion. *)
+   livelock and in budget exhaustion.
+
+   The same cases, and a seeded QCheck property over random machines, run
+   the engine against [Stepper], a reference that advances one cycle at a
+   time with none of the engine's skips: the digests pin the output, the
+   stepper checks it. *)
 
 open Phloem_ir
 open Phloem_ir.Builder
@@ -73,6 +78,40 @@ let variants (b : Workload.bound) =
   | Some (mp, mins) -> [ (name ^ "/manual", mp, mins) ]
   | None -> []
 
+(* One golden case: a pipeline, its inputs, and the machine and options it
+   replays under. *)
+type case = {
+  name : string;
+  pipe : Types.pipeline;
+  inputs : (string * Types.value array) list;
+  cfg : Config.t;
+  thread_core : int array option;
+  queue_caps : (int * int) list;
+  plan : Faults.plan option;
+  watchdog : int option;
+  cycle_budget : int option;
+  telemetry : bool;
+}
+
+let case ?(inputs = []) ?(cfg = Config.default) ?thread_core ?(queue_caps = []) ?plan
+    ?watchdog ?cycle_budget ?(telemetry = false) name pipe =
+  { name; pipe; inputs; cfg; thread_core; queue_caps; plan; watchdog; cycle_budget; telemetry }
+
+let digest c =
+  let telemetry = if c.telemetry then Some (Telemetry.create ~interval:256 ()) else None in
+  outcome ?telemetry (fun () ->
+      Sim.simulate ~cfg:c.cfg ?thread_core:c.thread_core ~queue_caps:c.queue_caps ?telemetry
+        ?faults:(Option.map Faults.create c.plan) ?watchdog:c.watchdog
+        ?cycle_budget:c.cycle_budget c.pipe
+        (Sim.functional ~inputs:c.inputs c.pipe))
+
+(* The engine and the stepper on one case, telemetry aside (the stepper
+   keeps none). *)
+let stepper_differences c =
+  Stepper.compare_replays ~cfg:c.cfg ?thread_core:c.thread_core ~queue_caps:c.queue_caps
+    ?plan:c.plan ?watchdog:c.watchdog ?cycle_budget:c.cycle_budget c.pipe
+    (Sim.functional ~inputs:c.inputs c.pipe)
+
 let kernel_cases () =
   let a = Phloem_sparse.Gen.random ~rows:24 ~cols:24 ~nnz_per_row:3 ~seed:41 in
   let bt = Phloem_sparse.Gen.random ~rows:24 ~cols:24 ~nnz_per_row:3 ~seed:42 in
@@ -86,8 +125,7 @@ let kernel_cases () =
       Spmm.bind a bt;
       Taco_kernels.bind Taco_kernels.Spmv m;
     ]
-  |> List.map (fun (name, p, inputs) ->
-         (name, fun () -> outcome (fun () -> Sim.run ~inputs p)))
+  |> List.map (fun (name, p, inputs) -> case ~inputs name p)
 
 (* Prefetch, atomic and barrier in one two-stage pipeline: the producer
    prefetches and streams indices, the consumer folds them with atomics,
@@ -140,54 +178,36 @@ let faulty_pipe n =
         [ for_ "i" (int 0) (int n) [ "x" <-- deq 0; store "out" (v "i") (v "x") ] ];
     ]
 
+(* Every fault kind that lets BFS finish: spikes at DRAM and on RA
+   fetches, predictor poisoning, a periodic stall of thread 1 (50 cycles of
+   every 500), transient drops and phantom duplicates. *)
+let faults_clean_plan =
+  Faults.plan ~key:7
+    [
+      Faults.Latency_spike { level = 4; extra = 200; prob = 0.5 };
+      Faults.Latency_spike { level = 0; extra = 30; prob = 0.5 };
+      Faults.Predictor_poison { prob = 0.25 };
+      Faults.Thread_stall { thread = 1; period = 500; duration = 50 };
+      Faults.Queue_drop { queue = -1; prob = 0.1 };
+      Faults.Queue_dup { queue = 0; prob = 0.01 };
+    ]
+
 let machine_cases () =
+  let p, inputs = bfs_static () in
   [
-    ( "memops",
-      fun () -> outcome (fun () -> Sim.run ~inputs:mem_ops_inputs (mem_ops_pipe ())) );
-    ( "bfs/phloem-static/four-cores",
-      fun () ->
-        let p, inputs = bfs_static () in
-        outcome (fun () ->
-            Sim.run ~cfg:Config.four_cores ~thread_core:[| 0; 1; 2; 3 |] ~inputs p) );
-    ( "bfs/phloem-static/queue-caps",
-      fun () ->
-        let p, inputs = bfs_static () in
-        outcome (fun () ->
-            Sim.simulate ~queue_caps:[ (0, 2); (1, 64) ] p
-              (Sim.functional ~inputs p)) );
-    ( "bfs/phloem-static/telemetry",
-      fun () ->
-        let p, inputs = bfs_static () in
-        let telemetry = Telemetry.create ~interval:256 () in
-        outcome ~telemetry (fun () -> Sim.run ~telemetry ~inputs p) );
-    ( "bfs/phloem-static/faults-clean",
-      fun () ->
-        let p, inputs = bfs_static () in
-        let plan =
-          Faults.plan ~key:7
-            [
-              Faults.Latency_spike { level = 4; extra = 200; prob = 0.5 };
-              Faults.Latency_spike { level = 0; extra = 30; prob = 0.5 };
-              Faults.Predictor_poison { prob = 0.25 };
-              Faults.Thread_stall { thread = 1; period = 500; duration = 50 };
-              Faults.Queue_drop { queue = -1; prob = 0.1 };
-              Faults.Queue_dup { queue = 0; prob = 0.01 };
-            ]
-        in
-        outcome (fun () -> Sim.run ~faults:(Faults.create plan) ~inputs p) );
-    ( "faulty/deadlock",
-      fun () ->
-        let plan =
-          Faults.plan ~key:11 [ Faults.Thread_kill { thread = 0; after_retired = 10 } ]
-        in
-        outcome (fun () -> Sim.run ~faults:(Faults.create plan) (faulty_pipe 64)) );
-    ( "faulty/livelock",
-      fun () ->
-        let plan = Faults.plan ~key:13 [ Faults.Queue_drop { queue = 0; prob = 1.0 } ] in
-        outcome (fun () ->
-            Sim.run ~faults:(Faults.create plan) ~watchdog:3000 (faulty_pipe 64)) );
-    ( "faulty/budget-exhausted",
-      fun () -> outcome (fun () -> Sim.run ~cycle_budget:100 (faulty_pipe 64)) );
+    case ~inputs:mem_ops_inputs "memops" (mem_ops_pipe ());
+    case ~inputs ~cfg:Config.four_cores ~thread_core:[| 0; 1; 2; 3 |]
+      "bfs/phloem-static/four-cores" p;
+    case ~inputs ~queue_caps:[ (0, 2); (1, 64) ] "bfs/phloem-static/queue-caps" p;
+    case ~inputs ~telemetry:true "bfs/phloem-static/telemetry" p;
+    case ~inputs ~plan:faults_clean_plan "bfs/phloem-static/faults-clean" p;
+    case
+      ~plan:(Faults.plan ~key:11 [ Faults.Thread_kill { thread = 0; after_retired = 10 } ])
+      "faulty/deadlock" (faulty_pipe 64);
+    case
+      ~plan:(Faults.plan ~key:13 [ Faults.Queue_drop { queue = 0; prob = 1.0 } ])
+      ~watchdog:3000 "faulty/livelock" (faulty_pipe 64);
+    case ~cycle_budget:100 "faulty/budget-exhausted" (faulty_pipe 64);
   ]
 
 (* Queues at their tightest: capacity 1 and 2 on the queues that feed and
@@ -200,21 +220,15 @@ let machine_cases () =
 let ring_cases () =
   let a = Phloem_sparse.Gen.random ~rows:24 ~cols:24 ~nnz_per_row:3 ~seed:41 in
   let bt = Phloem_sparse.Gen.random ~rows:24 ~cols:24 ~nnz_per_row:3 ~seed:42 in
-  let manual (b : Workload.bound) =
+  let manual name (b : Workload.bound) queue_caps =
     match b.Workload.b_manual with
-    | Some m -> m
+    | Some (p, inputs) -> case ~inputs ~queue_caps name p
     | None -> Alcotest.fail (b.Workload.b_name ^ ": no manual pipeline")
-  in
-  let case name (b : Workload.bound) queue_caps =
-    ( name,
-      fun () ->
-        let p, inputs = manual b in
-        outcome (fun () -> Sim.simulate ~queue_caps p (Sim.functional ~inputs p)) )
   in
   let bfs graph_name g =
     let b = Bfs.bind g in
     List.map
-      (fun (caps_name, caps) -> case ("BFS/manual/" ^ graph_name ^ "/" ^ caps_name) b caps)
+      (fun (caps_name, caps) -> manual ("BFS/manual/" ^ graph_name ^ "/" ^ caps_name) b caps)
       [
         ("q1=1", [ (1, 1) ]);
         ("q1=2", [ (1, 2) ]);
@@ -223,7 +237,7 @@ let ring_cases () =
   in
   bfs "grid" (grid ())
   @ bfs "rmat" (Phloem_graph.Gen.rmat ~scale:8 ~edge_factor:4 ~seed:7)
-  @ [ case "SpMM/manual/ra-inputs=1" (Spmm.bind a bt) [ (0, 1); (1, 1); (2, 1); (3, 1) ] ]
+  @ [ manual "SpMM/manual/ra-inputs=1" (Spmm.bind a bt) [ (0, 1); (1, 1); (2, 1); (3, 1) ] ]
 
 (* Recorded before the hot-path rework; see the header. *)
 let golden =
@@ -268,14 +282,138 @@ let golden =
     ("SpMM/manual/ra-inputs=1", "e020285348bc470ec536e30d6ca4a8e7");
   ]
 
-let test_case (name, run) =
-  Alcotest.test_case name `Quick (fun () ->
+let test_case c =
+  Alcotest.test_case c.name `Quick (fun () ->
       let want =
-        match List.assoc_opt name golden with
+        match List.assoc_opt c.name golden with
         | Some d -> d
-        | None -> Alcotest.failf "%s: no golden digest recorded" name
+        | None -> Alcotest.failf "%s: no golden digest recorded" c.name
       in
-      Alcotest.(check string) (name ^ ": digest") want (run ()))
+      Alcotest.(check string) (c.name ^ ": digest") want (digest c))
+
+let stepper_case c =
+  Alcotest.test_case c.name `Quick (fun () ->
+      Alcotest.(check (list string)) (c.name ^ ": engine = stepper") [] (stepper_differences c))
+
+(* --- engine = stepper on random machines -------------------------------- *)
+
+(* A random small graph, kernel, variant and machine: queue capacities
+   overridden down to 1-3, a ROB that is off powers of two or larger than
+   the default, few RA MSHRs, 1-4 cores with random thread placement, and
+   on some runs a fault plan. *)
+type machine_case = {
+  m_graph : string;
+  m_kernel : string;
+  m_variant : string;
+  m_pipe : Types.pipeline;
+  m_inputs : (string * Types.value array) list;
+  m_cfg : Config.t;
+  m_thread_core : int array;
+  m_queue_caps : (int * int) list;
+  m_plan : Faults.plan option;
+}
+
+let print_machine_case m =
+  Printf.sprintf "%s on %s (%s): rob %d, ra_mshrs %d, cores %d, placement [%s], caps [%s], faults %s"
+    m.m_kernel m.m_graph m.m_variant m.m_cfg.Config.rob_size m.m_cfg.Config.ra_mshrs
+    m.m_cfg.Config.n_cores
+    (String.concat ";" (Array.to_list (Array.map string_of_int m.m_thread_core)))
+    (String.concat ";" (List.map (fun (q, c) -> Printf.sprintf "q%d=%d" q c) m.m_queue_caps))
+    (match m.m_plan with
+    | Some p -> Printf.sprintf "%s key %d" (Faults.to_string p) p.Faults.fp_key
+    | None -> "none")
+
+let gen_machine_case =
+  let open QCheck.Gen in
+  let* graph_seed = int_range 1 1000 in
+  let* graph =
+    oneof
+      [
+        (let* w = int_range 3 9 and* h = int_range 3 8 in
+         return
+           ( Printf.sprintf "grid %dx%d seed %d" w h graph_seed,
+             Phloem_graph.Gen.grid ~width:w ~height:h ~seed:graph_seed ));
+        (let* scale = int_range 4 6 and* ef = int_range 2 4 in
+         return
+           ( Printf.sprintf "rmat scale %d x%d seed %d" scale ef graph_seed,
+             Phloem_graph.Gen.rmat ~scale ~edge_factor:ef ~seed:graph_seed ));
+      ]
+  in
+  let graph_name, g = graph in
+  let* b = oneofl [ Bfs.bind g; Cc.bind g; Prd.bind g; Radii.bind g ] in
+  let* variant = oneofl [ "serial"; "data-parallel"; "phloem-static"; "manual" ] in
+  let serial = b.Workload.b_serial in
+  let* threads = int_range 2 4 in
+  let p, inputs =
+    match variant with
+    | "data-parallel" -> b.Workload.b_data_parallel ~threads
+    | "phloem-static" -> (
+      match static (fst serial) with Some p -> (p, snd serial) | None -> serial)
+    | "manual" -> Option.value ~default:serial b.Workload.b_manual
+    | _ -> serial
+  in
+  let n_threads = List.length p.Types.p_stages in
+  let n_queues = List.length p.Types.p_queues in
+  let* queue_caps =
+    flatten_l
+      (List.init n_queues (fun q ->
+           let* cap = int_range 1 3 and* set = bool in
+           return (if set then [ (q, cap) ] else [])))
+  in
+  let* rob_size = oneofl [ 16; 17; 24; 100; 224; 300 ] in
+  let* ra_mshrs = oneofl [ 1; 2; 3; 8 ] in
+  let* n_cores = int_range 1 4 in
+  let* thread_core = array_repeat n_threads (int_range 0 (n_cores - 1)) in
+  let thread = int_range 0 (Int.max 0 (n_threads - 1)) in
+  let spec =
+    oneof
+      [
+        (let* level = int_range 0 4 and* extra = int_range 1 100 in
+         return (Faults.Latency_spike { level; extra; prob = 0.3 }));
+        return (Faults.Predictor_poison { prob = 0.2 });
+        (let* thread = thread and* period = int_range 20 300 in
+         let* duration = int_range 1 (period - 1) in
+         return (Faults.Thread_stall { thread; period; duration }));
+        return (Faults.Queue_drop { queue = -1; prob = 0.2 });
+        (let* queue = int_range 0 (Int.max 0 (n_queues - 1)) in
+         return (Faults.Queue_dup { queue; prob = 0.02 }));
+        (let* thread = thread and* after_retired = int_range 0 400 in
+         return (Faults.Thread_kill { thread; after_retired }));
+      ]
+  in
+  let* plan =
+    frequency
+      [
+        (2, return None);
+        ( 1,
+          let* key = int_range 0 10_000 and* specs = list_size (int_range 1 3) spec in
+          return (Some (Faults.plan ~key specs)) );
+      ]
+  in
+  return
+    {
+      m_graph = graph_name;
+      m_kernel = b.Workload.b_name;
+      m_variant = variant;
+      m_pipe = p;
+      m_inputs = inputs;
+      m_cfg = { Config.default with rob_size; ra_mshrs; n_cores };
+      m_thread_core = thread_core;
+      m_queue_caps = List.concat queue_caps;
+      m_plan = plan;
+    }
+
+let prop_stepper_random_machines =
+  QCheck.Test.make ~name:"engine = stepper on random machines" ~count:30 ~long_factor:20
+    (QCheck.make ~print:print_machine_case gen_machine_case)
+    (fun m ->
+      match
+        Stepper.compare_replays ~cfg:m.m_cfg ~thread_core:m.m_thread_core
+          ~queue_caps:m.m_queue_caps ?plan:m.m_plan m.m_pipe
+          (Sim.functional ~inputs:m.m_inputs m.m_pipe)
+      with
+      | [] -> true
+      | diffs -> QCheck.Test.fail_reportf "%s" (String.concat "\n" diffs))
 
 (* --- allocation guard ---------------------------------------------------- *)
 
@@ -283,20 +421,22 @@ let test_case (name, run) =
    takes from the minor heap is its per-run set-up plus rare events (a
    DRAM access, a barrier completing).
    Words per cycle on this replay of CC's static pipeline: 0.4 with the
-   allocation-free loop, 94 before it; the bound sits between. The trace
-   is large enough that every per-op array goes straight to the major
-   heap and so is not counted here. *)
+   allocation-free loop, 94 before it; the bound sits between. The
+   per-replay scratch is sized by the instruction window, not the trace,
+   so on this trace of over 256 ops per thread it comes from the minor
+   heap and is counted here. *)
 let max_minor_words_per_cycle = 16.0
 
-let test_alloc_guard () =
-  let b = Cc.bind (Phloem_graph.Gen.grid ~width:40 ~height:40 ~seed:5) in
-  let p, inputs = b.Workload.b_serial in
+let cc_static g =
+  let p, inputs = (Cc.bind g).Workload.b_serial in
   let p = match static p with Some p -> p | None -> Alcotest.fail "cc static_flow" in
-  let fr = Sim.functional ~inputs p in
-  let trace = fr.Interp.r_trace in
+  (p, (Sim.functional ~inputs p).Interp.r_trace)
+
+let test_alloc_guard () =
+  let p, trace = cc_static (Phloem_graph.Gen.grid ~width:40 ~height:40 ~seed:5) in
   Array.iter
     (fun th ->
-      Alcotest.(check bool) "per-op arrays exceed a minor-heap block" true
+      Alcotest.(check bool) "more ops per thread than a minor-heap block holds" true
         (Trace.length th > 256))
     trace.Trace.threads;
   let before = Gc.minor_words () in
@@ -308,11 +448,50 @@ let test_alloc_guard () =
                     (%.0f words over %d cycles); the bound is %.1f"
       per_cycle words r.Engine.cycles max_minor_words_per_cycle
 
+(* Words [Engine.run] allocates directly in the major heap (blocks too
+   large for the minor heap), which do not depend on the trace's length:
+   the scratch is sized by the window, the queues and the caches. Two
+   replays of CC's static pipeline on grids whose traces differ at least
+   4x in length must allocate the same, up to a small constant. *)
+let max_major_words_spread = 64.0
+
+let test_major_words_flat () =
+  let major_direct p trace =
+    let _, promoted0, major0 = Gc.counters () in
+    ignore (Engine.run p trace);
+    let _, promoted1, major1 = Gc.counters () in
+    major1 -. major0 -. (promoted1 -. promoted0)
+  in
+  let small_p, small = cc_static (Phloem_graph.Gen.grid ~width:20 ~height:20 ~seed:5) in
+  let large_p, large = cc_static (Phloem_graph.Gen.grid ~width:40 ~height:40 ~seed:5) in
+  let ops t = Trace.op_count t in
+  Alcotest.(check bool) "traces differ at least 4x in length" true (ops large >= 4 * ops small);
+  let ws = major_direct small_p small and wl = major_direct large_p large in
+  if Float.abs (wl -. ws) > max_major_words_spread then
+    Alcotest.failf "Engine.run allocated %.0f major-heap words on %d ops and %.0f on %d ops; \
+                    the spread bound is %.0f"
+      ws (ops small) wl (ops large) max_major_words_spread
+
 let () =
+  let golden_kernels = kernel_cases ()
+  and golden_machine = machine_cases ()
+  and golden_ring = ring_cases () in
   Alcotest.run "engine"
     [
-      ("golden kernels", List.map test_case (kernel_cases ()));
-      ("golden machine", List.map test_case (machine_cases ()));
-      ("golden ring", List.map test_case (ring_cases ()));
-      ("allocation", [ Alcotest.test_case "minor words per cycle" `Quick test_alloc_guard ]);
+      ("golden kernels", List.map test_case golden_kernels);
+      ("golden machine", List.map test_case golden_machine);
+      ("golden ring", List.map test_case golden_ring);
+      ( "stepper",
+        List.map stepper_case (golden_kernels @ golden_machine @ golden_ring)
+        @ [
+            QCheck_alcotest.to_alcotest ~speed_level:`Quick
+              ~rand:(Random.State.make [| 22 |])
+              prop_stepper_random_machines;
+          ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "minor words per cycle" `Quick test_alloc_guard;
+          Alcotest.test_case "major words independent of trace length" `Quick
+            test_major_words_flat;
+        ] );
     ]

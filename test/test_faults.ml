@@ -208,6 +208,37 @@ let test_check_deadlock_rejects_producerless () =
     Alcotest.(check bool) "names the queue" true (has "q0" msg);
     Alcotest.(check bool) "explains" true (has "ever enqueues" msg)
 
+(* --- stall accounting --- *)
+
+(* Every cycle a live thread spends inside a stall window counts, also the
+   cycles the engine fast-forwards over. Under this plan (the one
+   test_engine's "faults-clean" case replays) thread 1 of BFS's static
+   pipeline stalls for the first 50 cycles of every 500 and lives past
+   cycle 9550 of the 9572-cycle run: 20 windows, 1000 cycles. The stepper
+   counts them one cycle at a time. *)
+let test_stall_cycles_counted () =
+  let b = Phloem_workloads.Bfs.bind (Phloem_graph.Gen.grid ~width:14 ~height:10 ~seed:3) in
+  let serial, inputs = b.Phloem_workloads.Workload.b_serial in
+  let p = Phloem.Compile.static_flow ~stages:4 serial in
+  let plan =
+    Faults.plan ~key:7
+      [
+        Faults.Latency_spike { level = 4; extra = 200; prob = 0.5 };
+        Faults.Latency_spike { level = 0; extra = 30; prob = 0.5 };
+        Faults.Predictor_poison { prob = 0.25 };
+        Faults.Thread_stall { thread = 1; period = 500; duration = 50 };
+        Faults.Queue_drop { queue = -1; prob = 0.1 };
+        Faults.Queue_dup { queue = 0; prob = 0.01 };
+      ]
+  in
+  let f = Faults.create plan in
+  let r = Pipette.Sim.run ~faults:f ~inputs p in
+  Alcotest.(check int) "cycles" 9572 (Pipette.Sim.cycles r);
+  Alcotest.(check int) "stall cycles" 1000 (Faults.counters f).Faults.c_stall_cycles;
+  Alcotest.(check (list string))
+    "engine = stepper" []
+    (Stepper.compare_replays ~plan p (Pipette.Sim.functional ~inputs p))
+
 (* --- harness degradation: a deadlocking variant leaves an error record --- *)
 
 let degradable_bound () =
@@ -274,6 +305,8 @@ let () =
           Alcotest.test_case "fixed-key replay determinism" `Quick
             test_fixed_key_replay;
           Alcotest.test_case "zero-prob plan is clean" `Quick test_no_faults_is_clean;
+          Alcotest.test_case "stall cycles count fast-forwarded cycles" `Quick
+            test_stall_cycles_counted;
         ] );
       ( "check-deadlock",
         [
