@@ -142,7 +142,8 @@ let chain_step (p : pipeline) : pipeline option =
     | st :: after -> (
       match extract_scan st.s_body with
       | None -> try_stages (before @ [ st ]) after
-      | Some ({ sm_body_kind = `Load _; _ }, _) when List.length p.p_ras >= 4 ->
+      | Some ({ sm_body_kind = `Load _; _ }, _)
+        when List.length p.p_ras >= Pipette.Config.(default.max_ras) ->
         (* no RA left to allocate *)
         try_stages (before @ [ st ]) after
       | Some (m, residual_body) ->

@@ -513,7 +513,8 @@ let assign_ras (ctx : Ctx.context) (d : decisions) =
   if ctx.Ctx.flags.Pass.f_ra then
     List.iter
       (fun ch ->
-        if d.d_next_ra < 4 && ch.ch_back = [] && ch.ch_chain <> [] then begin
+        if d.d_next_ra < Pipette.Config.(default.max_ras) && ch.ch_back = [] && ch.ch_chain <> []
+        then begin
           let arrays =
             List.filter_map
               (fun k ->

@@ -134,8 +134,6 @@ type report = {
   rep_wall_s : float;
 }
 
-let empty_report = { rep_passes = []; rep_wall_s = 0.0 }
-
 let report_to_string (r : report) =
   let line pr =
     Printf.sprintf "  %-14s %9.3f ms   %5d -> %5d ops   %d stages" pr.pr_name

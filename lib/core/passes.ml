@@ -8,8 +8,9 @@
 
 open Phloem_ir.Types
 
-let max_queues = 16
-let max_ras = 4
+(* The architecture's queue and RA budget (Table III). *)
+let max_queues = Pipette.Config.(default.max_queues)
+let max_ras = Pipette.Config.(default.max_ras)
 
 let decouple : Pass.pass =
   (module struct

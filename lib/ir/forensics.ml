@@ -163,29 +163,51 @@ let agent_names (p : pipeline) =
 
 (* ---------- cyclic wait chain ---------- *)
 
-(* The wait graph: a blocked agent's edges point at the agents that could
-   unblock it — the producers of the queue it starves on, the consumers of
-   the queue backing up into it, or the peers a barrier is missing. A cycle
-   through *blocked* agents is a wedged dependency loop: every agent on it
-   waits for another agent on it. [waiting] pairs each blocked agent with
-   the queue it waits on ([-1] for barriers); [unblockers a] names the
-   agents that could release [a] (the caller derives the direction from
-   [a.ag_blocked]). Returns the cycle as (agent, queue) hops in chain
-   order, or [] when no cycle exists among the blocked agents. *)
-let find_wait_cycle ~waiting ~unblockers =
+(* The wait graph over the agents of [p]: a blocked agent's edges point at
+   the agents that could unblock it — the producers of the queue it starves
+   on, the consumers of the queue backing up into it, or, at a barrier, the
+   stage threads neither finished nor at that barrier. A cycle through
+   *blocked* agents is a wedged dependency loop: every agent on it waits
+   for another agent on it. Returns the first cycle a depth-first search in
+   agent order finds, as (agent, queue) hops in chain order ([-1] for a
+   barrier), or [] when no cycle exists among the blocked agents. *)
+let wait_cycle (p : pipeline) (agents : agent_report list) =
+  let _, producers, consumers = queue_users p in
+  let n_stages = List.length p.p_stages in
+  let users tbl q = if q >= 0 && q < Array.length tbl then tbl.(q) else [] in
+  let among ids = List.filter (fun b -> List.mem b.ag_id ids) agents in
+  let unblockers a =
+    match a.ag_blocked with
+    | On_queue_empty q -> among (users producers q)
+    | On_queue_full q -> among (users consumers q)
+    | On_barrier bar ->
+      List.filter
+        (fun b -> b.ag_id < n_stages && b.ag_blocked <> Finished && b.ag_blocked <> On_barrier bar)
+        agents
+    | _ -> []
+  in
+  let waiting =
+    List.filter_map
+      (fun a ->
+        match a.ag_blocked with
+        | On_queue_empty q | On_queue_full q -> Some (a, q)
+        | On_barrier _ -> Some (a, -1)
+        | _ -> None)
+      agents
+  in
   let n = List.length waiting in
   if n = 0 then []
   else begin
-    let agents = Array.of_list (List.map fst waiting) in
+    let waiters = Array.of_list (List.map fst waiting) in
     let index_of = Hashtbl.create n in
-    Array.iteri (fun i (a : agent_report) -> Hashtbl.replace index_of a.ag_id i) agents;
+    Array.iteri (fun i (a : agent_report) -> Hashtbl.replace index_of a.ag_id i) waiters;
     let edges =
       Array.map
         (fun (a : agent_report) ->
           List.filter_map
             (fun (b : agent_report) -> Hashtbl.find_opt index_of b.ag_id)
             (unblockers a))
-        agents
+        waiters
     in
     (* colors: 0 unvisited, 1 on stack, 2 done *)
     let color = Array.make n 0 in
@@ -219,7 +241,7 @@ let find_wait_cycle ~waiting ~unblockers =
     | None -> []
     | Some idxs ->
       let qs = Array.of_list (List.map snd waiting) in
-      List.map (fun i -> (agents.(i), qs.(i))) idxs
+      List.map (fun i -> (waiters.(i), qs.(i))) idxs
   end
 
 (* ---------- rendering ---------- *)

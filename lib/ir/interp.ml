@@ -74,7 +74,6 @@ let budget_key : budget Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { bg_ops = 0; bg_limit = 60_000_000 })
 
 let max_ops () = (Domain.DLS.get budget_key).bg_limit
-let set_max_ops n = (Domain.DLS.get budget_key).bg_limit <- n
 
 let with_max_ops n f =
   let b = Domain.DLS.get budget_key in
@@ -683,33 +682,7 @@ let schedule (p : pipeline) (st : state) (bodies : (unit -> step) array) : unit 
             ag_total_ops = -1;
           })
     in
-    let waiting =
-      List.filter_map
-        (fun a ->
-          match a.Forensics.ag_blocked with
-          | Forensics.On_queue_empty q -> Some (a, q)
-          | Forensics.On_barrier _ -> Some (a, -1)
-          | _ -> None)
-        agents
-    in
-    (* Who could unblock a given agent: producers of the queue it starves
-       on; for a barrier, the non-done user stages not yet parked at it. *)
-    let unblockers a =
-      match a.Forensics.ag_blocked with
-      | Forensics.On_queue_empty q ->
-        if q < Array.length producers then
-          List.filter (fun b -> List.mem b.Forensics.ag_id producers.(q)) agents
-        else []
-      | Forensics.On_barrier b ->
-        List.filter
-          (fun x ->
-            x.Forensics.ag_id < n_stages
-            && x.Forensics.ag_blocked <> Forensics.Finished
-            && x.Forensics.ag_blocked <> Forensics.On_barrier b)
-          agents
-      | _ -> []
-    in
-    let wait_cycle = Forensics.find_wait_cycle ~waiting ~unblockers in
+    let wait_cycle = Forensics.wait_cycle p agents in
     let queues =
       List.filter_map
         (fun rq ->
@@ -729,14 +702,14 @@ let schedule (p : pipeline) (st : state) (bodies : (unit -> step) array) : unit 
          ]
        else [])
       @ List.filter_map
-          (fun (a, q) ->
-            if q >= 0 && q < Array.length producers && producers.(q) = [] then
+          (fun (a : Forensics.agent_report) ->
+            match a.ag_blocked with
+            | Forensics.On_queue_empty q when q < Array.length producers && producers.(q) = [] ->
               Some
-                (Printf.sprintf
-                   "%s dequeues q%d, but no stage or RA ever enqueues into it"
-                   a.Forensics.ag_name q)
-            else None)
-          waiting
+                (Printf.sprintf "%s dequeues q%d, but no stage or RA ever enqueues into it"
+                   a.ag_name q)
+            | _ -> None)
+          agents
     in
     Forensics.fail
       {

@@ -71,9 +71,6 @@ let is_comparison = function
 
 let is_logical = function Band | Bor -> true | _ -> false
 
-(* Builtin functions with fixed signatures, lowered to IR primitives. *)
-let builtins = [ "fabs"; "min"; "max"; "fmin"; "fmax"; "abs" ]
-
 let fresh_tmp env =
   env.n_tmp <- env.n_tmp + 1;
   Printf.sprintf "__t%d" env.n_tmp

@@ -69,23 +69,6 @@ type thread_state = {
   svc : Bytes.t; (* cache level that served each memory op, 0 otherwise *)
   mutable unissued_head : int; (* -1 = none *)
   mutable unissued_tail : int;
-  mutable n_unissued : int;
-  mutable scan_wake : int;
-      (* earliest cycle the issue walk must visit this thread again: the
-         minimum wake over its probe prefix (the first four ops of the
-         unissued list), computed by each walk. It stays valid while the
-         prefix is fixed; dispatch resets it when the new op enters the
-         prefix, and a walk that issues recomputes it. A prefix holding an
-         enqueue never caches (occupancy can change any cycle and fault
-         drop rolls are per-attempt). *)
-  mutable cl_until : int;
-      (* stall classification cache: [cl_reason] is valid for cycles
-         < [cl_until]. Horizons beyond now+1 are only recorded for
-         dependence stalls whose pending producers all have fixed
-         completion times. Issuing resets it, and so does dispatch into an
-         empty unissued list (the only dispatch that changes the oldest
-         unissued op). *)
-  mutable cl_reason : stall_reason;
   mutable dispatch_ptr : int;
   mutable retire_ptr : int;
   mutable blocked_branch : int; (* op index, or -1 *)
@@ -297,22 +280,6 @@ let dep_wake th i now =
   dep_wake1 th now (get32u th.dep1 i)
     (dep_wake1 th now (get32u th.dep2 i) (dep_wake1 th now (get32u th.dep3 i) (now + 1)))
 
-(* The wake an op contributes to its thread's [scan_wake]: an enqueue is
-   always re-probed. *)
-let[@inline] prefix_wake th i =
-  if kind_u th i = Trace.op_enq then 0 else Array.unsafe_get th.wake (slot th i)
-
-(* Minimum [prefix_wake] over the next [room] ops of the unissued list from
-   [node], folded into [acc]: the part of the probe prefix a walk did not
-   reach. *)
-let rec rest_of_prefix th node room acc =
-  if node < 0 || room = 0 || acc = 0 then acc
-  else
-    rest_of_prefix th
-      (Array.unsafe_get th.link (slot th node))
-      (room - 1)
-      (Int.min acc (prefix_wake th node))
-
 (* The stall reasons that carry an argument, built once per run and shared,
    so classifying a stalled cycle allocates nothing. *)
 type reasons = {
@@ -345,22 +312,6 @@ let dep_level th i now =
   dep_level1 th now (get32 th.dep1 i)
     (dep_level1 th now (get32 th.dep2 i) (dep_level1 th now (get32 th.dep3 i) 0))
 
-(* A plain operand stall cannot change verdict before the earliest pending
-   producer completes; queue and barrier verdicts can flip any cycle, so
-   they only cache for the current one. *)
-let dep_horizon1 th now d acc =
-  if d = Trace.no_dep || d < th.retire_ptr then acc
-  else
-    let c = th.comp.(slot th d) in
-    if c <= now then acc else if c = unset then Int.min acc (now + 1) else Int.min acc c
-
-let dep_horizon th i now =
-  let h =
-    dep_horizon1 th now (get32 th.dep1 i)
-      (dep_horizon1 th now (get32 th.dep2 i) (dep_horizon1 th now (get32 th.dep3 i) max_int))
-  in
-  if h = max_int then now + 1 else h
-
 (* Blocked on operands: attribute by the producer's kind. *)
 let dep_kind1 rs th now d acc =
   if pending th now d then
@@ -382,38 +333,24 @@ let dep_kind rs th i now =
 let classify rs queues now th =
   if th.issued_this_cycle > 0 then R_issue
   else if th.blocked_branch >= 0 then R_other
-  else if th.cl_until > now then th.cl_reason
   else begin
     let i = th.unissued_head in
-    if i < 0 then begin
-      (* window empty: frontend. Nothing can issue, so the verdict holds
-         until dispatch appends an op (which resets the cache). *)
-      th.cl_reason <- R_other;
-      th.cl_until <- max_int;
-      R_other
-    end
+    if i < 0 then R_other (* window empty: frontend *)
     else begin
       let k = kind_of th i in
-      let r =
-        if k = Trace.op_enq then
-          let qid = get64 th.pa i in
-          let q = queues.(qid) in
-          if q.occupancy >= q.qs_capacity then rs.rs_queue_full.(qid)
-          else rs.rs_backend.(dep_level th i now)
-        else if k = Trace.op_deq then
-          let qid = get64 th.pa i in
-          let q = queues.(qid) in
-          if q.deq_issued >= q.pushed || arrival q q.deq_issued > now then
-            rs.rs_queue_empty.(qid)
-          else rs.rs_backend.(dep_level th i now)
-        else if k = Trace.op_barrier then R_barrier
-        else dep_kind rs th i now
-      in
-      th.cl_reason <- r;
-      th.cl_until <-
-        (if k = Trace.op_enq || k = Trace.op_deq || k = Trace.op_barrier then now + 1
-         else dep_horizon th i now);
-      r
+      if k = Trace.op_enq then
+        let qid = get64 th.pa i in
+        let q = queues.(qid) in
+        if q.occupancy >= q.qs_capacity then rs.rs_queue_full.(qid)
+        else rs.rs_backend.(dep_level th i now)
+      else if k = Trace.op_deq then
+        let qid = get64 th.pa i in
+        let q = queues.(qid) in
+        if q.deq_issued >= q.pushed || arrival q q.deq_issued > now then
+          rs.rs_queue_empty.(qid)
+        else rs.rs_backend.(dep_level th i now)
+      else if k = Trace.op_barrier then R_barrier
+      else dep_kind rs th i now
     end
   end
 
@@ -475,10 +412,6 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
           svc = Bytes.make slots '\000';
           unissued_head = -1;
           unissued_tail = -1;
-          n_unissued = 0;
-          scan_wake = 0;
-          cl_until = 0;
-          cl_reason = R_other;
           dispatch_ptr = 0;
           retire_ptr = 0;
           blocked_branch = -1;
@@ -714,24 +647,16 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
      earlier ops of the same thread; the ring slot of one is read only
      while it is in the window (at or above [retire_ptr]). Nothing below
      allocates per simulated cycle. *)
-  (* Dispatch op [i] into its ring slot and onto the unissued list. Only an
-     op that enters the probe prefix (fewer than four unissued ops ahead of
-     it) can change what the next walk does, and only one entering an empty
-     list changes the oldest unissued op that classification reads. *)
+  (* Dispatch op [i] into its ring slot and onto the unissued list. *)
   let push_unissued th i =
     let s = slot th i in
     Array.unsafe_set th.comp s unset;
     Array.unsafe_set th.wake s 0;
     Bytes.unsafe_set th.svc s '\000';
     Array.unsafe_set th.link s (-1);
-    if th.unissued_head = -1 then begin
-      th.unissued_head <- i;
-      th.cl_until <- 0
-    end
+    if th.unissued_head = -1 then th.unissued_head <- i
     else Array.unsafe_set th.link (slot th th.unissued_tail) i;
-    th.unissued_tail <- i;
-    if th.n_unissued < 4 then th.scan_wake <- 0;
-    th.n_unissued <- th.n_unissued + 1
+    th.unissued_tail <- i
   in
 
   let retire th =
@@ -820,9 +745,6 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
      -2: a barrier, whose completion is set when its group completes). *)
   let issued th i k ~is_mem latency =
     if is_mem then decr mem_budget;
-    (* the stall picture just changed; the walk that issued recomputes
-       [scan_wake] *)
-    th.cl_until <- 0;
     (match latency with
     | -1 | -2 -> ()
     | l ->
@@ -941,14 +863,12 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
   in
 
   (* One walk over a thread's probe prefix: probe its first four unissued
-     ops in order while issue slots remain, unlinking each op that issues,
-     and leave in [scan_wake] the minimum wake over the prefix that is left
-     (the ops it kept, then the next ones the walk did not reach). Returns
-     how many ops issued. *)
+     ops in order while issue slots remain, unlinking each op that issues.
+     Returns how many ops issued. *)
   let walk th budget =
     let now = !now in
     let prev = ref (-1) and node = ref th.unissued_head in
-    let steps = ref 0 and kept = ref 0 and n_issued = ref 0 and sw = ref max_int in
+    let steps = ref 0 and n_issued = ref 0 in
     while !node >= 0 && !steps < 4 && !n_issued < budget do
       let i = !node in
       let s = slot th i in
@@ -976,19 +896,13 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
       in
       if w < 0 then begin
         incr n_issued;
-        th.n_unissued <- th.n_unissued - 1;
         if !prev < 0 then th.unissued_head <- next
         else Array.unsafe_set th.link (slot th !prev) next;
         if th.unissued_tail = i then th.unissued_tail <- !prev
       end
-      else begin
-        incr kept;
-        if k = Trace.op_enq then sw := 0 else sw := Int.min !sw w;
-        prev := i
-      end;
+      else prev := i;
       node := next
     done;
-    th.scan_wake <- rest_of_prefix th !node (4 - !kept) !sw;
     !n_issued
   in
   let issue_core ci core_threads =
@@ -1010,7 +924,6 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
             && (not (inactive th))
             && !issue_budget > 0
             && th.scanned < cfg.sched_scan
-            && th.scan_wake <= !now
           then begin
             let n = walk th !issue_budget in
             if n > 0 then begin
@@ -1108,7 +1021,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
       let th = lv.(j) in
       if not th.done_ then begin
         (* live set not yet pruned this cycle, so recheck done_ *)
-        let r = if th.issued_this_cycle > 0 then R_issue else classify reasons queues !now th in
+        let r = classify reasons queues !now th in
         (match r with
         | R_issue -> th.cy_issue <- th.cy_issue + delta
         | R_backend lvl ->
@@ -1138,7 +1051,6 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
      static producer/consumer wiring of the pipeline text. *)
   let fail_run kind =
     let names = Forensics.agent_names p in
-    let _, producers, consumers = Forensics.queue_users p in
     (* The oldest unissued op in the window is the root cause and takes
        priority over the frontend state: a stage wedged on a full-queue
        enqueue usually also has an unresolved branch stuck behind it, and
@@ -1214,36 +1126,10 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
            ras)
     in
     let agents = thread_agents @ ra_agents in
-    let waiting =
-      List.filter_map
-        (fun a ->
-          match a.Forensics.ag_blocked with
-          | Forensics.On_queue_empty q | Forensics.On_queue_full q -> Some (a, q)
-          | Forensics.On_barrier _ -> Some (a, -1)
-          | _ -> None)
-        agents
-    in
-    let users tbl q = if q >= 0 && q < Array.length tbl then tbl.(q) else [] in
-    let unblockers a =
-      match a.Forensics.ag_blocked with
-      | Forensics.On_queue_empty q ->
-        List.filter (fun b -> List.mem b.Forensics.ag_id (users producers q)) agents
-      | Forensics.On_queue_full q ->
-        List.filter (fun b -> List.mem b.Forensics.ag_id (users consumers q)) agents
-      | Forensics.On_barrier bar ->
-        List.filter
-          (fun b ->
-            b.Forensics.ag_id < n_threads
-            && b.Forensics.ag_blocked <> Forensics.Finished
-            && b.Forensics.ag_blocked <> Forensics.On_barrier bar)
-          agents
-      | _ -> []
-    in
     let wait_cycle =
       match kind with
       | Forensics.Budget_exhausted -> []
-      | Forensics.Deadlock | Forensics.Livelock ->
-        Forensics.find_wait_cycle ~waiting ~unblockers
+      | Forensics.Deadlock | Forensics.Livelock -> Forensics.wait_cycle p agents
     in
     let queue_snaps =
       List.init n_queues (fun q ->
@@ -1406,9 +1292,12 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
       guard := 0
     end
     else begin
-      (* fast-forward to the next event *)
+      (* fast-forward to the next event, but no further than the first
+         cycle past the budget or the watchdog window, where the run fails *)
       let t = next_event events !now in
       if t >= 0 then begin
+        let t = if t > cycle_budget then cycle_budget + 1 else t in
+        let t = if t - !last_retire > watchdog then !last_retire + watchdog + 1 else t in
         account (t - !now - 1);
         now := t
       end

@@ -165,9 +165,6 @@ type plan = {
   pl_kernel : string; (* kernel function name *)
 }
 
-let find_sparse formats t =
-  List.exists (fun f -> match f with Faccess a -> List.assoc a.tensor formats = Csr | Fconst _ -> false) t.factors
-
 (* Emit the value expression of one factor at loop position, given:
    [row] the outer index var, [je] the sparse column variable (if any),
    [k] an inner dense contraction variable (if any). *)

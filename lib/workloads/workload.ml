@@ -44,8 +44,3 @@ let check (b : bound) (r : Phloem_ir.Interp.result) : bool =
       | Some got, Some want -> values_close ~tol:b.b_float_tolerance got want
       | _, _ -> false)
     b.b_check_arrays
-
-(* Partition [0, n) into [threads] contiguous slices; returns start offsets
-   of length threads+1. Used by the data-parallel variants. *)
-let slice_bounds ~n ~threads =
-  Array.init (threads + 1) (fun t -> t * n / threads)

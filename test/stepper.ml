@@ -4,17 +4,17 @@
    It replays a trace on the same machine model as the engine ([Config],
    [Cache], [Predictor] and [Faults] are shared, and so are the input and
    output types: [Trace], [Engine.result] and [Forensics]), but it shares
-   none of [Engine.run]'s code. It has none of the engine's skips:
+   none of [Engine.run]'s code. It has neither of the engine's skips:
 
    - it advances one cycle at a time, with no event calendar to jump over
-     cycles in which nothing happens;
+     cycles in which nothing happens, and classifies every live thread's
+     stall on every cycle;
    - it probes every op in a thread's probe prefix on every walk, with no
-     per-op wake cycle and no per-thread scan wake;
-   - it classifies every live thread's stall on every cycle, with no
-     cached verdict;
-   - it keeps per-op state in trace-length arrays, read with checked
-     indexing, and finds a probe prefix (the oldest four dispatched ops not
-     yet issued) by scanning the thread's window in program order.
+     per-op wake cycle.
+
+   It also keeps per-op state in trace-length arrays, read with checked
+   indexing, and finds a probe prefix (the oldest four dispatched ops not
+   yet issued) by scanning the thread's window in program order.
 
    A run that stops making progress is declared deadlocked after five
    cycles without progress and with nothing pending, where "pending" is
@@ -242,7 +242,6 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||]) ?(queue_caps = []
   let fail failure =
     let names = Forensics.agent_names p in
     let name id default = if id < Array.length names then names.(id) else default in
-    let _, producers, consumers = Forensics.queue_users p in
     let blocked_of th =
       if th.finished then Forensics.Finished
       else if th.killed then Forensics.Killed
@@ -298,29 +297,6 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||]) ?(queue_caps = []
                })
              ras)
     in
-    let users tbl q = if q >= 0 && q < Array.length tbl then tbl.(q) else [] in
-    let among ids = List.filter (fun (b : Forensics.agent_report) -> List.mem b.ag_id ids) agents in
-    let unblockers (a : Forensics.agent_report) =
-      match a.ag_blocked with
-      | Forensics.On_queue_empty q -> among (users producers q)
-      | Forensics.On_queue_full q -> among (users consumers q)
-      | Forensics.On_barrier bar ->
-        List.filter
-          (fun (b : Forensics.agent_report) ->
-            b.ag_id < n_threads && b.ag_blocked <> Forensics.Finished
-            && b.ag_blocked <> Forensics.On_barrier bar)
-          agents
-      | _ -> []
-    in
-    let waiting =
-      List.filter_map
-        (fun (a : Forensics.agent_report) ->
-          match a.ag_blocked with
-          | Forensics.On_queue_empty q | Forensics.On_queue_full q -> Some (a, q)
-          | Forensics.On_barrier _ -> Some (a, -1)
-          | _ -> None)
-        agents
-    in
     Forensics.fail
       {
         Forensics.fr_kind = failure;
@@ -332,7 +308,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||]) ?(queue_caps = []
               { Forensics.qo_id = q; qo_occupancy = queues.(q).occ; qo_capacity = queues.(q).cap });
         fr_wait_cycle =
           (if failure = Forensics.Budget_exhausted then []
-           else Forensics.find_wait_cycle ~waiting ~unblockers);
+           else Forensics.wait_cycle p agents);
         fr_injected = (match faults with Some f -> Faults.total f | None -> 0);
         fr_diagnosis = [];
       }

@@ -16,9 +16,10 @@
    accelerators, telemetry, and fault plans that end clean, in deadlock, in
    livelock and in budget exhaustion.
 
-   The same cases, and a seeded QCheck property over random machines, run
-   the engine against [Stepper], a reference that advances one cycle at a
-   time with none of the engine's skips: the digests pin the output, the
+   The same cases, four runs that cross the cycle budget or the watchdog
+   window, and a seeded QCheck property over random machines run the
+   engine against [Stepper], a reference that advances one cycle at a time
+   with none of the engine's skips: the digests pin the output, the
    stepper checks it. *)
 
 open Phloem_ir
@@ -239,6 +240,27 @@ let ring_cases () =
   @ bfs "rmat" (Phloem_graph.Gen.rmat ~scale:8 ~edge_factor:4 ~seed:7)
   @ [ manual "SpMM/manual/ra-inputs=1" (Spmm.bind a bt) [ (0, 1); (1, 1); (2, 1); (3, 1) ] ]
 
+(* Runs that cross the cycle budget or the watchdog window while the
+   engine fast-forwards to a calendar event beyond it: the run must fail at
+   the first cycle past the threshold, as the stepper's does, not at that
+   later event. No digest is recorded for these; the stepper checks them,
+   and [threshold_case] checks how each fails. *)
+let threshold_cases () =
+  let b = Bfs.bind (grid ()) in
+  let serial = b.Workload.b_serial in
+  let manual =
+    match b.Workload.b_manual with
+    | Some m -> m
+    | None -> Alcotest.fail "BFS: no manual pipeline"
+  in
+  let at ?watchdog ?cycle_budget name (p, inputs) = case ~inputs ?watchdog ?cycle_budget name p in
+  [
+    (at ~cycle_budget:100 "BFS/serial/budget=100" serial, Forensics.Budget_exhausted);
+    (at ~cycle_budget:1000 "BFS/serial/budget=1000" serial, Forensics.Budget_exhausted);
+    (at ~watchdog:30 "BFS/serial/watchdog=30" serial, Forensics.Livelock);
+    (at ~watchdog:20 "BFS/manual/watchdog=20" manual, Forensics.Livelock);
+  ]
+
 (* Recorded before the hot-path rework; see the header. *)
 let golden =
   [
@@ -293,6 +315,13 @@ let test_case c =
 
 let stepper_case c =
   Alcotest.test_case c.name `Quick (fun () ->
+      Alcotest.(check (list string)) (c.name ^ ": engine = stepper") [] (stepper_differences c))
+
+let threshold_case (c, kind) =
+  Alcotest.test_case c.name `Quick (fun () ->
+      let prefix = Forensics.kind_name kind ^ ":" in
+      Alcotest.(check bool) (c.name ^ ": fails as " ^ prefix) true
+        (String.starts_with ~prefix (digest c));
       Alcotest.(check (list string)) (c.name ^ ": engine = stepper") [] (stepper_differences c))
 
 (* --- engine = stepper on random machines -------------------------------- *)
@@ -483,6 +512,7 @@ let () =
       ("golden ring", List.map test_case golden_ring);
       ( "stepper",
         List.map stepper_case (golden_kernels @ golden_machine @ golden_ring)
+        @ List.map threshold_case (threshold_cases ())
         @ [
             QCheck_alcotest.to_alcotest ~speed_level:`Quick
               ~rand:(Random.State.make [| 22 |])
