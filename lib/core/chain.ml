@@ -67,60 +67,22 @@ let rec extract_scan (stmts : stmt list) : (scan_match * stmt list) option =
 
 (* --- effect & queue usage analysis --- *)
 
-let rec stmts_have_effect stmts =
-  List.exists
-    (fun s ->
+let stmts_have_effect stmts =
+  fold_stmts
+    (fun found s ->
+      found
+      ||
       match s with
       | Store _ | Atomic_min _ | Atomic_add _ | Prefetch _ | Enq _ | Enq_ctrl _
       | Enq_indexed _ ->
         true
-      | Assign _ | Break | Exit_loops _ | Barrier _ | Seq_marker _ -> false
-      | If (_, _, t, f) -> stmts_have_effect t || stmts_have_effect f
-      | While (_, _, b) | For (_, _, _, _, b) -> stmts_have_effect b)
-    stmts
+      | Assign _ | If _ | While _ | For _ | Break | Exit_loops _ | Barrier _
+      | Seq_marker _ ->
+        false)
+    false stmts
 
-let rec expr_deqs acc = function
-  | Deq q -> q :: acc
-  | Const _ | Var _ -> acc
-  | Binop (_, a, b) -> expr_deqs (expr_deqs acc a) b
-  | Unop (_, a) | Is_control a | Ctrl_payload a -> expr_deqs acc a
-  | Load (_, i) -> expr_deqs acc i
-  | Call (_, args) -> List.fold_left expr_deqs acc args
-
-let rec stmt_queues ~enqs ~deqs s =
-  match s with
-  | Assign (_, e) -> deqs := expr_deqs !deqs e
-  | Store (_, i, v) | Atomic_min (_, i, v) | Atomic_add (_, i, v) ->
-    deqs := expr_deqs (expr_deqs !deqs i) v
-  | Prefetch (_, i) -> deqs := expr_deqs !deqs i
-  | Enq (q, e) ->
-    enqs := q :: !enqs;
-    deqs := expr_deqs !deqs e
-  | Enq_ctrl (q, _) -> enqs := q :: !enqs
-  | Enq_indexed (qs, a, b) ->
-    enqs := Array.to_list qs @ !enqs;
-    deqs := expr_deqs (expr_deqs !deqs a) b
-  | If (_, c, t, f) ->
-    deqs := expr_deqs !deqs c;
-    List.iter (stmt_queues ~enqs ~deqs) t;
-    List.iter (stmt_queues ~enqs ~deqs) f
-  | While (_, c, b) ->
-    deqs := expr_deqs !deqs c;
-    List.iter (stmt_queues ~enqs ~deqs) b
-  | For (_, _, lo, hi, b) ->
-    deqs := expr_deqs (expr_deqs !deqs lo) hi;
-    List.iter (stmt_queues ~enqs ~deqs) b
-  | Break | Exit_loops _ | Barrier _ | Seq_marker _ -> ()
-
-let stage_queues (st : stage) =
-  let enqs = ref [] and deqs = ref [] in
-  List.iter (stmt_queues ~enqs ~deqs) st.s_body;
-  List.iter
-    (fun h ->
-      deqs := h.h_queue :: !deqs;
-      List.iter (stmt_queues ~enqs ~deqs) h.h_body)
-    st.s_handlers;
-  (List.sort_uniq compare !enqs, List.sort_uniq compare !deqs)
+(* The queues [st] dequeues from, handlers included. *)
+let dequeued st = snd (Phloem_ir.Forensics.stage_queues st)
 
 (* Remove enqueues targeting dead queues. *)
 let rec prune_enqs dead stmts =
@@ -150,7 +112,7 @@ let chain_step (p : pipeline) : pipeline option =
         (* the extracted loop's control-value handler leaves with it: keep
            only handlers guarding queues the residual body still dequeues *)
         let residual =
-          let _, deqs = stage_queues { st with s_body = residual_body; s_handlers = [] } in
+          let deqs = dequeued { st with s_body = residual_body; s_handlers = [] } in
           {
             st with
             s_body = residual_body;
@@ -214,7 +176,7 @@ let cleanup (p : pipeline) : pipeline =
     let stages =
       List.map
         (fun st ->
-          let _, deqs = stage_queues { st with s_handlers = [] } in
+          let deqs = dequeued { st with s_handlers = [] } in
           {
             st with
             s_handlers = List.filter (fun h -> List.mem h.h_queue deqs) st.s_handlers;
@@ -223,7 +185,7 @@ let cleanup (p : pipeline) : pipeline =
     in
     let p = { p with p_stages = stages } in
     let live_deqs =
-      List.concat_map (fun st -> snd (stage_queues st)) p.p_stages
+      List.concat_map dequeued p.p_stages
       @ List.map (fun (r : ra_config) -> r.ra_in) p.p_ras
     in
     (* RAs with a dead output are dead; their inputs die with them *)
@@ -232,7 +194,7 @@ let cleanup (p : pipeline) : pipeline =
     in
     let ras = List.filter (fun r -> not (List.mem r dead_ras)) p.p_ras in
     let live_deqs =
-      List.concat_map (fun st -> snd (stage_queues st)) p.p_stages
+      List.concat_map dequeued p.p_stages
       @ List.map (fun (r : ra_config) -> r.ra_in) ras
     in
     let dead =

@@ -338,57 +338,29 @@ let plan_barriers (ctx : Ctx.context) (d : decisions) =
   if ctx.Ctx.n_stages > 1 then begin
     let arrays_written nodes =
       let acc = ref [] in
-      let rec go ns =
-        List.iter
-          (fun n ->
-            match n with
-            | K.Kstmt (k, (Store (a, _, _) | Atomic_min (a, _, _) | Atomic_add (a, _, _))) ->
-              acc := (a, ctx.Ctx.stage_of.(k)) :: !acc
-            | K.Kstmt _ -> ()
-            | K.Kif (_, _, _, t, f) ->
-              go t;
-              go f
-            | K.Kwhile (_, _, _, b) | K.Kfor (_, _, _, _, _, b) -> go b)
-          ns
-      in
-      go nodes;
+      K.iter_list
+        (function
+          | K.Kstmt (k, (Store (a, _, _) | Atomic_min (a, _, _) | Atomic_add (a, _, _))) ->
+            acc := (a, ctx.Ctx.stage_of.(k)) :: !acc
+          | _ -> ())
+        nodes;
       !acc
     in
     let arrays_read nodes =
       let acc = ref [] in
-      let rec go_expr k e =
-        match e with
-        | Load (a, i) ->
-          acc := (a, ctx.Ctx.stage_of.(k)) :: !acc;
-          go_expr k i
-        | Binop (_, x, y) ->
-          go_expr k x;
-          go_expr k y
-        | Unop (_, x) | Is_control x | Ctrl_payload x -> go_expr k x
-        | Call (_, args) -> List.iter (go_expr k) args
-        | Const _ | Var _ | Deq _ -> ()
-      in
-      let rec go ns =
-        List.iter
-          (fun n ->
-            match n with
-            | K.Kstmt (k, stmt) -> (
-              match stmt with
-              | Assign (_, e) | Enq (_, e) | Prefetch (_, e) -> go_expr k e
-              | Store (_, i, v) | Atomic_min (_, i, v) | Atomic_add (_, i, v) ->
-                go_expr k i;
-                go_expr k v
-              | Enq_indexed (_, a, b) ->
-                go_expr k a;
-                go_expr k b
-              | _ -> ())
-            | K.Kif (_, _, _, t, f) ->
-              go t;
-              go f
-            | K.Kwhile (_, _, _, b) | K.Kfor (_, _, _, _, _, b) -> go b)
-          ns
-      in
-      go nodes;
+      K.iter_list
+        (function
+          | K.Kstmt (k, stmt) ->
+            List.iter
+              (fold_expr
+                 (fun () e ->
+                   match e with
+                   | Load (a, _) -> acc := (a, ctx.Ctx.stage_of.(k)) :: !acc
+                   | _ -> ())
+                 ())
+              (stmt_exprs stmt)
+          | _ -> ())
+        nodes;
       !acc
     in
     let rec scan_siblings nodes =

@@ -37,16 +37,15 @@ let depth_weight depth = (8.0 ** float_of_int depth)
 let base_cost = function Indirect -> 4.0 | Scan -> 1.5 | Sequential -> 1.0
 
 (* Does [body] (the rest of an iteration after the load) store to [arr]? *)
-let rec stores_to arr (nodes : Ktree.t list) =
-  List.exists
-    (fun n ->
-      match n with
+let stores_to arr (nodes : Ktree.t list) =
+  let found = ref false in
+  Ktree.iter_list
+    (function
       | Ktree.Kstmt (_, (Store (a, _, _) | Atomic_min (a, _, _) | Atomic_add (a, _, _))) ->
-        a = arr
-      | Ktree.Kstmt _ -> false
-      | Ktree.Kif (_, _, _, t, f) -> stores_to arr t || stores_to arr f
-      | Ktree.Kwhile (_, _, _, b) | Ktree.Kfor (_, _, _, _, _, b) -> stores_to arr b)
-    nodes
+        if a = arr then found := true
+      | _ -> ())
+    nodes;
+  !found
 
 (* Analyze a keyed tree; returns load sites in program order. *)
 let analyze (tree : Ktree.t list) : load_site list =

@@ -45,28 +45,18 @@ let rec iter f node =
 
 let iter_list f nodes = List.iter (iter f) nodes
 
-(* Variables read by an expression. *)
-let rec expr_uses acc (e : expr) =
-  match e with
-  | Const _ -> acc
-  | Var x -> if List.mem x acc then acc else x :: acc
-  | Binop (_, a, b) -> expr_uses (expr_uses acc a) b
-  | Unop (_, a) | Is_control a | Ctrl_payload a -> expr_uses acc a
-  | Load (_, i) -> expr_uses acc i
-  | Deq _ -> acc
-  | Call (_, args) -> List.fold_left expr_uses acc args
+(* Variables read by an expression; each new one is consed onto [acc] as
+   it is first read. *)
+let expr_uses acc (e : expr) =
+  fold_expr
+    (fun acc e -> match e with Var x when not (List.mem x acc) -> x :: acc | _ -> acc)
+    acc e
 
 (* Variables read by a simple statement (not recursing into control). *)
 let stmt_uses (s : stmt) : var list =
   match s with
-  | Assign (_, e) -> expr_uses [] e
-  | Store (_, i, v) | Atomic_min (_, i, v) | Atomic_add (_, i, v) ->
-    expr_uses (expr_uses [] i) v
-  | Prefetch (_, i) -> expr_uses [] i
-  | Enq (_, e) -> expr_uses [] e
-  | Enq_indexed (_, sel, e) -> expr_uses (expr_uses [] sel) e
-  | Enq_ctrl _ | Break | Exit_loops _ | Barrier _ | Seq_marker _ -> []
   | If _ | While _ | For _ -> assert false
+  | _ -> List.fold_left expr_uses [] (stmt_exprs s)
 
 let stmt_def (s : stmt) : var option =
   match s with
@@ -82,9 +72,12 @@ let stmt_load (s : stmt) : (array_id * expr) option =
   | Assign (_, Load (a, i)) -> Some (a, i)
   | _ -> None
 
-let rec expr_is_pure (e : expr) =
-  match e with
-  | Const _ | Var _ -> true
-  | Binop (_, a, b) -> expr_is_pure a && expr_is_pure b
-  | Unop (_, a) -> expr_is_pure a
-  | Load _ | Deq _ | Is_control _ | Ctrl_payload _ | Call _ -> false
+let expr_is_pure (e : expr) =
+  fold_expr
+    (fun pure e ->
+      pure
+      &&
+      match e with
+      | Const _ | Var _ | Binop _ | Unop _ -> true
+      | Load _ | Deq _ | Is_control _ | Ctrl_payload _ | Call _ -> false)
+    true e

@@ -13,12 +13,8 @@ open Phloem_ir.Types
 
 let is_atom = function Const _ | Var _ -> true | _ -> false
 
-let rec has_load = function
-  | Const _ | Var _ | Deq _ -> false
-  | Load _ -> true
-  | Binop (_, a, b) -> has_load a || has_load b
-  | Unop (_, a) | Is_control a | Ctrl_payload a -> has_load a
-  | Call (_, args) -> List.exists has_load args
+let has_load e =
+  fold_expr (fun found e -> found || match e with Load _ -> true | _ -> false) false e
 
 (* Flatten an expression to an atom, emitting setup statements. *)
 let rec atomize fresh acc e =

@@ -89,23 +89,10 @@ let describe_of (p : pass) =
 
 (* ---------- op counting (for per-pass deltas) ---------- *)
 
-let rec stmt_ops s =
-  1
-  +
-  match s with
-  | If (_, _, t, f) -> block_ops t + block_ops f
-  | While (_, _, b) | For (_, _, _, _, b) -> block_ops b
-  | Assign _ | Store _ | Atomic_min _ | Atomic_add _ | Prefetch _ | Enq _
-  | Enq_ctrl _ | Enq_indexed _ | Break | Exit_loops _ | Barrier _ | Seq_marker _ ->
-    0
-
-and block_ops stmts = List.fold_left (fun acc s -> acc + stmt_ops s) 0 stmts
-
 let count_ops (p : pipeline) =
+  let count n b = fold_stmts (fun n _ -> n + 1) n b in
   List.fold_left
-    (fun acc st ->
-      acc + block_ops st.s_body
-      + List.fold_left (fun a h -> a + block_ops h.h_body) 0 st.s_handlers)
+    (fun n st -> List.fold_left (fun n h -> count n h.h_body) (count n st.s_body) st.s_handlers)
     0 p.p_stages
 
 (* ---------- manager ---------- *)

@@ -86,48 +86,17 @@ let check_deadlock : Pass.pass =
 
     let first_queue_op (s : stage) =
       let exception Found of first_op in
-      let rec ex (e : expr) =
-        match e with
-        | Deq q -> raise (Found (F_deq q))
-        | Const _ | Var _ -> ()
-        | Binop (_, a, b) ->
-          ex a;
-          ex b
-        | Unop (_, a) | Is_control a | Ctrl_payload a -> ex a
-        | Load (_, i) -> ex i
-        | Call (_, args) -> List.iter ex args
-      in
-      let rec st (x : stmt) =
+      let deq () e = match e with Deq q -> raise (Found (F_deq q)) | _ -> () in
+      let visit () x =
+        (* an enqueued value is computed first: a Deq inside it blocks
+           before the enqueue lands *)
+        List.iter (fold_expr deq ()) (stmt_exprs x);
         match x with
-        | Assign (_, e) | Prefetch (_, e) -> ex e
-        | Store (_, a, b) | Atomic_min (_, a, b) | Atomic_add (_, a, b) ->
-          ex a;
-          ex b
-        | Enq (_, e) ->
-          ex e;
-          (* the enqueued value is computed first: a Deq inside it blocks
-             before the enqueue lands *)
-          raise (Found F_enq)
-        | Enq_ctrl _ -> raise (Found F_enq)
-        | Enq_indexed (_, a, b) ->
-          ex a;
-          ex b;
-          raise (Found F_enq)
-        | If (_, c, t, f) ->
-          ex c;
-          List.iter st t;
-          List.iter st f
-        | While (_, c, b) ->
-          ex c;
-          List.iter st b
-        | For (_, _, lo, hi, b) ->
-          ex lo;
-          ex hi;
-          List.iter st b
-        | Break | Exit_loops _ | Barrier _ | Seq_marker _ -> ()
+        | Enq _ | Enq_ctrl _ | Enq_indexed _ -> raise (Found F_enq)
+        | _ -> ()
       in
       try
-        List.iter st s.s_body;
+        fold_stmts visit () s.s_body;
         F_none
       with Found f -> f
 

@@ -50,65 +50,47 @@ let assign_stages tree n_keys (cuts : Costmodel.cut list) =
     cuts;
   let ordinal = ref 0 in
   let stage = ref 0 in
-  let rec walk nodes =
-    List.iter
-      (fun node ->
-        match node with
-        | K.Kstmt (k, stmt) -> (
-          match K.stmt_load stmt with
-          | None -> stage_of.(k) <- !stage
-          | Some _ ->
-            let o = !ordinal in
-            incr ordinal;
-            load_ord.(k) <- o;
-            (match Hashtbl.find_opt cut_start o with
-            | Some c when c.Costmodel.cut_prefetch ->
-              (* boundary before the load; producer prefetches *)
-              Hashtbl.replace prefetch_from k !stage;
-              incr stage
-            | Some _ | None -> ());
-            stage_of.(k) <- !stage;
-            (match Hashtbl.find_opt cut_end o with
-            | Some c when not c.Costmodel.cut_prefetch ->
-              List.iter (fun _ -> ()) c.Costmodel.cut_loads;
-              Hashtbl.replace cut_head_keys k ();
-              incr stage
-            | Some _ | None -> ());
-            (* non-tail members of a normal cut group are also RA-mergeable *)
-            (match Hashtbl.find_opt cut_start o with
-            | Some c when (not c.Costmodel.cut_prefetch) && List.length c.Costmodel.cut_loads > 1
-              ->
-              Hashtbl.replace cut_head_keys k ()
-            | _ -> ()))
-        | K.Kif (_, _, _, t, f) ->
-          walk t;
-          walk f
-        | K.Kwhile (_, _, _, b) | K.Kfor (_, _, _, _, _, b) -> walk b)
-      nodes
-  in
-  walk tree;
+  K.iter_list
+    (function
+      | K.Kstmt (k, stmt) -> (
+        match K.stmt_load stmt with
+        | None -> stage_of.(k) <- !stage
+        | Some _ ->
+          let o = !ordinal in
+          incr ordinal;
+          load_ord.(k) <- o;
+          (match Hashtbl.find_opt cut_start o with
+          | Some c when c.Costmodel.cut_prefetch ->
+            (* boundary before the load; producer prefetches *)
+            Hashtbl.replace prefetch_from k !stage;
+            incr stage
+          | Some _ | None -> ());
+          stage_of.(k) <- !stage;
+          (match Hashtbl.find_opt cut_end o with
+          | Some c when not c.Costmodel.cut_prefetch ->
+            Hashtbl.replace cut_head_keys k ();
+            incr stage
+          | Some _ | None -> ());
+          (* non-tail members of a normal cut group are also RA-mergeable *)
+          (match Hashtbl.find_opt cut_start o with
+          | Some c when (not c.Costmodel.cut_prefetch) && List.length c.Costmodel.cut_loads > 1
+            ->
+            Hashtbl.replace cut_head_keys k ()
+          | _ -> ()))
+      | K.Kif _ | K.Kwhile _ | K.Kfor _ -> ())
+    tree;
   (* middle members of normal groups: mark them too *)
-  let rec mark_members nodes =
-    List.iter
-      (fun node ->
-        match node with
-        | K.Kstmt (k, stmt) -> (
-          match K.stmt_load stmt with
-          | Some _ ->
-            let o = load_ord.(k) in
-            List.iter
-              (fun (c : Costmodel.cut) ->
-                if (not c.Costmodel.cut_prefetch) && List.mem o c.Costmodel.cut_loads then
-                  Hashtbl.replace cut_head_keys k ())
-              cuts
-          | None -> ())
-        | K.Kif (_, _, _, t, f) ->
-          mark_members t;
-          mark_members f
-        | K.Kwhile (_, _, _, b) | K.Kfor (_, _, _, _, _, b) -> mark_members b)
-      nodes
-  in
-  mark_members tree;
+  K.iter_list
+    (function
+      | K.Kstmt (k, stmt) when Option.is_some (K.stmt_load stmt) ->
+        let o = load_ord.(k) in
+        List.iter
+          (fun (c : Costmodel.cut) ->
+            if (not c.Costmodel.cut_prefetch) && List.mem o c.Costmodel.cut_loads then
+              Hashtbl.replace cut_head_keys k ())
+          cuts
+      | _ -> ())
+    tree;
   (stage_of, load_ord, prefetch_from, cut_head_keys, !stage + 1)
 
 (* ---------- phase B: context construction ---------- *)

@@ -95,12 +95,8 @@ type program = {
 
 (* --- compiler --- *)
 
-let rec expr_has_deq = function
-  | Deq _ -> true
-  | Const _ | Var _ -> false
-  | Binop (_, a, b) -> expr_has_deq a || expr_has_deq b
-  | Unop (_, a) | Is_control a | Ctrl_payload a | Load (_, a) -> expr_has_deq a
-  | Call (_, args) -> List.exists expr_has_deq args
+let expr_has_deq e =
+  fold_expr (fun found e -> found || match e with Deq _ -> true | _ -> false) false e
 
 type cctx = {
   cc_stage : string;

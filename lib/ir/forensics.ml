@@ -84,10 +84,28 @@ let blocked_to_string = function
 
 (* ---------- static queue wiring ---------- *)
 
+(* The queues a stage enqueues into and dequeues from, unordered and possibly
+   repeated. Handlers count: a handler consumes control values arriving on
+   its queue, and its body can re-enqueue or dequeue on behalf of its
+   stage. *)
+let stage_queues (s : stage) =
+  let deq acc e = match e with Deq q -> q :: acc | _ -> acc in
+  let visit (enqs, deqs) x =
+    let deqs = List.fold_left (fold_expr deq) deqs (stmt_exprs x) in
+    match x with
+    | Enq (q, _) | Enq_ctrl (q, _) -> (q :: enqs, deqs)
+    | Enq_indexed (qs, _, _) -> (Array.to_list qs @ enqs, deqs)
+    | _ -> (enqs, deqs)
+  in
+  List.fold_left
+    (fun (enqs, deqs) h -> fold_stmts visit (enqs, h.h_queue :: deqs) h.h_body)
+    (fold_stmts visit ([], []) s.s_body)
+    s.s_handlers
+
 (* Producer/consumer agent sets per queue, scanned from the pipeline text.
    Agents are numbered stages-first, then RAs ([n_stages + ra index]), the
-   same order both execution paths use. Handler bodies count: a handler can
-   re-enqueue or dequeue on behalf of its stage. *)
+   same order both execution paths use; each set lists its agents in
+   descending order. *)
 let queue_users (p : pipeline) =
   let n_queues =
     List.fold_left (fun acc (q : queue_decl) -> max acc (q.q_id + 1)) 0 p.p_queues
@@ -100,53 +118,11 @@ let queue_users (p : pipeline) =
   let producers = Array.make (max n_queues 1) [] in
   let consumers = Array.make (max n_queues 1) [] in
   let add tbl q agent = if not (List.mem agent tbl.(q)) then tbl.(q) <- agent :: tbl.(q) in
-  let rec scan_expr agent e =
-    match e with
-    | Deq q -> add consumers q agent
-    | Const _ | Var _ -> ()
-    | Binop (_, a, b) ->
-      scan_expr agent a;
-      scan_expr agent b
-    | Unop (_, a) | Is_control a | Ctrl_payload a -> scan_expr agent a
-    | Load (_, i) -> scan_expr agent i
-    | Call (_, args) -> List.iter (scan_expr agent) args
-  in
-  let rec scan_stmt agent s =
-    match s with
-    | Assign (_, e) | Prefetch (_, e) -> scan_expr agent e
-    | Store (_, a, b) | Atomic_min (_, a, b) | Atomic_add (_, a, b) ->
-      scan_expr agent a;
-      scan_expr agent b
-    | Enq (q, e) ->
-      add producers q agent;
-      scan_expr agent e
-    | Enq_ctrl (q, _) -> add producers q agent
-    | Enq_indexed (qs, a, b) ->
-      Array.iter (fun q -> add producers q agent) qs;
-      scan_expr agent a;
-      scan_expr agent b
-    | If (_, c, t, f) ->
-      scan_expr agent c;
-      List.iter (scan_stmt agent) t;
-      List.iter (scan_stmt agent) f
-    | While (_, c, b) ->
-      scan_expr agent c;
-      List.iter (scan_stmt agent) b
-    | For (_, _, lo, hi, b) ->
-      scan_expr agent lo;
-      scan_expr agent hi;
-      List.iter (scan_stmt agent) b
-    | Break | Exit_loops _ | Barrier _ | Seq_marker _ -> ()
-  in
   List.iteri
     (fun i (s : stage) ->
-      List.iter (scan_stmt i) s.s_body;
-      List.iter
-        (fun (h : handler) ->
-          (* a handler consumes control values arriving on its queue *)
-          add consumers h.h_queue i;
-          List.iter (scan_stmt i) h.h_body)
-        s.s_handlers)
+      let enqs, deqs = stage_queues s in
+      List.iter (fun q -> add producers q i) enqs;
+      List.iter (fun q -> add consumers q i) deqs)
     p.p_stages;
   let n_stages = List.length p.p_stages in
   List.iteri

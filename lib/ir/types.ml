@@ -160,6 +160,47 @@ let renumber_sites (p : pipeline) : pipeline =
   in
   { p with p_stages = List.map stage p.p_stages }
 
+(* --- the one read-only traversal ---
+
+   Analyses that only look at the IR fold through these three instead of
+   matching every constructor. They visit in evaluation order: pre-order,
+   operands left to right, an [If]'s condition before its then-block and
+   that before its else-block, a [For]'s [lo] and [hi] before its body.
+   Check-deadlock's verdict, the order of def/use lists and which error
+   [Validate] reports first all depend on that order. *)
+
+(* [e] and every sub-expression of it, pre-order. *)
+let rec fold_expr f acc e =
+  let acc = f acc e in
+  match e with
+  | Const _ | Var _ | Deq _ -> acc
+  | Binop (_, a, b) -> fold_expr f (fold_expr f acc a) b
+  | Unop (_, a) | Is_control a | Ctrl_payload a | Load (_, a) -> fold_expr f acc a
+  | Call (_, args) -> List.fold_left (fold_expr f) acc args
+
+(* The expressions [s] evaluates itself, in evaluation order: a compound
+   statement's condition or bounds, not its blocks. *)
+let stmt_exprs = function
+  | Assign (_, e) | Prefetch (_, e) | Enq (_, e) -> [ e ]
+  | Store (_, i, v) | Atomic_min (_, i, v) | Atomic_add (_, i, v) | Enq_indexed (_, i, v) ->
+    [ i; v ]
+  | If (_, c, _, _) | While (_, c, _) -> [ c ]
+  | For (_, _, lo, hi, _) -> [ lo; hi ]
+  | Enq_ctrl _ | Break | Exit_loops _ | Barrier _ | Seq_marker _ -> []
+
+(* Every statement of [block], nested ones included, pre-order. *)
+let rec fold_stmts f acc block =
+  List.fold_left
+    (fun acc s ->
+      let acc = f acc s in
+      match s with
+      | If (_, _, t, e) -> fold_stmts f (fold_stmts f acc t) e
+      | While (_, _, b) | For (_, _, _, _, b) -> fold_stmts f acc b
+      | Assign _ | Store _ | Atomic_min _ | Atomic_add _ | Prefetch _ | Enq _ | Enq_ctrl _
+      | Enq_indexed _ | Break | Exit_loops _ | Barrier _ | Seq_marker _ ->
+        acc)
+    acc block
+
 (* --- small accessors used across the compiler --- *)
 
 let value_is_ctrl = function Vctrl _ -> true | Vint _ | Vfloat _ -> false

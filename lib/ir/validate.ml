@@ -10,53 +10,39 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
 
 type queue_use = { mutable producers : string list; mutable consumers : string list }
 
-let rec scan_expr ~stage ~arrays ~use_queue ~in_handler:_ e =
-  match e with
-  | Const _ | Var _ -> ()
-  | Binop (_, a, b) ->
-    scan_expr ~stage ~arrays ~use_queue ~in_handler:false a;
-    scan_expr ~stage ~arrays ~use_queue ~in_handler:false b
-  | Unop (_, a) | Is_control a | Ctrl_payload a ->
-    scan_expr ~stage ~arrays ~use_queue ~in_handler:false a
-  | Load (arr, i) ->
-    if not (List.mem arr arrays) then fail "stage %s: load from undeclared array %s" stage arr;
-    scan_expr ~stage ~arrays ~use_queue ~in_handler:false i
-  | Deq q -> use_queue `Consume q
-  | Call (_, args) ->
-    List.iter (scan_expr ~stage ~arrays ~use_queue ~in_handler:false) args
-
+(* Each statement's own check comes before its expressions, and those before
+   its blocks: the first error reported is the first one met in evaluation
+   order. *)
 let rec scan_stmt ~stage ~arrays ~use_queue ~loop_depth s =
-  let scan_e = scan_expr ~stage ~arrays ~use_queue ~in_handler:false in
-  match s with
-  | Assign (_, e) -> scan_e e
-  | Store (arr, i, e) | Atomic_min (arr, i, e) | Atomic_add (arr, i, e) ->
-    if not (List.mem arr arrays) then fail "stage %s: store to undeclared array %s" stage arr;
-    scan_e i;
-    scan_e e
-  | Prefetch (arr, i) ->
-    if not (List.mem arr arrays) then fail "stage %s: prefetch of undeclared array %s" stage arr;
-    scan_e i
-  | Enq (q, e) ->
-    use_queue `Produce q;
-    scan_e e
-  | Enq_ctrl (q, _) -> use_queue `Produce q
-  | Enq_indexed (qs, sel, e) ->
-    Array.iter (use_queue `Produce) qs;
-    scan_e sel;
-    scan_e e
-  | If (_, c, t, f) ->
-    scan_e c;
-    List.iter (scan_stmt ~stage ~arrays ~use_queue ~loop_depth) t;
-    List.iter (scan_stmt ~stage ~arrays ~use_queue ~loop_depth) f
-  | While (_, c, body) ->
-    scan_e c;
-    List.iter (scan_stmt ~stage ~arrays ~use_queue ~loop_depth:(loop_depth + 1)) body
-  | For (_, _, lo, hi, body) ->
-    scan_e lo;
-    scan_e hi;
-    List.iter (scan_stmt ~stage ~arrays ~use_queue ~loop_depth:(loop_depth + 1)) body
+  let need_array what arr =
+    if not (List.mem arr arrays) then fail "stage %s: %s undeclared array %s" stage what arr
+  in
+  (match s with
+  | Store (arr, _, _) | Atomic_min (arr, _, _) | Atomic_add (arr, _, _) ->
+    need_array "store to" arr
+  | Prefetch (arr, _) -> need_array "prefetch of" arr
+  | Enq (q, _) | Enq_ctrl (q, _) -> use_queue `Produce q
+  | Enq_indexed (qs, _, _) -> Array.iter (use_queue `Produce) qs
   | Break -> if loop_depth = 0 then fail "stage %s: break outside of a loop" stage
-  | Exit_loops _ | Barrier _ | Seq_marker _ -> ()
+  | Assign _ | If _ | While _ | For _ | Exit_loops _ | Barrier _ | Seq_marker _ -> ());
+  List.iter
+    (fold_expr
+       (fun () e ->
+         match e with
+         | Load (arr, _) -> need_array "load from" arr
+         | Deq q -> use_queue `Consume q
+         | _ -> ())
+       ())
+    (stmt_exprs s);
+  let block depth = List.iter (scan_stmt ~stage ~arrays ~use_queue ~loop_depth:depth) in
+  match s with
+  | If (_, _, t, f) ->
+    block loop_depth t;
+    block loop_depth f
+  | While (_, _, body) | For (_, _, _, _, body) -> block (loop_depth + 1) body
+  | Assign _ | Store _ | Atomic_min _ | Atomic_add _ | Prefetch _ | Enq _ | Enq_ctrl _
+  | Enq_indexed _ | Break | Exit_loops _ | Barrier _ | Seq_marker _ ->
+    ()
 
 (* Raises [Invalid] on:
    - queue references to undeclared queues, arrays to undeclared arrays
@@ -76,35 +62,31 @@ let check (p : pipeline) =
       Hashtbl.replace uses q u;
       u
   in
-  let scan_unit name stmts =
-    let use_queue kind q =
-      if not (List.mem q declared) then fail "%s: undeclared queue q%d" name q;
-      let u = get_use q in
-      match kind with
-      | `Produce -> if not (List.mem name u.producers) then u.producers <- name :: u.producers
-      | `Consume -> if not (List.mem name u.consumers) then u.consumers <- name :: u.consumers
-    in
-    List.iter (scan_stmt ~stage:name ~arrays ~use_queue ~loop_depth:0) stmts
+  (* [who] prefixes the undeclared-queue error; [name] is the stage *)
+  let use_queue ~who name kind q =
+    if not (List.mem q declared) then fail "%s: undeclared queue q%d" who q;
+    let u = get_use q in
+    match kind with
+    | `Produce -> if not (List.mem name u.producers) then u.producers <- name :: u.producers
+    | `Consume -> if not (List.mem name u.consumers) then u.consumers <- name :: u.consumers
   in
   List.iter
     (fun stg ->
-      scan_unit stg.s_name stg.s_body;
+      let name = stg.s_name in
+      List.iter
+        (scan_stmt ~stage:name ~arrays ~use_queue:(use_queue ~who:name name) ~loop_depth:0)
+        stg.s_body;
       List.iter
         (fun h ->
           if not (List.mem h.h_queue declared) then
-            fail "stage %s: handler on undeclared queue q%d" stg.s_name h.h_queue;
+            fail "stage %s: handler on undeclared queue q%d" name h.h_queue;
           (* Handler bodies run on the consumer thread; loop_depth 1 because
              they fire inside the stage's dequeue loops. *)
-          let use_queue kind q =
-            if not (List.mem q declared) then fail "%s handler: undeclared queue q%d" stg.s_name q;
-            let u = get_use q in
-            match kind with
-            | `Produce ->
-              if not (List.mem stg.s_name u.producers) then u.producers <- stg.s_name :: u.producers
-            | `Consume ->
-              if not (List.mem stg.s_name u.consumers) then u.consumers <- stg.s_name :: u.consumers
-          in
-          List.iter (scan_stmt ~stage:stg.s_name ~arrays ~use_queue ~loop_depth:1) h.h_body)
+          List.iter
+            (scan_stmt ~stage:name ~arrays
+               ~use_queue:(use_queue ~who:(name ^ " handler") name)
+               ~loop_depth:1)
+            h.h_body)
         stg.s_handlers)
     p.p_stages;
   List.iter

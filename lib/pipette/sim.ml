@@ -18,74 +18,19 @@ let instrs r = r.sr_timing.Engine.instrs
 (* Derive a sensible RA-to-core placement: an RA lives next to the core of
    the stage that consumes its output (chains follow the final consumer). *)
 let ra_cores (p : Types.pipeline) (thread_core : int array) =
-  let stage_deqs =
-    List.mapi
-      (fun i (s : Types.stage) ->
-        let qs = ref [] in
-        let rec scan_expr (e : Types.expr) =
-          match e with
-          | Types.Deq q -> qs := q :: !qs
-          | Types.Const _ | Types.Var _ -> ()
-          | Types.Binop (_, a, b) ->
-            scan_expr a;
-            scan_expr b
-          | Types.Unop (_, a) | Types.Is_control a | Types.Ctrl_payload a -> scan_expr a
-          | Types.Load (_, i) -> scan_expr i
-          | Types.Call (_, args) -> List.iter scan_expr args
-        in
-        let rec scan_stmt (s : Types.stmt) =
-          match s with
-          | Types.Assign (_, e) -> scan_expr e
-          | Types.Store (_, a, b)
-          | Types.Atomic_min (_, a, b)
-          | Types.Atomic_add (_, a, b) ->
-            scan_expr a;
-            scan_expr b
-          | Types.Prefetch (_, a) -> scan_expr a
-          | Types.Enq (_, e) -> scan_expr e
-          | Types.Enq_ctrl _ -> ()
-          | Types.Enq_indexed (_, a, b) ->
-            scan_expr a;
-            scan_expr b
-          | Types.If (_, c, t, f) ->
-            scan_expr c;
-            List.iter scan_stmt t;
-            List.iter scan_stmt f
-          | Types.While (_, c, b) ->
-            scan_expr c;
-            List.iter scan_stmt b
-          | Types.For (_, _, lo, hi, b) ->
-            scan_expr lo;
-            scan_expr hi;
-            List.iter scan_stmt b
-          | Types.Break | Types.Exit_loops _ | Types.Barrier _ | Types.Seq_marker _ -> ()
-        in
-        List.iter scan_stmt s.Types.s_body;
-        List.iter (fun (h : Types.handler) -> List.iter scan_stmt h.Types.h_body) s.Types.s_handlers;
-        (i, !qs))
-      p.Types.p_stages
-  in
-  let consumer_core q =
-    let rec find = function
-      | [] -> None
-      | (i, qs) :: rest -> if List.mem q qs then Some thread_core.(i) else find rest
-    in
-    find stage_deqs
-  in
+  let _, _, consumers = Forensics.queue_users p in
+  let n_stages = List.length p.Types.p_stages in
   let ras = Array.of_list p.Types.p_ras in
-  (* An RA chain's final consumer: follow ra_out through other RAs. *)
   let rec core_for_out out_q depth =
     if depth > 8 then 0
     else
-      match consumer_core out_q with
-      | Some c -> c
-      | None -> (
-        match
-          Array.to_list ras
-          |> List.find_opt (fun (r : Types.ra_config) -> r.Types.ra_in = out_q)
-        with
-        | Some r -> core_for_out r.Types.ra_out (depth + 1)
-        | None -> 0)
+      let stages, ra_agents = List.partition (fun a -> a < n_stages) consumers.(out_q) in
+      match (stages, ra_agents) with
+      | _ :: _, _ -> thread_core.(List.fold_left min max_int stages)
+      | [], _ :: _ ->
+        let r = ras.(List.fold_left min max_int ra_agents - n_stages) in
+        core_for_out r.Types.ra_out (depth + 1)
+      | [], [] -> 0
   in
   Array.map (fun (r : Types.ra_config) -> core_for_out r.Types.ra_out 0) ras
 

@@ -24,8 +24,6 @@ type t = {
   ob_slow_s : float option;
   ob_next_trace : int Atomic.t;
   (* hot-path handles, resolved once *)
-  ob_hits : M.counter;
-  ob_misses : M.counter;
   ob_hit_latency : M.histogram;
   ob_miss_latency : M.histogram;
   ob_queue_wait : M.histogram;
@@ -38,8 +36,6 @@ let create ?slow_ms () =
     ob_recorder = M.recorder ();
     ob_slow_s = Option.map (fun ms -> ms /. 1000.0) slow_ms;
     ob_next_trace = Atomic.make 1;
-    ob_hits = M.counter m "phloemd_cache_hits";
-    ob_misses = M.counter m "phloemd_cache_misses";
     ob_hit_latency = M.histogram m "phloemd_request_latency_hit_s";
     ob_miss_latency = M.histogram m "phloemd_request_latency_miss_s";
     ob_queue_wait = M.histogram m "phloemd_queue_wait_s";
@@ -68,14 +64,7 @@ let observe_queue_wait t wait = M.observe t.ob_queue_wait wait
    identity so an operator can correlate with the trace id. *)
 let finish_request t ~trace ~hit ~start ~label =
   let latency = now () -. start in
-  if hit then begin
-    M.incr t.ob_hits;
-    M.observe t.ob_hit_latency latency
-  end
-  else begin
-    M.incr t.ob_misses;
-    M.observe t.ob_miss_latency latency
-  end;
+  M.observe (if hit then t.ob_hit_latency else t.ob_miss_latency) latency;
   match t.ob_slow_s with
   | Some thr when latency >= thr ->
     Log.warn ~component:"phloemd" "slow request trace=%d %s: %.1f ms (%s)"

@@ -91,6 +91,11 @@ type t = {
   t_requests : M.counter;
   t_ok : M.counter;
   t_errors : M.counter;
+  (* simulate requests answered from the result cache and from a job;
+     counted before the answer is written, so a client that reads an
+     answer and then asks for stats finds it counted *)
+  t_hits : M.counter;
+  t_misses : M.counter;
   t_shed : M.counter;
   t_started : float; (* Clock seconds *)
 }
@@ -152,6 +157,8 @@ let create (opts : opts) : t =
     t_requests = M.counter m "phloemd_requests";
     t_ok = M.counter m "phloemd_ok";
     t_errors = M.counter m "phloemd_errors";
+    t_hits = M.counter m "phloemd_cache_hits";
+    t_misses = M.counter m "phloemd_cache_misses";
     t_shed = M.counter m "phloemd_shed";
     t_started = Clock.now ();
   }
@@ -308,6 +315,7 @@ let respond_result t ~track (en : entry) (r : (string, exn) result) =
     | None -> f ()
     | Some o -> Obs.span o ~trace:en.en_trace ~track ~name:"respond" f
   in
+  M.incr t.t_misses;
   (match r with
   | Ok payload ->
     M.incr t.t_ok;
@@ -410,6 +418,7 @@ let handle_request t (c : client) (line : string) =
       (* content-addressed hit: answered on the reader thread, O(lookup),
          byte-identical to the cold response that filled the entry *)
       M.incr t.t_ok;
+      M.incr t.t_hits;
       reader_span "respond" (fun () ->
           send t c (Protocol.ok_response ~id ~cached:true payload));
       (match obs with

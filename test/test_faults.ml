@@ -181,20 +181,28 @@ let test_check_deadlock_accepts_shipped () =
     p'.Phloem_ir.Types.p_name
 
 let test_check_deadlock_rejects_cycle () =
-  (* every member's first queue op dequeues a queue only the cycle fills *)
-  let p =
-    pipeline "wedge"
-      ~queues:[ queue 0; queue 1 ]
-      [
-        stage "a" [ "x" <-- deq 0; enq 1 (v "x") ];
-        stage "b" [ "y" <-- deq 1; enq 0 (v "y") ];
-      ]
+  (* every member's first queue op dequeues a queue only the cycle fills;
+     a stage's first queue op is the first one it executes, so a dequeue in
+     an enqueued value, a for bound or an if condition comes before any
+     enqueue in the statement or its body *)
+  let wedge name a b =
+    pipeline name ~queues:[ queue 0; queue 1 ] [ stage "a" a; stage "b" b ]
   in
-  match run_check p with
-  | _ -> Alcotest.fail "wedged cycle accepted"
-  | exception Phloem.Pass.Reject msg ->
-    Alcotest.(check bool) "names the cycle" true (has "can never start" msg);
-    Alcotest.(check bool) "names members" true (has "a" msg && has "b" msg)
+  List.iter
+    (fun p ->
+      let name = p.Phloem_ir.Types.p_name in
+      match run_check p with
+      | _ -> Alcotest.failf "%s: wedged cycle accepted" name
+      | exception Phloem.Pass.Reject msg ->
+        Alcotest.(check bool) (name ^ " names the cycle") true (has "can never start" msg);
+        Alcotest.(check bool) (name ^ " names members") true (has "a" msg && has "b" msg))
+    [
+      wedge "wedge" [ "x" <-- deq 0; enq 1 (v "x") ] [ "y" <-- deq 1; enq 0 (v "y") ];
+      wedge "nested-wedge" [ enq 1 (deq 0) ] [ enq 0 (deq 1) ];
+      wedge "header-wedge"
+        [ for_ "i" (int 0) (deq 0) [ enq 1 (v "i") ] ]
+        [ when_ (deq 1 >! int 0) [ enq 0 (int 1) ] ];
+    ]
 
 let test_check_deadlock_rejects_producerless () =
   let p =

@@ -1,6 +1,7 @@
 (* Tests for the Phloem IR: interpreter semantics, queue/Kahn behaviour,
    control values and handlers, reference accelerators, trace columns,
-   validation, and the pipeline-equals-serial property on random programs. *)
+   validation, the pipeline-equals-serial property on random programs, and
+   the IR traversal's visit order against the interpreter's. *)
 
 open Phloem_ir
 open Types
@@ -568,6 +569,92 @@ let prop_queue_traffic_counts =
       let res = Interp.run p in
       res.Interp.r_queue_traffic.(0) = n)
 
+(* --- the IR traversal against the interpreter --- *)
+
+(* Straight-line code evaluates each expression exactly once, in the order
+   [fold_stmts]/[stmt_exprs]/[fold_expr] visit them, so the queues of the
+   Deq leaves they visit are, in order, the queues the consumer thread
+   dequeues from. Every value is 0 (the producer sends zeros and every
+   operator here keeps 0 at 0), so each index and selector is in range, no
+   loop body runs and an [If] runs its else-block. A block holds at most
+   6 x (8 + 4 x 16) Deq leaves, fewer than the 512 zeros per queue. *)
+let prop_traversal_matches_interp =
+  let out = 3 in
+  let gen =
+    let open QCheck.Gen in
+    let expr nq =
+      fix
+        (fun self depth ->
+          let leaf = map deq (int_bound (nq - 1)) in
+          if depth = 0 then leaf
+          else
+            let sub = self (depth - 1) in
+            frequency
+              [
+                (1, leaf);
+                ( 2,
+                  map3
+                    (fun op a b -> Binop (op, a, b))
+                    (oneofl [ Add; Sub; Mul; Band; Bor; Bxor; Min; Max ])
+                    sub sub );
+                (1, map2 (fun op a -> Unop (op, a)) (oneofl [ Neg; To_int; Fabs ]) sub);
+                (1, map (load "a") sub);
+                (1, map (call "f") (list_size (int_range 1 2) sub));
+                (1, map is_control sub);
+              ])
+        3
+    in
+    let stmt nq =
+      let e = expr nq in
+      let simple =
+        [
+          map (fun x -> "x" <-- x) e;
+          map2 (store "a") e e;
+          map2 (atomic_min "a") e e;
+          map2 (atomic_add "a") e e;
+          map (prefetch "a") e;
+          map (enq out) e;
+          map2 (enq_indexed [| out |]) e e;
+          map (fun c -> while_ c []) e;
+          map2 (fun lo hi -> for_ "i" lo hi []) e e;
+        ]
+      in
+      oneof
+        (map2 (fun c f -> if_ c [] f) e (list_size (int_range 0 4) (oneof simple)) :: simple)
+    in
+    int_range 2 3 >>= fun nq -> map (fun block -> (nq, block)) (list_size (int_range 1 6) (stmt nq))
+  in
+  let program (nq, block) =
+    pipeline "traversal"
+      ~arrays:[ int_array "a" 4 ]
+      ~queues:(List.init (out + 1) (fun q -> queue q))
+      ~call_costs:[ ("f", 1) ]
+      [
+        stage "prod" (List.init nq (fun q -> for_ "i" (int 0) (int 512) [ enq q (int 0) ]));
+        stage "cons" block;
+      ]
+  in
+  QCheck.Test.make ~count:200 ~name:"traversal visits dequeues in interpreter order"
+    (QCheck.make ~print:(fun b -> Printer.pipeline_to_string (program b)) gen)
+    (fun b ->
+      let p = program b in
+      let cons = (List.nth p.p_stages 1).s_body in
+      let deqs acc e = match e with Deq q -> q :: acc | _ -> acc in
+      let visited =
+        List.rev
+          (fold_stmts (fun acc s -> List.fold_left (fold_expr deqs) acc (stmt_exprs s)) [] cons)
+      in
+      let th = (Interp.run p).Interp.r_trace.Trace.threads.(1) in
+      let dequeued =
+        List.filter_map
+          (fun i ->
+            if Char.code (Bytes.get th.Trace.kind i) = Trace.op_deq then
+              Some (Int64.to_int (Bytes.get_int64_ne th.Trace.pa (8 * i)))
+            else None)
+          (List.init (Trace.length th) Fun.id)
+      in
+      visited <> [] && visited = dequeued)
+
 let suite =
   [
     Alcotest.test_case "serial sum" `Quick test_serial_sum;
@@ -589,6 +676,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_two_stage_equiv;
     QCheck_alcotest.to_alcotest prop_queue_traffic_counts;
     QCheck_alcotest.to_alcotest prop_trace_round_trip;
+    QCheck_alcotest.to_alcotest prop_traversal_matches_interp;
   ]
 
 let () = Alcotest.run "phloem_ir" [ ("ir", suite) ]

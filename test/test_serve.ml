@@ -312,6 +312,23 @@ let with_server ?(jobs = 1) ?(queue_limit = 64) ?(max_request = 1 lsl 20) ?obs
 (* a small, fast job: the tiny-scale internet graph through the compiler *)
 let tiny_job = { Protocol.default_job with Protocol.j_scale = 0.05 }
 
+(* The stats payload, requested on a connection of its own. *)
+let stats_of sock =
+  match
+    Protocol.response_payload_raw
+      (Client.with_unix sock (fun fd ->
+           Client.request fd (Protocol.plain_request "stats")))
+  with
+  | Some p -> Json.of_string p
+  | None -> Alcotest.fail "stats response needs a payload"
+
+let stats_int stats path =
+  match
+    List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some stats) path
+  with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.failf "stats lack int %s" (String.concat "." path)
+
 let test_e2e_cache_hit_byte_identical () =
   with_server (fun sock _server ->
       Pipette.Sim.clear_caches ();
@@ -483,7 +500,14 @@ let test_e2e_observability () =
         Alcotest.(check string)
           "payload bytes identical with observability on" p1 p2
       | _ -> Alcotest.fail "both responses must carry raw payloads");
-      (* --- metrics: latency split and queue wait --- *)
+      (* --- metrics: hit/miss counts, latency split and queue wait --- *)
+      (* Each answer is counted as a hit or a miss before it is written, so
+         a stats request sent once both answers are in finds both counted. *)
+      let stats = stats_of sock in
+      Alcotest.(check int) "stats: one hit" 1
+        (stats_int stats [ "metrics"; "counters"; "phloemd_cache_hits" ]);
+      Alcotest.(check int) "stats: one miss" 1
+        (stats_int stats [ "metrics"; "counters"; "phloemd_cache_misses" ]);
       (* The daemon writes each response before it records that request's
          respond span and then its latency observation, so wait (bounded)
          until both requests have made that last record. *)
@@ -506,7 +530,8 @@ let test_e2e_observability () =
       settle ();
       let snap = Metrics.snapshot (Obs.metrics obs) in
       let counter k = List.assoc k snap.Metrics.sn_counters in
-      Alcotest.(check int) "requests counted" 2 (counter "phloemd_requests");
+      (* the two simulate requests and the stats request *)
+      Alcotest.(check int) "requests counted" 3 (counter "phloemd_requests");
       Alcotest.(check int) "one hit" 1 (counter "phloemd_cache_hits");
       Alcotest.(check int) "one miss" 1 (counter "phloemd_cache_misses");
       let hist k = List.assoc k snap.Metrics.sn_hists in
@@ -609,23 +634,6 @@ let test_e2e_observability () =
           | Some w -> Alcotest.(check bool) "queue wait in stats" true (w >= 0.0)
           | None -> Alcotest.fail "scheduler stats need queue_wait_total_s")
         | None -> Alcotest.fail "stats payload needs a scheduler section"))
-
-(* The stats payload, requested on a connection of its own. *)
-let stats_of sock =
-  match
-    Protocol.response_payload_raw
-      (Client.with_unix sock (fun fd ->
-           Client.request fd (Protocol.plain_request "stats")))
-  with
-  | Some p -> Json.of_string p
-  | None -> Alcotest.fail "stats response needs a payload"
-
-let stats_int stats path =
-  match
-    List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some stats) path
-  with
-  | Some (Json.Int n) -> n
-  | _ -> Alcotest.failf "stats lack int %s" (String.concat "." path)
 
 (* about 2 s on a 2-vCPU host; tiny_job takes a few tens of ms *)
 let long_job =
