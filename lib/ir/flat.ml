@@ -11,7 +11,7 @@
 
    Equivalence contract: for any valid pipeline, the flat program emits a
    micro-op trace byte-identical to [Interp.run]'s — same op kinds,
-   payloads, dependency tokens, queue sequence numbers, and budget-check
+   payloads, dependency tokens, RA sequence numbers, and budget-check
    count — because both paths share the same emission helpers
    ([Interp.push_alu] / [push_branch] / [Trace.push]), the same queue
    runtime and value primitives, and the same deterministic scheduler
@@ -569,7 +569,6 @@ let exec_stage (st : I.state) (prog : program) ~(tr : Trace.thread_trace)
       prog.fp_callees
   in
   let last_store = Array.make (max 1 n_arr) Trace.no_dep in
-  let barrier_occ = Hashtbl.create 4 in
   let rv = Array.make (max 1 prog.fp_nregs) (Vint 0) in
   let rt = Array.make (max 1 prog.fp_nregs) Trace.no_dep in
   List.iter
@@ -637,7 +636,7 @@ let exec_stage (st : I.state) (prog : program) ~(tr : Trace.thread_trace)
       let tok =
         Trace.push tr ~kind:Trace.op_load
           ~pa:(ar_base.(s) + (idx * esize))
-          ~pb:esize ~dep1:rt.(ri) ~dep2:last_store.(s) ~dep3:Trace.no_dep
+          ~dep1:rt.(ri) ~dep2:last_store.(s) ~dep3:Trace.no_dep
       in
       let r = fa.(i) in
       rv.(r) <- data.(idx);
@@ -651,7 +650,7 @@ let exec_stage (st : I.state) (prog : program) ~(tr : Trace.thread_trace)
       let tok =
         Trace.push tr ~kind:Trace.op_store
           ~pa:(ar_base.(s) + (idx * esize))
-          ~pb:esize ~dep1:rt.(ri) ~dep2:rt.(re) ~dep3:last_store.(s)
+          ~dep1:rt.(ri) ~dep2:rt.(re) ~dep3:last_store.(s)
       in
       last_store.(s) <- tok;
       data.(idx) <- rv.(re)
@@ -664,7 +663,7 @@ let exec_stage (st : I.state) (prog : program) ~(tr : Trace.thread_trace)
       let tok =
         Trace.push tr ~kind:Trace.op_atomic
           ~pa:(ar_base.(s) + (idx * esize))
-          ~pb:esize ~dep1:rt.(ri) ~dep2:rt.(re) ~dep3:last_store.(s)
+          ~dep1:rt.(ri) ~dep2:rt.(re) ~dep3:last_store.(s)
       in
       last_store.(s) <- tok;
       data.(idx) <-
@@ -677,18 +676,18 @@ let exec_stage (st : I.state) (prog : program) ~(tr : Trace.thread_trace)
       ignore
         (Trace.push tr ~kind:Trace.op_prefetch
            ~pa:(ar_base.(s) + (idx * esize))
-           ~pb:esize ~dep1:rt.(ri) ~dep2:Trace.no_dep ~dep3:Trace.no_dep)
+           ~dep1:rt.(ri) ~dep2:Trace.no_dep ~dep3:Trace.no_dep)
     | 9 (* enq *) ->
       let q = fa.(i) and re = fb.(i) in
-      let seq = I.queue_push st q rv.(re) in
+      ignore (I.queue_push st q rv.(re));
       ignore
-        (Trace.push tr ~kind:Trace.op_enq ~pa:q ~pb:seq ~dep1:rt.(re)
+        (Trace.push tr ~kind:Trace.op_enq ~pa:q ~dep1:rt.(re)
            ~dep2:Trace.no_dep ~dep3:Trace.no_dep)
     | 10 (* enq_ctrl *) ->
       let q = fa.(i) in
-      let seq = I.queue_push st q (Vctrl fb.(i)) in
+      ignore (I.queue_push st q (Vctrl fb.(i)));
       ignore
-        (Trace.push tr ~kind:Trace.op_enq ~pa:q ~pb:seq ~dep1:Trace.no_dep
+        (Trace.push tr ~kind:Trace.op_enq ~pa:q ~dep1:Trace.no_dep
            ~dep2:Trace.no_dep ~dep3:Trace.no_dep)
     | 11 (* enq_indexed *) ->
       let qs = prog.fp_qtabs.(fa.(i)) in
@@ -700,18 +699,18 @@ let exec_stage (st : I.state) (prog : program) ~(tr : Trace.thread_trace)
              "enq_indexed: replica selector %d out of range [0, %d)" sel
              (Array.length qs));
       let q = qs.(sel) in
-      let seq = I.queue_push st q rv.(re) in
+      ignore (I.queue_push st q rv.(re));
       ignore
-        (Trace.push tr ~kind:Trace.op_enq ~pa:q ~pb:seq ~dep1:rt.(re)
+        (Trace.push tr ~kind:Trace.op_enq ~pa:q ~dep1:rt.(re)
            ~dep2:rt.(rs) ~dep3:Trace.no_dep)
     | 12 (* deq *) ->
       (* the one budget-charged dequeue attempt, shared with the tree
          path's [deq_with_handler] *)
       I.check_budget ();
       let q = fb.(i) in
-      let v, seq = I.queue_pop st q in
+      let v, _ = I.queue_pop st q in
       let tok =
-        Trace.push tr ~kind:Trace.op_deq ~pa:q ~pb:seq ~dep1:Trace.no_dep
+        Trace.push tr ~kind:Trace.op_deq ~pa:q ~dep1:Trace.no_dep
           ~dep2:Trace.no_dep ~dep3:Trace.no_dep
       in
       let hpc = fc.(i) in
@@ -792,12 +791,8 @@ let exec_stage (st : I.state) (prog : program) ~(tr : Trace.thread_trace)
       rt.(r) <- t
     | 20 (* barrier *) ->
       let id = fa.(i) in
-      let occ =
-        match Hashtbl.find_opt barrier_occ id with Some n -> n | None -> 0
-      in
-      Hashtbl.replace barrier_occ id (occ + 1);
       ignore
-        (Trace.push tr ~kind:Trace.op_barrier ~pa:id ~pb:occ
+        (Trace.push tr ~kind:Trace.op_barrier ~pa:id
            ~dep1:Trace.no_dep ~dep2:Trace.no_dep ~dep3:Trace.no_dep);
       Effect.perform (I.Wait (I.Wait_barrier id))
     | 21 (* handler end: retry the dequeue that invoked it *) ->

@@ -6,8 +6,8 @@
    matter to the timing model. Reference accelerators run as daemon fibers.
 
    Besides computing the architectural result, execution emits a per-thread
-   micro-op trace annotated with intra-thread data dependencies and queue
-   sequence numbers (see Trace); the Pipette timing engine replays these. *)
+   micro-op trace annotated with intra-thread data dependencies (see Trace);
+   the Pipette timing engine replays these. *)
 
 open Types
 
@@ -49,7 +49,6 @@ type stage_ctx = {
   (* Token of the most recent store to each array from this thread, used to
      order same-thread memory operations in the timing model. *)
   cx_last_store : (array_id, int) Hashtbl.t;
-  cx_barrier_occ : (int, int) Hashtbl.t;
 }
 
 type state = {
@@ -189,13 +188,13 @@ let check_budget () =
    exhaust a budget after exactly the same number of emitted ops. *)
 let push_alu tr ~dep1 ~dep2 =
   check_budget ();
-  Trace.push tr ~kind:Trace.op_alu ~pa:0 ~pb:0 ~dep1 ~dep2 ~dep3:Trace.no_dep
+  Trace.push tr ~kind:Trace.op_alu ~pa:0 ~dep1 ~dep2 ~dep3:Trace.no_dep
 
 let push_branch tr ~site ~taken ~dep =
   check_budget ();
   ignore
-    (Trace.push tr ~kind:Trace.op_branch ~pa:site
-       ~pb:(if taken then 1 else 0)
+    (Trace.push tr ~kind:Trace.op_branch
+       ~pa:((site lsl 1) lor if taken then 1 else 0)
        ~dep1:dep ~dep2:Trace.no_dep ~dep3:Trace.no_dep)
 
 (* --- queue runtime --- *)
@@ -241,7 +240,7 @@ let array_addr st arr idx =
     if idx < 0 || idx >= Array.length a.st_data then
       error "array %s: index %d out of bounds [0, %d)" arr idx
         (Array.length a.st_data);
-    (a, a.st_base + (idx * elem_size a.st_decl.a_ty), elem_size a.st_decl.a_ty)
+    (a, a.st_base + (idx * elem_size a.st_decl.a_ty))
 
 let last_store_token cx arr =
   match Hashtbl.find_opt cx.cx_last_store arr with Some t -> t | None -> Trace.no_dep
@@ -264,9 +263,9 @@ let rec eval st cx e : value * int =
     (eval_unop op va, push_alu cx.cx_trace ~dep1:ta ~dep2:Trace.no_dep)
   | Load (arr, idx) ->
     let vi, ti = eval st cx idx in
-    let a, addr, size = array_addr st arr (as_int vi) in
+    let a, addr = array_addr st arr (as_int vi) in
     let tok =
-      Trace.push cx.cx_trace ~kind:Trace.op_load ~pa:addr ~pb:size ~dep1:ti
+      Trace.push cx.cx_trace ~kind:Trace.op_load ~pa:addr ~dep1:ti
         ~dep2:(last_store_token cx arr) ~dep3:Trace.no_dep
     in
     (a.st_data.(as_int vi), tok)
@@ -318,9 +317,9 @@ let rec eval st cx e : value * int =
    (Exit_loops). *)
 and deq_with_handler st cx q : value * int =
   check_budget ();
-  let v, seq = queue_pop st q in
+  let v, _ = queue_pop st q in
   let tok =
-    Trace.push cx.cx_trace ~kind:Trace.op_deq ~pa:q ~pb:seq ~dep1:Trace.no_dep
+    Trace.push cx.cx_trace ~kind:Trace.op_deq ~pa:q ~dep1:Trace.no_dep
       ~dep2:Trace.no_dep ~dep3:Trace.no_dep
   in
   match (v, Hashtbl.find_opt cx.cx_handlers q) with
@@ -343,9 +342,9 @@ and exec_stmt st cx s =
   | Store (arr, idx, e) ->
     let vi, ti = eval st cx idx in
     let v, tv = eval st cx e in
-    let a, addr, size = array_addr st arr (as_int vi) in
+    let a, addr = array_addr st arr (as_int vi) in
     let tok =
-      Trace.push cx.cx_trace ~kind:Trace.op_store ~pa:addr ~pb:size ~dep1:ti
+      Trace.push cx.cx_trace ~kind:Trace.op_store ~pa:addr ~dep1:ti
         ~dep2:tv ~dep3:(last_store_token cx arr)
     in
     Hashtbl.replace cx.cx_last_store arr tok;
@@ -353,9 +352,9 @@ and exec_stmt st cx s =
   | Atomic_min (arr, idx, e) ->
     let vi, ti = eval st cx idx in
     let v, tv = eval st cx e in
-    let a, addr, size = array_addr st arr (as_int vi) in
+    let a, addr = array_addr st arr (as_int vi) in
     let tok =
-      Trace.push cx.cx_trace ~kind:Trace.op_atomic ~pa:addr ~pb:size ~dep1:ti
+      Trace.push cx.cx_trace ~kind:Trace.op_atomic ~pa:addr ~dep1:ti
         ~dep2:tv ~dep3:(last_store_token cx arr)
     in
     Hashtbl.replace cx.cx_last_store arr tok;
@@ -364,9 +363,9 @@ and exec_stmt st cx s =
   | Atomic_add (arr, idx, e) ->
     let vi, ti = eval st cx idx in
     let v, tv = eval st cx e in
-    let a, addr, size = array_addr st arr (as_int vi) in
+    let a, addr = array_addr st arr (as_int vi) in
     let tok =
-      Trace.push cx.cx_trace ~kind:Trace.op_atomic ~pa:addr ~pb:size ~dep1:ti
+      Trace.push cx.cx_trace ~kind:Trace.op_atomic ~pa:addr ~dep1:ti
         ~dep2:tv ~dep3:(last_store_token cx arr)
     in
     Hashtbl.replace cx.cx_last_store arr tok;
@@ -374,20 +373,20 @@ and exec_stmt st cx s =
     a.st_data.(i) <- eval_binop Add a.st_data.(i) v
   | Prefetch (arr, idx) ->
     let vi, ti = eval st cx idx in
-    let _, addr, size = array_addr st arr (as_int vi) in
+    let _, addr = array_addr st arr (as_int vi) in
     ignore
-      (Trace.push cx.cx_trace ~kind:Trace.op_prefetch ~pa:addr ~pb:size ~dep1:ti
+      (Trace.push cx.cx_trace ~kind:Trace.op_prefetch ~pa:addr ~dep1:ti
          ~dep2:Trace.no_dep ~dep3:Trace.no_dep)
   | Enq (q, e) ->
     let v, tv = eval st cx e in
-    let seq = queue_push st q v in
+    ignore (queue_push st q v);
     ignore
-      (Trace.push cx.cx_trace ~kind:Trace.op_enq ~pa:q ~pb:seq ~dep1:tv
+      (Trace.push cx.cx_trace ~kind:Trace.op_enq ~pa:q ~dep1:tv
          ~dep2:Trace.no_dep ~dep3:Trace.no_dep)
   | Enq_ctrl (q, cv) ->
-    let seq = queue_push st q (Vctrl cv) in
+    ignore (queue_push st q (Vctrl cv));
     ignore
-      (Trace.push cx.cx_trace ~kind:Trace.op_enq ~pa:q ~pb:seq ~dep1:Trace.no_dep
+      (Trace.push cx.cx_trace ~kind:Trace.op_enq ~pa:q ~dep1:Trace.no_dep
          ~dep2:Trace.no_dep ~dep3:Trace.no_dep)
   | Enq_indexed (qs, sel, e) ->
     let vs, ts = eval st cx sel in
@@ -396,9 +395,9 @@ and exec_stmt st cx s =
     if i < 0 || i >= Array.length qs then
       error "enq_indexed: replica selector %d out of range [0, %d)" i
         (Array.length qs);
-    let seq = queue_push st qs.(i) v in
+    ignore (queue_push st qs.(i) v);
     ignore
-      (Trace.push cx.cx_trace ~kind:Trace.op_enq ~pa:qs.(i) ~pb:seq ~dep1:tv
+      (Trace.push cx.cx_trace ~kind:Trace.op_enq ~pa:qs.(i) ~dep1:tv
          ~dep2:ts ~dep3:Trace.no_dep)
   | If (site, c, tb, fb) ->
     let v, t = eval st cx c in
@@ -441,12 +440,8 @@ and exec_stmt st cx s =
   | Break -> raise (Brk 1)
   | Exit_loops n -> if n > 0 then raise (Brk n)
   | Barrier id ->
-    let occ =
-      match Hashtbl.find_opt cx.cx_barrier_occ id with Some n -> n | None -> 0
-    in
-    Hashtbl.replace cx.cx_barrier_occ id (occ + 1);
     ignore
-      (Trace.push cx.cx_trace ~kind:Trace.op_barrier ~pa:id ~pb:occ
+      (Trace.push cx.cx_trace ~kind:Trace.op_barrier ~pa:id
          ~dep1:Trace.no_dep ~dep2:Trace.no_dep ~dep3:Trace.no_dep);
     Effect.perform (Wait (Wait_barrier id))
   | Seq_marker _ -> ()
@@ -739,7 +734,6 @@ let run ?(inputs = []) (p : pipeline) : result =
            List.iter (fun h -> Hashtbl.replace tbl h.h_queue h) stg.s_handlers;
            tbl);
         cx_last_store = Hashtbl.create 8;
-        cx_barrier_occ = Hashtbl.create 4;
       }
     in
     List.iter (fun (x, v) -> assign cx x v Trace.no_dep) p.p_params;

@@ -2,21 +2,24 @@
    Pipette timing engine.
 
    Each thread (pipeline stage) gets a linear trace of executed micro-ops.
-   Every op records its kind, up to two payload fields, and up to three
-   intra-thread data dependencies (indices of earlier ops in the same trace).
-   Cross-thread dependencies are expressed through queue sequence numbers:
-   the i-th dequeue of queue q anywhere matches the i-th enqueue of q. *)
+   Every op records its kind, one payload field, and up to three
+   intra-thread data dependencies (earlier ops of the same trace).
+   Cross-thread dependencies are implicit in program order: the i-th
+   dequeue of queue q anywhere matches the i-th enqueue of q, and a
+   thread's n-th barrier with a given id meets the n-th barrier with that
+   id of every other thread that uses it. Consumers number both while they
+   replay or scan; the trace stores neither. *)
 
-(* Op kinds (column [kind]). Payloads a/b:
-     alu      : -
-     branch   : a = site id (PC), b = 1 if taken else 0
-     load     : a = byte address, b = access size
-     store    : a = byte address, b = access size
-     prefetch : a = byte address, b = access size
-     enq      : a = queue id, b = sequence number
-     deq      : a = queue id, b = sequence number
-     barrier  : a = barrier id
-     atomic   : a = byte address, b = access size *)
+(* Op kinds (column [kind]). Payload [pa]:
+     alu      : 0
+     branch   : site id (PC) [lsl 1], [lor 1] if taken
+     load     : byte address
+     store    : byte address
+     prefetch : byte address
+     enq      : queue id
+     deq      : queue id
+     barrier  : barrier id
+     atomic   : byte address *)
 let op_alu = 0
 let op_branch = 1
 let op_load = 2
@@ -33,22 +36,27 @@ let no_dep = -1
    neither scans them nor charges them to the major heap's pace beyond
    their size. These primitives read and write one field with no bounds
    check and no boxing; declared here as externals, they stay primitives in
-   every module that names them. Checked reads use [Bytes.get_int32_ne] and
-   [Bytes.get_int64_ne], which are the same loads with a bounds check. *)
+   every module that names them. Checked reads use [Bytes.get_uint16_ne]
+   and [Bytes.get_int32_ne], which are the same loads with a bounds check. *)
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
-external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* Field widths. A thread op is [kind] 1 B (unsigned), [pa] 8 B, and [pb]
-   and [dep1]-[dep3] 4 B each (signed); an RA event is [in_seq] and
-   [out_seq] 4 B each (signed) and [addr] 8 B. The 8-byte fields hold any
-   OCaml int. A value that does not fit a narrower field raises
-   [Invalid_argument] naming the column; nothing is ever stored wrapped.
-   An op index reaches a column only as a dependence, so a trace longer
-   than 2^31 ops fails at the first dependence on an op beyond that. *)
-let op_bytes = 25
-let ra_event_bytes = 16
+(* Field widths. A thread op is [kind] 1 B (unsigned), [pa] 4 B (signed)
+   and [dep1]-[dep3] 2 B each; an RA event is [in_seq], [out_seq] and
+   [addr], 4 B each (signed). A [kind] or a 4-byte value that does not fit
+   its field raises [Invalid_argument] naming the column; nothing is ever
+   stored wrapped.
+
+   A dependence is stored as its unsigned distance back, [i - dep] for op
+   [i], with 0 for [no_dep]. A distance of [max_distance] or more is stored
+   as [max_distance] and decodes like any other, to an op at least that far
+   back: the timing engine's window holds fewer ops than that, so such a
+   producer has always retired, and a reader needs nothing more. *)
+let op_bytes = 11
+let ra_event_bytes = 12
+let max_distance = 0xffff
 
 let out_of_range fn col v =
   invalid_arg (Printf.sprintf "Trace.%s: %s %d does not fit its column" fn col v)
@@ -58,105 +66,137 @@ let out_of_range fn col v =
 let bias32 = 0x8000_0000
 let[@inline] fits32 v = (v + bias32) lsr 32 = 0
 
-(* The six columns of a thread trace grow together and share one length:
-   [push] writes each op's fields exactly once, and the timing engine reads
-   the columns in place over [0, length). Until [seal], bytes beyond
-   [length] ops are growth slack, never read; [seal] trims every column to
-   exactly [length] ops. A finished trace is read-only, so replays on
-   several domains share it once a memo table has published it. *)
+(* Columns are written once, into chunks of [chunk_ops] fields each; [seal]
+   copies the chunks once into columns of exactly the trace's length. *)
+let chunk_ops = 4096
+
+(* Column [c] of [chunks] (oldest first, each column [chunk_ops] fields of
+   [w] bytes, the last chunk part-filled) as one column of exactly [n]
+   fields. *)
+let join chunks c w n =
+  let col = Bytes.create (w * n) and full = w * chunk_ops in
+  List.iteri
+    (fun k (ch : Bytes.t array) ->
+      let off = k * full in
+      Bytes.blit ch.(c) 0 col off (Int.min full ((w * n) - off)))
+    chunks;
+  col
+
+(* The five columns of a thread trace share one length. While the trace is
+   written, the column fields hold its newest chunk, op [i] at position
+   [i mod chunk_ops], and [filled] the chunks before it; [seal] sets the
+   fields to the whole columns, which the timing engine reads in place over
+   [0, length). A sealed trace is read-only, so replays on several domains
+   share it once a memo table has published it. *)
 type thread_trace = {
   mutable kind : Bytes.t;
   mutable pa : Bytes.t;
-  mutable pb : Bytes.t;
   mutable dep1 : Bytes.t;
   mutable dep2 : Bytes.t;
   mutable dep3 : Bytes.t;
   mutable len : int;
+  mutable filled : Bytes.t array list; (* newest first: [|kind; pa; dep1; dep2; dep3|] *)
+  mutable sealed : bool;
 }
 
-let initial_capacity = 1024
-
 let create_thread () =
-  let col w = Bytes.create (w * initial_capacity) in
-  { kind = col 1; pa = col 8; pb = col 4; dep1 = col 4; dep2 = col 4; dep3 = col 4; len = 0 }
+  let e = Bytes.empty in
+  { kind = e; pa = e; dep1 = e; dep2 = e; dep3 = e; len = 0; filled = []; sealed = false }
 
 let length t = t.len
 
-let[@inline never] op_too_wide ~kind ~pb ~dep1 ~dep2 ~dep3 =
+(* Cold path of [push]: name the first field that is refused. *)
+let[@inline never] op_refused t ~kind ~pa ~dep1 ~dep2 ~dep3 =
+  if t.sealed then invalid_arg "Trace.push: the trace is sealed";
   if kind lsr 8 <> 0 then out_of_range "push" "kind" kind;
+  if not (fits32 pa) then out_of_range "push" "pa" pa;
   List.iter
-    (fun (col, v) -> if not (fits32 v) then out_of_range "push" col v)
-    [ ("pb", pb); ("dep1", dep1); ("dep2", dep2); ("dep3", dep3) ];
+    (fun (col, d) ->
+      if d < no_dep || d >= t.len then
+        invalid_arg
+          (Printf.sprintf "Trace.push: %s %d is not an op before op %d" col d t.len))
+    [ ("dep1", dep1); ("dep2", dep2); ("dep3", dep3) ];
   assert false
 
+(* Start the next chunk, keeping the full one. *)
+let next_chunk t =
+  if t.len > 0 then t.filled <- [| t.kind; t.pa; t.dep1; t.dep2; t.dep3 |] :: t.filled;
+  t.kind <- Bytes.create chunk_ops;
+  t.pa <- Bytes.create (4 * chunk_ops);
+  t.dep1 <- Bytes.create (2 * chunk_ops);
+  t.dep2 <- Bytes.create (2 * chunk_ops);
+  t.dep3 <- Bytes.create (2 * chunk_ops)
+
+let[@inline] distance i dep = if dep = no_dep then 0 else Int.min (i - dep) max_distance
+
 (* Append an op; returns its index (the token consumers depend on). *)
-let push t ~kind ~pa ~pb ~dep1 ~dep2 ~dep3 =
-  (* One test covers every narrowed field: the OR of the four biased
-     32-bit fields has a bit at or above 32 exactly when one of them does
-     not fit. *)
+let push t ~kind ~pa ~dep1 ~dep2 ~dep3 =
+  let i = t.len in
+  (* A dependence [d] is valid when [no_dep <= d < i], that is when both
+     [d + 1] and [i - 1 - d] are non-negative (a sum that wraps is
+     negative), so one OR of the six decides for all three; [kind] and [pa]
+     are tested as in [fits32]. *)
   if
-    kind lsr 8
-    lor (((pb + bias32) lor (dep1 + bias32) lor (dep2 + bias32) lor (dep3 + bias32)) lsr 32)
-    <> 0
-  then op_too_wide ~kind ~pb ~dep1 ~dep2 ~dep3;
-  let idx = t.len in
-  if idx = Bytes.length t.kind then begin
-    (* double every column, keeping the [idx] ops written so far *)
-    t.kind <- Bytes.extend t.kind 0 idx;
-    t.pa <- Bytes.extend t.pa 0 (8 * idx);
-    t.pb <- Bytes.extend t.pb 0 (4 * idx);
-    t.dep1 <- Bytes.extend t.dep1 0 (4 * idx);
-    t.dep2 <- Bytes.extend t.dep2 0 (4 * idx);
-    t.dep3 <- Bytes.extend t.dep3 0 (4 * idx)
-  end;
-  (* [idx] < capacity, the common length of all six columns in ops *)
-  Bytes.unsafe_set t.kind idx (Char.unsafe_chr kind);
-  set64u t.pa (8 * idx) (Int64.of_int pa);
-  set32u t.pb (4 * idx) (Int32.of_int pb);
-  set32u t.dep1 (4 * idx) (Int32.of_int dep1);
-  set32u t.dep2 (4 * idx) (Int32.of_int dep2);
-  set32u t.dep3 (4 * idx) (Int32.of_int dep3);
-  t.len <- idx + 1;
-  idx
+    t.sealed
+    || kind lsr 8 lor ((pa + bias32) lsr 32) <> 0
+    || (dep1 + 1) lor (i - 1 - dep1) lor (dep2 + 1) lor (i - 1 - dep2) lor (dep3 + 1)
+       lor (i - 1 - dep3)
+       < 0
+  then op_refused t ~kind ~pa ~dep1 ~dep2 ~dep3;
+  let pos = i land (chunk_ops - 1) in
+  if pos = 0 then next_chunk t;
+  (* [pos] < [chunk_ops], the length in fields of every column of the
+     current chunk *)
+  Bytes.unsafe_set t.kind pos (Char.unsafe_chr kind);
+  set32u t.pa (4 * pos) (Int32.of_int pa);
+  set16u t.dep1 (2 * pos) (distance i dep1);
+  set16u t.dep2 (2 * pos) (distance i dep2);
+  set16u t.dep3 (2 * pos) (distance i dep3);
+  t.len <- i + 1;
+  i
 
 (* One reference-accelerator event: the RA consumed input sequence [in_seq]
    from its input queue and will deliver output sequence [out_seq] into its
    output queue ([out_seq] < 0: consume-only, nothing delivered). [addr] < 0
    means a pass-through (control value or scan boundary) with no memory
-   access. The columns grow, share a length and are sealed like a thread
+   access. The columns are written in chunks and sealed like a thread
    trace's. *)
 type ra_trace = {
   mutable rt_in_seq : Bytes.t;
   mutable rt_out_seq : Bytes.t;
   mutable rt_addr : Bytes.t;
   mutable rt_len : int;
+  mutable rt_filled : Bytes.t array list; (* newest first: [|in_seq; out_seq; addr|] *)
+  mutable rt_sealed : bool;
 }
 
-let ra_initial_capacity = 256
-
 let create_ra () =
-  let col w = Bytes.create (w * ra_initial_capacity) in
-  { rt_in_seq = col 4; rt_out_seq = col 4; rt_addr = col 8; rt_len = 0 }
+  let e = Bytes.empty in
+  { rt_in_seq = e; rt_out_seq = e; rt_addr = e; rt_len = 0; rt_filled = []; rt_sealed = false }
 
 let ra_length r = r.rt_len
 
 let ra_push r ~in_seq ~out_seq ~addr =
+  if r.rt_sealed then invalid_arg "Trace.ra_push: the trace is sealed";
   if not (fits32 in_seq) then out_of_range "ra_push" "in_seq" in_seq;
   if not (fits32 out_seq) then out_of_range "ra_push" "out_seq" out_seq;
-  let idx = r.rt_len in
-  if 4 * idx = Bytes.length r.rt_in_seq then begin
-    r.rt_in_seq <- Bytes.extend r.rt_in_seq 0 (4 * idx);
-    r.rt_out_seq <- Bytes.extend r.rt_out_seq 0 (4 * idx);
-    r.rt_addr <- Bytes.extend r.rt_addr 0 (8 * idx)
+  if not (fits32 addr) then out_of_range "ra_push" "addr" addr;
+  let i = r.rt_len in
+  let pos = i land (chunk_ops - 1) in
+  if pos = 0 then begin
+    if i > 0 then r.rt_filled <- [| r.rt_in_seq; r.rt_out_seq; r.rt_addr |] :: r.rt_filled;
+    r.rt_in_seq <- Bytes.create (4 * chunk_ops);
+    r.rt_out_seq <- Bytes.create (4 * chunk_ops);
+    r.rt_addr <- Bytes.create (4 * chunk_ops)
   end;
-  set32u r.rt_in_seq (4 * idx) (Int32.of_int in_seq);
-  set32u r.rt_out_seq (4 * idx) (Int32.of_int out_seq);
-  set64u r.rt_addr (8 * idx) (Int64.of_int addr);
-  r.rt_len <- idx + 1
+  set32u r.rt_in_seq (4 * pos) (Int32.of_int in_seq);
+  set32u r.rt_out_seq (4 * pos) (Int32.of_int out_seq);
+  set32u r.rt_addr (4 * pos) (Int32.of_int addr);
+  r.rt_len <- i + 1
 
 (* A full program trace: one thread trace per stage (indexed by stage
    position), one RA trace per reference accelerator, and the number of
-   queues the sequence numbers refer to. *)
+   queues the ops refer to. *)
 type t = {
   threads : thread_trace array;
   ras : ra_trace array;
@@ -175,36 +215,44 @@ let create ~n_threads ~n_ras ~n_queues =
 let op_count t =
   Array.fold_left (fun acc th -> acc + length th) 0 t.threads
 
-(* Trim every column to its length, once, when the execution that wrote
-   the trace is over: nothing pushes to a sealed trace, and a memoized
-   trace then costs exactly [bytes]. *)
+(* Copy every column's chunks into one column of exactly its length, once,
+   when the execution that wrote the trace is over: nothing pushes to a
+   sealed trace, and a memoized trace then costs exactly [bytes]. *)
 let seal t =
-  let trim b n = if Bytes.length b = n then b else Bytes.sub b 0 n in
   Array.iter
     (fun th ->
-      let n = th.len in
-      th.kind <- trim th.kind n;
-      th.pa <- trim th.pa (8 * n);
-      th.pb <- trim th.pb (4 * n);
-      th.dep1 <- trim th.dep1 (4 * n);
-      th.dep2 <- trim th.dep2 (4 * n);
-      th.dep3 <- trim th.dep3 (4 * n))
+      if not th.sealed then begin
+        let n = th.len in
+        let chunks = List.rev ([| th.kind; th.pa; th.dep1; th.dep2; th.dep3 |] :: th.filled) in
+        th.kind <- join chunks 0 1 n;
+        th.pa <- join chunks 1 4 n;
+        th.dep1 <- join chunks 2 2 n;
+        th.dep2 <- join chunks 3 2 n;
+        th.dep3 <- join chunks 4 2 n;
+        th.filled <- [];
+        th.sealed <- true
+      end)
     t.threads;
   Array.iter
     (fun r ->
-      let n = r.rt_len in
-      r.rt_in_seq <- trim r.rt_in_seq (4 * n);
-      r.rt_out_seq <- trim r.rt_out_seq (4 * n);
-      r.rt_addr <- trim r.rt_addr (8 * n))
+      if not r.rt_sealed then begin
+        let n = r.rt_len in
+        let chunks = List.rev ([| r.rt_in_seq; r.rt_out_seq; r.rt_addr |] :: r.rt_filled) in
+        r.rt_in_seq <- join chunks 0 4 n;
+        r.rt_out_seq <- join chunks 1 4 n;
+        r.rt_addr <- join chunks 2 4 n;
+        r.rt_filled <- [];
+        r.rt_sealed <- true
+      end)
     t.ras
 
-(* Bytes held by the trace's columns: [op_bytes * op_count] plus
-   [ra_event_bytes] per RA event once sealed. *)
+(* Bytes held by a sealed trace's columns: [op_bytes * op_count] plus
+   [ra_event_bytes] per RA event. *)
 let bytes t =
   Array.fold_left
     (fun acc th ->
-      acc + Bytes.length th.kind + Bytes.length th.pa + Bytes.length th.pb
-      + Bytes.length th.dep1 + Bytes.length th.dep2 + Bytes.length th.dep3)
+      acc + Bytes.length th.kind + Bytes.length th.pa + Bytes.length th.dep1
+      + Bytes.length th.dep2 + Bytes.length th.dep3)
     0 t.threads
   + Array.fold_left
       (fun acc r ->

@@ -310,8 +310,18 @@ let lower_kernel (prog : program) : lowered =
   | Some f -> lower_func prog f
   | None -> fail "no function marked with #pragma phloem"
 
-(* Compile source text to a lowered kernel. *)
-let of_source src = lower_kernel (Parser.parse_program src)
+(* Compile source text to a lowered kernel. Each distinct source is parsed
+   and lowered once per process: every workload bind lowers its kernel's
+   source, and phloemd's workers bind concurrently, so the table is the
+   mutex-guarded [Fifo_cache] (forcing one [Lazy] from two domains at once
+   raises). A lowered kernel is immutable, so binds share it. A source that
+   fails to lower raises and is not kept. *)
+let lowered_sources : (string, lowered) Phloem_util.Fifo_cache.t =
+  Phloem_util.Fifo_cache.create ~capacity:64 ()
+
+let of_source src =
+  Phloem_util.Fifo_cache.find_or_add lowered_sources src (fun () ->
+      lower_kernel (Parser.parse_program src))
 
 (* Bind a lowered kernel to concrete inputs, producing a runnable serial
    pipeline. [arrays] supplies (name, values); [scalars] supplies parameter

@@ -81,6 +81,26 @@ let create (cfg : Config.t) =
     prefetch_dram = 0;
   }
 
+(* Back to the empty state [create] builds: no line in any level, idle
+   DRAM controllers, nothing in flight, every counter zero. *)
+let reset_level l =
+  Array.fill l.tags 0 (Array.length l.tags) (-1);
+  Array.fill l.lru 0 (Array.length l.lru) 0;
+  l.stamp <- 0;
+  l.hits <- 0;
+  l.misses <- 0
+
+let reset t =
+  Array.iter reset_level t.l1s;
+  Array.iter reset_level t.l2s;
+  reset_level t.l3;
+  Array.fill t.dram.next_free 0 (Array.length t.dram.next_free) 0;
+  t.dram.accesses <- 0;
+  Hashtbl.reset t.inflight;
+  t.prefetches_issued <- 0;
+  t.prefetch_hits <- 0;
+  t.prefetch_dram <- 0
+
 let set_base lvl line =
   let set =
     (* the set count is a power of two for every realistic geometry; mask

@@ -42,7 +42,6 @@ type thread_state = {
   (* the trace's own columns, read in place (see [Trace]) *)
   kind : Bytes.t;
   pa : Bytes.t;
-  pb : Bytes.t;
   dep1 : Bytes.t;
   dep2 : Bytes.t;
   dep3 : Bytes.t;
@@ -193,14 +192,17 @@ let default_watchdog = 5_000_000
 
    Trace columns hold fixed-width native-endian fields (see [Trace]). The
    [_u] readers skip the bounds check, under the invariant stated at
-   [run]'s hot path; the others check against the sealed column. None
-   boxes: each is a load the compiler unboxes in place. *)
+   [replay]'s hot path; the others check against the sealed column. None
+   boxes: each is a load the compiler unboxes in place. A dependence
+   column holds op [i]'s distance back to its producer, 0 for none. *)
 let[@inline] kind_u th i = Char.code (Bytes.unsafe_get th.kind i)
 let[@inline] kind_of th i = Char.code (Bytes.get th.kind i)
-let[@inline] get32u col i = Int32.to_int (Trace.get32u col (4 * i))
+let[@inline] pa_u th i = Int32.to_int (Trace.get32u th.pa (4 * i))
+let[@inline] pa_of th i = Int32.to_int (Bytes.get_int32_ne th.pa (4 * i))
 let[@inline] get32 col i = Int32.to_int (Bytes.get_int32_ne col (4 * i))
-let[@inline] get64u col i = Int64.to_int (Trace.get64u col (8 * i))
-let[@inline] get64 col i = Int64.to_int (Bytes.get_int64_ne col (8 * i))
+
+let[@inline] dist_u col i = Trace.get16u col (2 * i)
+let[@inline] dist col i = Bytes.get_uint16_ne col (2 * i)
 
 (* A queue never holds more than its capacity, so the elements its
    consumer can still read (the unconsumed ones, plus the last one an RA
@@ -232,8 +234,8 @@ let arrive q t =
    The helpers below are top-level functions that take their state (the
    thread, the current cycle) as arguments, so the compiler can inline
    them into the cycle loop; the rest of the loop's steps are closures
-   inside [run], each allocated once per replay. They use the same
-   unchecked indexing as [run] (see the invariant stated there). *)
+   inside [replay], each allocated once per replay. They use the same
+   unchecked indexing as [replay] (see the invariant stated there). *)
 
 let[@inline] slot th i = i land th.mask
 let[@inline] inactive th = th.killed || th.stalled_now
@@ -252,13 +254,17 @@ let[@inline] can_dispatch core_share th =
 let[@inline] can_retire th now =
   th.retire_ptr < th.dispatch_ptr && Array.unsafe_get th.comp (slot th th.retire_ptr) <= now
 
-let[@inline] dep_met th now d =
-  d = Trace.no_dep || d < th.retire_ptr || Array.unsafe_get th.comp (slot th d) <= now
+(* The dependence helpers take op [i] and one of its dependence fields
+   [x]: no producer when [x] is 0, else op [i - x]. A producer below
+   [retire_ptr] has completed; a saturated distance always names one (see
+   [run]'s window guard). *)
+let[@inline] dep_met th now i x =
+  x = 0 || i - x < th.retire_ptr || Array.unsafe_get th.comp (slot th (i - x)) <= now
 
 let[@inline] deps_met th i now =
-  dep_met th now (get32u th.dep1 i)
-  && dep_met th now (get32u th.dep2 i)
-  && dep_met th now (get32u th.dep3 i)
+  dep_met th now i (dist_u th.dep1 i)
+  && dep_met th now i (dist_u th.dep2 i)
+  && dep_met th now i (dist_u th.dep3 i)
 
 (* Earliest cycle this op's unmet dependencies could all be satisfied: a
    set completion time is exact. A producer not yet issued cannot issue
@@ -266,8 +272,9 @@ let[@inline] deps_met th i now =
    walk has just probed or skipped it) and completes at least a cycle
    later; a barrier issued but not yet released has a stale wake, and the
    [now + 1] floor covers it. *)
-let dep_wake1 th now d acc =
-  if d = Trace.no_dep || d < th.retire_ptr then acc
+let dep_wake1 th now i x acc =
+  let d = i - x in
+  if x = 0 || d < th.retire_ptr then acc
   else begin
     let s = slot th d in
     let c = Array.unsafe_get th.comp s in
@@ -277,8 +284,8 @@ let dep_wake1 th now d acc =
   end
 
 let dep_wake th i now =
-  dep_wake1 th now (get32u th.dep1 i)
-    (dep_wake1 th now (get32u th.dep2 i) (dep_wake1 th now (get32u th.dep3 i) (now + 1)))
+  dep_wake1 th now i (dist_u th.dep1 i)
+    (dep_wake1 th now i (dist_u th.dep2 i) (dep_wake1 th now i (dist_u th.dep3 i) (now + 1)))
 
 (* The stall reasons that carry an argument, built once per run and shared,
    so classifying a stalled cycle allocates nothing. *)
@@ -295,37 +302,39 @@ let make_reasons n_queues =
     rs_queue_empty = Array.init n_queues (fun q -> R_queue_empty q);
   }
 
-(* Producer [d] has not completed by [now] (not issued, or in flight). *)
-let[@inline] pending th now d =
-  d <> Trace.no_dep && d >= th.retire_ptr && th.comp.(slot th d) > now
+(* The producer has not completed by [now] (not issued, or in flight). *)
+let[@inline] pending th now i x =
+  x <> 0 && i - x >= th.retire_ptr && th.comp.(slot th (i - x)) > now
 
 (* Serving cache level of the first pending load/atomic operand, or 0 when
    the wait is a port conflict / not memory-shaped. *)
-let dep_level1 th now d acc =
-  if pending th now d then
+let dep_level1 th now i x acc =
+  if pending th now i x then
+    let d = i - x in
     let dk = kind_of th d in
     if dk = Trace.op_load || dk = Trace.op_atomic then Char.code (Bytes.get th.svc (slot th d))
     else acc
   else acc
 
 let dep_level th i now =
-  dep_level1 th now (get32 th.dep1 i)
-    (dep_level1 th now (get32 th.dep2 i) (dep_level1 th now (get32 th.dep3 i) 0))
+  dep_level1 th now i (dist th.dep1 i)
+    (dep_level1 th now i (dist th.dep2 i) (dep_level1 th now i (dist th.dep3 i) 0))
 
 (* Blocked on operands: attribute by the producer's kind. *)
-let dep_kind1 rs th now d acc =
-  if pending th now d then
+let dep_kind1 rs th now i x acc =
+  if pending th now i x then
+    let d = i - x in
     let dk = kind_of th d in
     if dk = Trace.op_load || dk = Trace.op_atomic then
       rs.rs_backend.(Char.code (Bytes.get th.svc (slot th d)))
-    else if dk = Trace.op_deq then rs.rs_queue_empty.(get64 th.pa d)
+    else if dk = Trace.op_deq then rs.rs_queue_empty.(pa_of th d)
     else acc
   else acc
 
 let dep_kind rs th i now =
-  dep_kind1 rs th now (get32 th.dep1 i)
-    (dep_kind1 rs th now (get32 th.dep2 i)
-       (dep_kind1 rs th now (get32 th.dep3 i) rs.rs_backend.(0)))
+  dep_kind1 rs th now i (dist th.dep1 i)
+    (dep_kind1 rs th now i (dist th.dep2 i)
+       (dep_kind1 rs th now i (dist th.dep3 i) rs.rs_backend.(0)))
 
 (* Stall classification for accounting. The reason refines the 4-way
    class; [class_of_reason] maps it back so the aggregate split is
@@ -339,12 +348,12 @@ let classify rs queues now th =
     else begin
       let k = kind_of th i in
       if k = Trace.op_enq then
-        let qid = get64 th.pa i in
+        let qid = pa_of th i in
         let q = queues.(qid) in
         if q.occupancy >= q.qs_capacity then rs.rs_queue_full.(qid)
         else rs.rs_backend.(dep_level th i now)
       else if k = Trace.op_deq then
-        let qid = get64 th.pa i in
+        let qid = pa_of th i in
         let q = queues.(qid) in
         if q.deq_issued >= q.pushed || arrival q q.deq_issued > now then
           rs.rs_queue_empty.(qid)
@@ -371,21 +380,58 @@ let rec next_event events now =
     let t = Heap.pop events in
     if t > now then t else next_event events now
 
-let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
-    ?(queue_caps = []) ?telemetry ?faults ?(watchdog = default_watchdog)
-    ?(cycle_budget = default_cycle_budget) (p : Types.pipeline)
-    (trace : Trace.t) : result =
+(* --- machine state per domain ----------------------------------------------
+
+   The caches and the branch predictor are the largest state a replay
+   uses: about 80k words at the default config, most of them the L3's tag
+   and LRU arrays. Each domain keeps one set, and a replay resets it to
+   what [Cache.create] and [Predictor.create] build instead of allocating
+   it anew. A replay builds a fresh set when its config differs from the
+   one the domain's set was built for (tune varies the core count), and
+   when the domain's set is in use, which only a second systhread
+   replaying on the same domain can cause; the latter is not kept. *)
+type machine = {
+  m_cfg : Config.t;
+  m_caches : Cache.t;
+  m_pred : Predictor.t;
+  mutable m_busy : bool;
+}
+
+let machine_key : machine option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
+let build_machine (cfg : Config.t) ~n_threads =
+  {
+    m_cfg = cfg;
+    m_caches = Cache.create cfg;
+    m_pred =
+      Predictor.create ~entries:cfg.predictor_entries
+        ~history_bits:cfg.predictor_history_bits ~n_threads;
+    m_busy = true;
+  }
+
+let acquire_machine cfg ~n_threads =
+  let kept = Domain.DLS.get machine_key in
+  let build_kept () =
+    let m = build_machine cfg ~n_threads in
+    kept := Some m;
+    m
+  in
+  match !kept with
+  | Some m when not m.m_busy ->
+    (* nothing between the test and this write can switch systhreads *)
+    m.m_busy <- true;
+    if m.m_cfg = cfg then begin
+      Cache.reset m.m_caches;
+      Predictor.reset m.m_pred ~n_threads;
+      m
+    end
+    else build_kept ()
+  | Some _ -> build_machine cfg ~n_threads
+  | None -> build_kept ()
+
+let replay ~(cfg : Config.t) ~thread_core ~ra_core ~queue_caps ~telemetry ~faults ~watchdog
+    ~cycle_budget ~caches ~pred (p : Types.pipeline) (trace : Trace.t) : result =
   let n_threads = Array.length trace.Trace.threads in
-  let thread_core =
-    match thread_core with
-    | Some tc -> tc
-    | None -> default_thread_core cfg n_threads
-  in
-  let caches = Cache.create cfg in
-  let pred =
-    Predictor.create ~entries:cfg.predictor_entries
-      ~history_bits:cfg.predictor_history_bits ~n_threads
-  in
   let events = Heap.create () in
   let n_queues = trace.Trace.n_queues in
   let threads =
@@ -400,7 +446,6 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
           th_core = thread_core.(i);
           kind = tt.Trace.kind;
           pa = tt.Trace.pa;
-          pb = tt.Trace.pb;
           dep1 = tt.Trace.dep1;
           dep2 = tt.Trace.dep2;
           dep3 = tt.Trace.dep3;
@@ -501,13 +546,21 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
         })
       trace.Trace.ras
   in
-  (* Barrier groups: (id, occurrence) -> pending arrivals and arrived ops. *)
-  let barrier_total = Hashtbl.create 8 in
+  (* Barrier groups: (id, occurrence) -> members, and each barrier op's
+     group, keyed by [op * n_threads + thread]. A barrier's occurrence
+     counts the earlier barriers with its id in its thread, in program
+     order. *)
+  let barrier_total = Hashtbl.create 8 and barrier_group = Hashtbl.create 8 in
   Array.iter
     (fun th ->
+      let seen = Hashtbl.create 4 in
       for i = 0 to th.n_ops - 1 do
         if kind_of th i = Trace.op_barrier then begin
-          let key = (get64 th.pa i, get32 th.pb i) in
+          let id = pa_of th i in
+          let occ = try Hashtbl.find seen id with Not_found -> 0 in
+          Hashtbl.replace seen id (occ + 1);
+          let key = (id, occ) in
+          Hashtbl.replace barrier_group ((i * n_threads) + th.th_id) key;
           let c = try Hashtbl.find barrier_total key with Not_found -> 0 in
           Hashtbl.replace barrier_total key (c + 1)
         end
@@ -642,11 +695,12 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
   (* Hot-path accesses below use unchecked indexing: every op index is
      drawn from the unissued list or the retire/dispatch pointers (all
      < [n_ops], the number of ops every trace column holds), every ring
-     slot is an index [land] its ring's mask, and every dependence index
-     comes from the tracer's producer columns, which only ever name
-     earlier ops of the same thread; the ring slot of one is read only
-     while it is in the window (at or above [retire_ptr]). Nothing below
-     allocates per simulated cycle. *)
+     slot is an index [land] its ring's mask, and every dependence is a
+     distance of at least 1 back, so it names an earlier op of the same
+     thread; the ring slot of one is read only while it is in the window
+     (at or above [retire_ptr]), which a saturated distance never reaches
+     (see [run]'s window guard). Nothing below allocates per simulated
+     cycle. *)
   (* Dispatch op [i] into its ring slot and onto the unissued list. *)
   let push_unissued th i =
     let s = slot th i in
@@ -716,9 +770,10 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
         incr n;
         progress := true;
         if kind_of th i = Trace.op_branch then begin
+          let pa = pa_of th i in
           let correct =
-            Predictor.predict_update pred ~thread:th.th_id ~pc:(get64 th.pa i)
-              ~taken:(get32 th.pb i = 1)
+            Predictor.predict_update pred ~thread:th.th_id ~pc:(pa asr 1)
+              ~taken:(pa land 1 = 1)
           in
           let correct =
             match faults with
@@ -768,26 +823,26 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
     else if not (deps_met th i !now) then dep_wake th i !now
     else if k = Trace.op_alu || k = Trace.op_branch then issued th i k ~is_mem 1
     else if k = Trace.op_load then begin
-      let r = Cache.access caches ~core:th.th_core ~addr:(get64 th.pa i) ~now:!now in
+      let r = Cache.access caches ~core:th.th_core ~addr:(pa_of th i) ~now:!now in
       Bytes.unsafe_set th.svc (slot th i) (Char.unsafe_chr r.Cache.level_hit);
       issued th i k ~is_mem (r.Cache.latency + spike r.Cache.level_hit)
     end
     else if k = Trace.op_store then begin
-      ignore (Cache.access caches ~core:th.th_core ~addr:(get64 th.pa i) ~now:!now);
+      ignore (Cache.access caches ~core:th.th_core ~addr:(pa_of th i) ~now:!now);
       issued th i k ~is_mem 1 (* retires through the store buffer *)
     end
     else if k = Trace.op_atomic then begin
       (* locked read-modify-write: pays the access plus serialization *)
-      let r = Cache.access caches ~core:th.th_core ~addr:(get64 th.pa i) ~now:!now in
+      let r = Cache.access caches ~core:th.th_core ~addr:(pa_of th i) ~now:!now in
       Bytes.unsafe_set th.svc (slot th i) (Char.unsafe_chr r.Cache.level_hit);
       issued th i k ~is_mem (r.Cache.latency + 18 + spike r.Cache.level_hit)
     end
     else if k = Trace.op_prefetch then begin
-      Cache.prefetch caches ~core:th.th_core ~addr:(get64 th.pa i) ~now:!now;
+      Cache.prefetch caches ~core:th.th_core ~addr:(pa_of th i) ~now:!now;
       issued th i k ~is_mem 1
     end
     else if k = Trace.op_enq then begin
-      let qid = get64 th.pa i in
+      let qid = pa_of th i in
       let q = queues.(qid) in
       if q.occupancy >= q.qs_capacity then !now
       else begin
@@ -817,7 +872,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
       end
     end
     else if k = Trace.op_deq then begin
-      let qid = get64 th.pa i in
+      let qid = pa_of th i in
       let q = queues.(qid) in
       if q.deq_issued >= q.pushed then !now + 1 (* starved *)
       else begin
@@ -836,7 +891,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
       end
     end
     else if k = Trace.op_barrier then begin
-      let key = (get64 th.pa i, get32 th.pb i) in
+      let key = Hashtbl.find barrier_group ((i * n_threads) + th.th_id) in
       let n, arrived =
         try Hashtbl.find barrier_arrived key with Not_found -> (0, [])
       in
@@ -882,7 +937,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
           w > now
           || k = Trace.op_enq
              &&
-             let q = queues.(get64u th.pa i) in
+             let q = queues.(pa_u th i) in
              q.occupancy >= q.qs_capacity
         then
           (* cached or recheckable failure: [try_issue] would fail with no
@@ -984,7 +1039,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
           inq.ra_consumed <- inq.ra_consumed + 1;
           inq.occupancy <- inq.occupancy - 1
         end;
-        let addr = get64 ra.raddr i in
+        let addr = get32 ra.raddr i in
         let lat =
           if addr < 0 then 1
           else begin
@@ -1067,7 +1122,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
           else Forensics.On_frontend
         else
           let k = kind_of th i in
-          let qid = get64 th.pa i in
+          let qid = pa_of th i in
           if k = Trace.op_enq then begin
             let q = queues.(qid) in
             if q.occupancy >= q.qs_capacity then Forensics.On_queue_full qid
@@ -1358,3 +1413,27 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||])
     n_cores_used;
     attribution;
   }
+
+let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||]) ?(queue_caps = []) ?telemetry
+    ?faults ?(watchdog = default_watchdog) ?(cycle_budget = default_cycle_budget)
+    (p : Types.pipeline) (trace : Trace.t) : result =
+  let n_threads = Array.length trace.Trace.threads in
+  let thread_core =
+    match thread_core with
+    | Some tc -> tc
+    | None -> default_thread_core cfg n_threads
+  in
+  (* The window guard: a thread's window holds at most [max 16 rob_size]
+     ops, so while that is below [Trace.max_distance], a producer that far
+     back has retired and a saturated dependence decodes to an op that has
+     retired too. *)
+  if Int.max 16 cfg.rob_size >= Trace.max_distance then
+    invalid_arg
+      (Printf.sprintf "Engine.run: rob_size %d: the window must hold fewer than %d ops"
+         cfg.rob_size Trace.max_distance);
+  let m = acquire_machine cfg ~n_threads in
+  Fun.protect
+    ~finally:(fun () -> m.m_busy <- false)
+    (fun () ->
+      replay ~cfg ~thread_core ~ra_core ~queue_caps ~telemetry ~faults ~watchdog ~cycle_budget
+        ~caches:m.m_caches ~pred:m.m_pred p trace)

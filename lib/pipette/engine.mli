@@ -90,6 +90,11 @@ val run :
     a deterministic fault plan (see {!Faults}); with [?faults:None] and no
     watchdog trip every counter is byte-identical to the unhooked engine.
 
+    Raises [Invalid_argument] when [max 16 cfg.rob_size] is
+    {!Phloem_ir.Trace.max_distance} or more: a thread's window must hold
+    fewer ops than a saturated dependence distance names. The caches and
+    the branch predictor are kept per domain and reset for each replay.
+
     A replay that cannot finish raises
     [Phloem_ir.Forensics.Pipeline_failure] with a structured report that
     separates the three failure modes: {e deadlock} (no thread can ever

@@ -6,7 +6,7 @@ type t = {
   table : int array; (* 2-bit counters, initialized weakly taken *)
   mask : int;
   history_mask : int;
-  histories : int array; (* per thread *)
+  mutable histories : int array; (* per thread *)
   mutable lookups : int;
   mutable mispredicts : int;
 }
@@ -20,6 +20,14 @@ let create ~entries ~history_bits ~n_threads =
     lookups = 0;
     mispredicts = 0;
   }
+
+(* Back to the state [create] builds, for [n_threads] threads. *)
+let reset t ~n_threads =
+  Array.fill t.table 0 (Array.length t.table) 2;
+  if Array.length t.histories = n_threads then Array.fill t.histories 0 n_threads 0
+  else t.histories <- Array.make n_threads 0;
+  t.lookups <- 0;
+  t.mispredicts <- 0
 
 (* Predict-and-update in one step (trace-driven: the actual outcome is
    known). Returns whether the prediction was correct. *)

@@ -98,27 +98,35 @@ let kind th i =
 
 let pa th i =
   op th i;
-  Int64.to_int (Bytes.get_int64_ne th.tr.Trace.pa (8 * i))
+  Int32.to_int (Bytes.get_int32_ne th.tr.Trace.pa (4 * i))
 
-let pb th i =
-  op th i;
-  Int32.to_int (Bytes.get_int32_ne th.tr.Trace.pb (4 * i))
-
-(* the producers of op [i], in column order dep1, dep2, dep3 *)
+(* The producers of op [i], in column order dep1, dep2, dep3. A column
+   holds the distance back, 0 for none; a saturated distance names an op at
+   least that far back, which must have retired: the window holds fewer
+   ops than [Trace.max_distance]. *)
 let deps th i =
   op th i;
-  List.map
-    (fun col -> Int32.to_int (Bytes.get_int32_ne col (4 * i)))
+  List.filter_map
+    (fun col ->
+      match Bytes.get_uint16_ne col (2 * i) with
+      | 0 -> None
+      | x ->
+        if x = Trace.max_distance && i - x >= th.retired then
+          invalid_arg
+            (Printf.sprintf
+               "Stepper: op %d of thread %d has a saturated dependence on op %d, but only %d \
+                ops have retired"
+               i th.id (i - x) th.retired);
+        Some (i - x))
     [ th.tr.Trace.dep1; th.tr.Trace.dep2; th.tr.Trace.dep3 ]
 
-let ra_field col width r i =
+let ra_field col r i =
   if i < 0 || i >= r.rn then invalid_arg (Printf.sprintf "Stepper: RA event %d of %d" i r.rn);
-  if width = 4 then Int32.to_int (Bytes.get_int32_ne col (4 * i))
-  else Int64.to_int (Bytes.get_int64_ne col (8 * i))
+  Int32.to_int (Bytes.get_int32_ne col (4 * i))
 
-let in_seq r i = ra_field r.rt.Trace.rt_in_seq 4 r i
-let out_seq r i = ra_field r.rt.Trace.rt_out_seq 4 r i
-let addr r i = ra_field r.rt.Trace.rt_addr 8 r i
+let in_seq r i = ra_field r.rt.Trace.rt_in_seq r i
+let out_seq r i = ra_field r.rt.Trace.rt_out_seq r i
+let addr r i = ra_field r.rt.Trace.rt_addr r i
 
 let arrive q t =
   if q.pushed = Array.length q.log then
@@ -211,13 +219,20 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||]) ?(queue_caps = []
         })
       trace.Trace.ras
   in
-  (* barrier occurrence (id, instance) -> members, and who has arrived *)
+  (* barrier occurrence (id, instance) -> members, and who has arrived;
+     (thread, op) -> the barrier op's occurrence, numbered per thread and
+     id in program order *)
   let barrier_total = Hashtbl.create 8 and barrier_arrived = Hashtbl.create 8 in
+  let barrier_key = Hashtbl.create 8 in
   Array.iter
     (fun th ->
+      let seen = Hashtbl.create 4 in
       for i = 0 to th.n - 1 do
         if kind th i = Trace.op_barrier then begin
-          let key = (pa th i, pb th i) in
+          let instance = Option.value ~default:0 (Hashtbl.find_opt seen (pa th i)) in
+          Hashtbl.replace seen (pa th i) (instance + 1);
+          let key = (pa th i, instance) in
+          Hashtbl.replace barrier_key (th.id, i) key;
           Hashtbl.replace barrier_total key
             (1 + Option.value ~default:0 (Hashtbl.find_opt barrier_total key))
         end
@@ -232,7 +247,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||]) ?(queue_caps = []
   let guard = ref 0 and last_retire = ref 0 in
   let queue_ops = ref 0 and mem_budget = ref 0 in
   let active th = not (th.finished || th.killed || th.stalled) in
-  let pending_dep th d = d <> Trace.no_dep && th.comp.(d) > !now in
+  let pending_dep th d = th.comp.(d) > !now in
   let first_unissued th =
     let rec go i = if i >= th.dispatched then -1 else if th.issued.(i) then go (i + 1) else i in
     go th.retired
@@ -347,8 +362,10 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||]) ?(queue_caps = []
       incr n;
       progress := true;
       if kind th i = Trace.op_branch then begin
+        (* a branch's payload is its site id [lsl 1], [lor 1] if taken *)
         let correct =
-          Predictor.predict_update pred ~thread:th.id ~pc:(pa th i) ~taken:(pb th i = 1)
+          Predictor.predict_update pred ~thread:th.id ~pc:(pa th i asr 1)
+            ~taken:(pa th i land 1 = 1)
         in
         let correct =
           match faults with Some f -> correct && not (Faults.poison f) | None -> correct
@@ -437,7 +454,7 @@ let run ?(cfg = Config.default) ?thread_core ?(ra_core = [||]) ?(queue_caps = []
       end
     end
     else if k = Trace.op_barrier then begin
-      let key = (pa th i, pb th i) in
+      let key = Hashtbl.find barrier_key (th.id, i) in
       let arrived = (th, i) :: Option.value ~default:[] (Hashtbl.find_opt barrier_arrived key) in
       if List.length arrived = Hashtbl.find barrier_total key then begin
         Hashtbl.remove barrier_arrived key;

@@ -20,7 +20,8 @@
    window, and a seeded QCheck property over random machines run the
    engine against [Stepper], a reference that advances one cycle at a time
    with none of the engine's skips: the digests pin the output, the
-   stepper checks it. *)
+   stepper checks it. So does a thread whose dependences reach further
+   back than a trace's dependence column can store. *)
 
 open Phloem_ir
 open Phloem_ir.Builder
@@ -478,28 +479,86 @@ let test_alloc_guard () =
       per_cycle words r.Engine.cycles max_minor_words_per_cycle
 
 (* Words [Engine.run] allocates directly in the major heap (blocks too
-   large for the minor heap), which do not depend on the trace's length:
-   the scratch is sized by the window, the queues and the caches. Two
-   replays of CC's static pipeline on grids whose traces differ at least
-   4x in length must allocate the same, up to a small constant. *)
+   large for the minor heap). *)
+let major_direct p trace =
+  let _, promoted0, major0 = Gc.counters () in
+  ignore (Engine.run p trace);
+  let _, promoted1, major1 = Gc.counters () in
+  major1 -. major0 -. (promoted1 -. promoted0)
+
+(* Those words do not depend on the trace's length: the scratch is sized by
+   the window and the queues. Two replays of CC's static pipeline on grids
+   whose traces differ at least 4x in length must allocate the same, up to
+   a small constant, once a first replay has built the domain's caches and
+   predictor. *)
 let max_major_words_spread = 64.0
 
 let test_major_words_flat () =
-  let major_direct p trace =
-    let _, promoted0, major0 = Gc.counters () in
-    ignore (Engine.run p trace);
-    let _, promoted1, major1 = Gc.counters () in
-    major1 -. major0 -. (promoted1 -. promoted0)
-  in
   let small_p, small = cc_static (Phloem_graph.Gen.grid ~width:20 ~height:20 ~seed:5) in
   let large_p, large = cc_static (Phloem_graph.Gen.grid ~width:40 ~height:40 ~seed:5) in
   let ops t = Trace.op_count t in
   Alcotest.(check bool) "traces differ at least 4x in length" true (ops large >= 4 * ops small);
+  ignore (Engine.run small_p small);
   let ws = major_direct small_p small and wl = major_direct large_p large in
   if Float.abs (wl -. ws) > max_major_words_spread then
     Alcotest.failf "Engine.run allocated %.0f major-heap words on %d ops and %.0f on %d ops; \
                     the spread bound is %.0f"
       ws (ops small) wl (ops large) max_major_words_spread
+
+(* A replay resets its domain's caches and predictor instead of building
+   them: the first replay on a domain allocates them (79.6k words at the
+   default config), a second one only its per-run set-up. *)
+let max_major_words_warm = 4096.0
+
+let test_major_words_warm () =
+  let p, trace = cc_static (Phloem_graph.Gen.grid ~width:20 ~height:20 ~seed:5) in
+  ignore (Engine.run p trace);
+  let w = major_direct p trace in
+  if w >= max_major_words_warm then
+    Alcotest.failf "a second replay on the domain allocated %.0f major-heap words; the bound is %.0f"
+      w max_major_words_warm
+
+(* --- saturated dependences -------------------------------------------------
+
+   A dependence column stores distances up to [Trace.max_distance]; a
+   producer further back is stored at that distance. Here the last ops
+   read [x], computed before a loop of over 70,000 ops: the engine must
+   still equal the stepper, which checks on its own that every saturated
+   producer has retired. *)
+let saturated_pipe () =
+  serial "saturated"
+    ~arrays:[ int_array "a" 1; int_array "out" 1 ]
+    [
+      "x" <-- (load "a" (int 0) +! int 1);
+      "s" <-- int 0;
+      for_ "i" (int 0) (int 18_000) [ "s" <-- (v "s" +! v "i") ];
+      store "out" (int 0) (v "x" +! v "s");
+    ]
+
+let test_saturated_dependence () =
+  let p = saturated_pipe () in
+  let fr = Sim.functional ~inputs:[ ("a", [| Types.Vint 41 |]) ] p in
+  let th = fr.Interp.r_trace.Trace.threads.(0) in
+  Alcotest.(check bool) "over 70,000 ops" true (Trace.length th > 70_000);
+  let saturated col =
+    List.exists
+      (fun i -> Bytes.get_uint16_ne col (2 * i) = Trace.max_distance)
+      (List.init (Trace.length th) Fun.id)
+  in
+  Alcotest.(check bool) "a dependence saturates" true
+    (List.exists saturated [ th.Trace.dep1; th.Trace.dep2; th.Trace.dep3 ]);
+  Alcotest.(check (list string)) "engine = stepper" [] (Stepper.compare_replays p fr)
+
+(* The window must hold fewer ops than the saturation distance, or a
+   saturated dependence could name an op still in flight. *)
+let test_window_guard () =
+  let p = saturated_pipe () in
+  let trace = (Sim.functional ~inputs:[ ("a", [| Types.Vint 41 |]) ] p).Interp.r_trace in
+  let run rob_size = Engine.run ~cfg:{ Config.default with rob_size } p trace in
+  Alcotest.check_raises "rob_size 65535"
+    (Invalid_argument "Engine.run: rob_size 65535: the window must hold fewer than 65535 ops")
+    (fun () -> ignore (run 65535));
+  Alcotest.(check bool) "rob_size 65534 replays" true ((run 65534).Engine.cycles > 0)
 
 let () =
   let golden_kernels = kernel_cases ()
@@ -523,5 +582,12 @@ let () =
           Alcotest.test_case "minor words per cycle" `Quick test_alloc_guard;
           Alcotest.test_case "major words independent of trace length" `Quick
             test_major_words_flat;
+          Alcotest.test_case "major words of a second replay" `Quick test_major_words_warm;
+        ] );
+      ( "trace encoding",
+        [
+          Alcotest.test_case "saturated dependence: engine = stepper" `Quick
+            test_saturated_dependence;
+          Alcotest.test_case "window guard rejects rob_size 65535" `Quick test_window_guard;
         ] );
     ]

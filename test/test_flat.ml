@@ -25,7 +25,7 @@ let check_trace_eq name (a : Trace.t) (b : Trace.t) =
     (fun i ta ->
       let tb = b.Trace.threads.(i) in
       let cols (t : Trace.thread_trace) =
-        [ t.Trace.kind; t.Trace.pa; t.Trace.pb; t.Trace.dep1; t.Trace.dep2; t.Trace.dep3 ]
+        [ t.Trace.kind; t.Trace.pa; t.Trace.dep1; t.Trace.dep2; t.Trace.dep3 ]
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s: thread %d trace columns identical" name i)
@@ -656,8 +656,8 @@ let test_sim_cache_single_flight () =
         "trace cache: 1 miss, 1 hit" (1, 1)
         (c.Sim.cc_trace_misses, c.Sim.cc_trace_hits))
 
-(* The trace cache weighs each entry by its sealed trace's bytes: 25 per
-   op and 16 per RA event, with no growth slack. *)
+(* The trace cache weighs each entry by its sealed trace's bytes: 11 per
+   op and 12 per RA event, with no chunk slack. *)
 let test_sim_cache_trace_bytes () =
   Fun.protect ~finally:Sim.clear_caches (fun () ->
       Sim.clear_caches ();
@@ -671,8 +671,8 @@ let test_sim_cache_trace_bytes () =
         (fun tr ->
           let events = Array.fold_left (fun n r -> n + Trace.ra_length r) 0 tr.Trace.ras in
           Alcotest.(check int)
-            "bytes = 25 per op + 16 per RA event"
-            ((25 * Trace.op_count tr) + (16 * events))
+            "bytes = 11 per op + 12 per RA event"
+            ((11 * Trace.op_count tr) + (12 * events))
             (Trace.bytes tr))
         traces;
       Alcotest.(check bool) "the manual pipeline drives RAs" true

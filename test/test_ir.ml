@@ -353,14 +353,14 @@ let test_trace_deps_wellformed () =
     (fun th ->
       let n = Trace.length th in
       for i = 0 to n - 1 do
-        let check_dep d =
-          if d <> Trace.no_dep && d >= i then
-            Alcotest.failf "op %d depends on later op %d" i d
+        (* a dependence is stored as its distance back, 0 for none *)
+        let check_dep col =
+          let x = Bytes.get_uint16_ne col (2 * i) in
+          if x > i then Alcotest.failf "op %d depends on op %d, before the trace" i (i - x)
         in
-        let dep col = Int32.to_int (Bytes.get_int32_ne col (4 * i)) in
-        check_dep (dep th.Trace.dep1);
-        check_dep (dep th.Trace.dep2);
-        check_dep (dep th.Trace.dep3)
+        check_dep th.Trace.dep1;
+        check_dep th.Trace.dep2;
+        check_dep th.Trace.dep3
       done)
     tr.Trace.threads;
   Alcotest.(check bool) "ops recorded" true (Trace.op_count tr > 0)
@@ -370,119 +370,209 @@ let test_trace_deps_wellformed () =
 let max32 = 0x7fff_ffff
 let min32 = -0x8000_0000
 
-(* Every field of a thread op and an RA event, read back both unchecked
-   ([Trace.get32u]/[get64u], [Bytes.unsafe_get]) and checked
-   ([Bytes.get_int32_ne]/[get_int64_ne], [Bytes.get]): the readers the
-   timing engine uses. *)
-let op_reads (th : Trace.thread_trace) i =
-  let u32 c = Int32.to_int (Trace.get32u c (4 * i))
-  and c32 c = Int32.to_int (Bytes.get_int32_ne c (4 * i)) in
-  let u64 c = Int64.to_int (Trace.get64u c (8 * i))
-  and c64 c = Int64.to_int (Bytes.get_int64_ne c (8 * i)) in
-  let open Trace in
+(* Each op's fields as the timing engine reads them, unchecked
+   ([Bytes.unsafe_get], [Trace.get32u], [Trace.get16u]) and checked
+   ([Bytes.get], [Bytes.get_int32_ne], [Bytes.get_uint16_ne]), with every
+   dependence decoded from its distance: [cols] are the columns that hold op
+   [i], at position [pos]. *)
+let op_reads (cols : Bytes.t array) pos i =
+  let dep x = if x = 0 then Trace.no_dep else i - x in
+  let u16 c = dep (Trace.get16u cols.(c) (2 * pos))
+  and c16 c = dep (Bytes.get_uint16_ne cols.(c) (2 * pos)) in
   [
-    ( Char.code (Bytes.unsafe_get th.kind i),
-      u64 th.pa, u32 th.pb, u32 th.dep1, u32 th.dep2, u32 th.dep3 );
-    (Char.code (Bytes.get th.kind i), c64 th.pa, c32 th.pb, c32 th.dep1, c32 th.dep2, c32 th.dep3);
+    ( Char.code (Bytes.unsafe_get cols.(0) pos),
+      Int32.to_int (Trace.get32u cols.(1) (4 * pos)),
+      u16 2,
+      u16 3,
+      u16 4 );
+    ( Char.code (Bytes.get cols.(0) pos),
+      Int32.to_int (Bytes.get_int32_ne cols.(1) (4 * pos)),
+      c16 2,
+      c16 3,
+      c16 4 );
   ]
 
-let event_reads (r : Trace.ra_trace) i =
-  let open Trace in
-  [
-    ( Int32.to_int (get32u r.rt_in_seq (4 * i)),
-      Int32.to_int (get32u r.rt_out_seq (4 * i)),
-      Int64.to_int (get64u r.rt_addr (8 * i)) );
-    ( Int32.to_int (Bytes.get_int32_ne r.rt_in_seq (4 * i)),
-      Int32.to_int (Bytes.get_int32_ne r.rt_out_seq (4 * i)),
-      Int64.to_int (Bytes.get_int64_ne r.rt_addr (8 * i)) );
-  ]
+let event_reads (cols : Bytes.t array) pos =
+  let f c = Int32.to_int (Bytes.get_int32_ne cols.(c) (4 * pos))
+  and u c = Int32.to_int (Trace.get32u cols.(c) (4 * pos)) in
+  [ (u 0, u 1, u 2); (f 0, f 1, f 2) ]
 
-(* Random ops and RA events, weighted towards each column's boundaries;
-   lengths cross the initial capacities so the columns grow. *)
-let gen_columns =
+(* Where op (or event) [i] lives: before [seal], in chunk [i / chunk_ops]
+   of [filled] and the column fields; after it, in the column fields. *)
+let locate ~sealed fields filled =
+  if sealed then fun i -> (fields, i)
+  else
+    let chunks = Array.of_list (List.rev (fields :: filled)) in
+    fun i -> (chunks.(i / Trace.chunk_ops), i mod Trace.chunk_ops)
+
+(* A dependence as the columns decode it: a distance of [max_distance] or
+   more saturates, and decodes to the op [max_distance] back. *)
+let decoded i d = if d = Trace.no_dep then d else Int.max d (i - Trace.max_distance)
+
+(* Valid ops, drawn from a seed: every [kind], [pa] at and between both
+   signed 32-bit bounds, branches at sites up to 2^30 - 1 with both
+   outcomes, and dependences none or at distance 1, 65534, 65535, 65536,
+   2^20 or any other that names an op. Lengths cross chunk boundaries, and
+   some traces are long enough for every distance. *)
+let trace_ops n seed =
+  let rs = Random.State.make [| seed |] in
+  let pick a = a.(Random.State.int rs (Array.length a)) in
+  let i32 () =
+    if Random.State.bool rs then pick [| 0; -1; max32; min32 |]
+    else Random.State.full_int rs (1 lsl 32) + min32
+  in
+  let distances = [| 0; 1; 65534; 65535; 65536; 1 lsl 20; 0 |] in
+  Array.init n (fun i ->
+      let dep () =
+        let k = Random.State.int rs (Array.length distances) in
+        let d = if k = 6 then 1 + Random.State.int rs (i + 1) else distances.(k) in
+        if d = 0 || d > i then Trace.no_dep else i - d
+      in
+      let kind = if Random.State.bool rs then Trace.op_branch else Random.State.int rs 256 in
+      let pa =
+        if kind = Trace.op_branch then
+          let site =
+            if Random.State.bool rs then pick [| 0; (1 lsl 30) - 1 |]
+            else Random.State.full_int rs (1 lsl 30)
+          in
+          (site lsl 1) lor Random.State.int rs 2
+        else i32 ()
+      in
+      let d1 = dep () in
+      let d2 = dep () in
+      (kind, pa, d1, d2, dep ()))
+
+let gen_trace_case =
   let open QCheck.Gen in
-  let edge l g = frequency [ (1, oneofl l); (2, g) ] in
-  let i32 = edge [ Trace.no_dep; 0; max32; min32 ] (int_range min32 max32) in
-  let i64 = edge [ 0; -1; -2; max_int; min_int; 1 lsl 61; (1 lsl 62) - 1 ] int in
-  let op = tup6 (edge [ 0; 255 ] (int_range 0 255)) i64 i32 i32 i32 i32 in
-  let event = triple i32 (edge [ -1 ] i32) i64 in
-  pair (array_size (int_range 0 2500) op) (array_size (int_range 0 700) event)
+  let ops =
+    frequency
+      [
+        (30, int_range 0 (3 * Trace.chunk_ops));
+        (8, int_range 65_530 66_500);
+        (1, int_range (1 lsl 20) ((1 lsl 20) + 100));
+      ]
+  in
+  triple ops (int_range 0 (3 * Trace.chunk_ops)) (int_range 0 0x3fff_ffff)
 
 let prop_trace_round_trip =
-  QCheck.Test.make ~count:40 ~name:"trace fields round-trip before and after seal"
+  QCheck.Test.make ~count:40 ~long_factor:10
+    ~name:"trace fields round-trip before and after seal"
     (QCheck.make
-       ~print:(fun (ops, evs) ->
-         Printf.sprintf "%d ops, %d RA events" (Array.length ops) (Array.length evs))
-       gen_columns)
-    (fun (ops, events) ->
+       ~print:(fun (n, m, seed) -> Printf.sprintf "%d ops, %d RA events, seed %d" n m seed)
+       gen_trace_case)
+    (fun (n, m, seed) ->
+      let ops = trace_ops n seed in
+      let rs = Random.State.make [| seed; 1 |] in
+      let i32 () = Random.State.full_int rs (1 lsl 32) + min32 in
+      let events =
+        Array.init m (fun _ ->
+            match Random.State.int rs 4 with
+            | 0 -> (max32, min32, -1)
+            | 1 -> (min32, -1, max32)
+            | _ -> (i32 (), i32 (), i32 ()))
+      in
       let tr = Trace.create ~n_threads:1 ~n_ras:1 ~n_queues:0 in
       let th = tr.Trace.threads.(0) and ra = tr.Trace.ras.(0) in
       Array.iteri
-        (fun i (kind, pa, pb, dep1, dep2, dep3) ->
-          if Trace.push th ~kind ~pa ~pb ~dep1 ~dep2 ~dep3 <> i then
+        (fun i (kind, pa, dep1, dep2, dep3) ->
+          if Trace.push th ~kind ~pa ~dep1 ~dep2 ~dep3 <> i then
             QCheck.Test.fail_reportf "push %d returned another index" i)
         ops;
       Array.iter (fun (in_seq, out_seq, addr) -> Trace.ra_push ra ~in_seq ~out_seq ~addr) events;
-      let read_back when_ =
+      let read_back ~sealed =
+        let when_ = if sealed then "after seal" else "before seal" in
+        let open Trace in
+        let locate_op =
+          locate ~sealed [| th.kind; th.pa; th.dep1; th.dep2; th.dep3 |] th.filled
+        and locate_event = locate ~sealed [| ra.rt_in_seq; ra.rt_out_seq; ra.rt_addr |] ra.rt_filled in
         Array.iteri
-          (fun i op ->
-            if List.exists (( <> ) op) (op_reads th i) then
-              QCheck.Test.fail_reportf "op %d reads back changed %s" i when_)
+          (fun i (kind, pa, d1, d2, d3) ->
+            let cols, pos = locate_op i in
+            let want = (kind, pa, decoded i d1, decoded i d2, decoded i d3) in
+            let same (k, p, a, b, c) (k', p', a', b', c') =
+              k = k' && p = p' && a = a' && b = b' && c = c'
+            in
+            if not (List.for_all (same want) (op_reads cols pos i)) then
+              QCheck.Test.fail_reportf "op %d reads back changed %s" i when_;
+            if kind = op_branch then begin
+              let _, pa', _, _, _ = List.hd (op_reads cols pos i) in
+              if (pa' asr 1, pa' land 1) <> (pa asr 1, pa land 1) then
+                QCheck.Test.fail_reportf "branch %d decodes to another site or outcome" i
+            end)
           ops;
         Array.iteri
           (fun i ev ->
-            if List.exists (( <> ) ev) (event_reads ra i) then
+            let cols, pos = locate_event i in
+            if List.exists (( <> ) ev) (event_reads cols pos) then
               QCheck.Test.fail_reportf "RA event %d reads back changed %s" i when_)
           events
       in
-      read_back "before seal";
+      read_back ~sealed:false;
       Trace.seal tr;
-      read_back "after seal";
-      let n = Array.length ops and m = Array.length events in
+      read_back ~sealed:true;
       let open Trace in
       (* sealed: no slack in any column *)
       List.for_all2
         (fun c w -> Bytes.length c = w * n)
-        [ th.kind; th.pa; th.pb; th.dep1; th.dep2; th.dep3 ]
-        [ 1; 8; 4; 4; 4; 4 ]
+        [ th.kind; th.pa; th.dep1; th.dep2; th.dep3 ]
+        [ 1; 4; 2; 2; 2 ]
       && List.for_all2
            (fun c w -> Bytes.length c = w * m)
            [ ra.rt_in_seq; ra.rt_out_seq; ra.rt_addr ]
-           [ 4; 4; 8 ]
-      && Trace.bytes tr = (Trace.op_bytes * n) + (Trace.ra_event_bytes * m)
-      && Trace.op_bytes = 25 && Trace.ra_event_bytes = 16)
+           [ 4; 4; 4 ]
+      && Trace.bytes tr = (11 * n) + (12 * m)
+      && Trace.op_bytes = 11 && Trace.ra_event_bytes = 12)
 
-(* A value wider than its column raises, naming the column, and leaves the
-   trace as it was: nothing is stored wrapped. Op indices reach a column
-   only as dependences, so a dependence one past 2^31 - 1 stands in for an
-   op index a 2^31-op trace would produce. *)
+(* A value wider than its column raises, naming the column, and so does a
+   dependence on the op itself, a later op, or below [no_dep]; the trace
+   stays as it was: nothing is stored wrapped, nothing is appended. *)
 let test_trace_narrowing () =
   let tr = Trace.create ~n_threads:1 ~n_ras:1 ~n_queues:0 in
   let th = tr.Trace.threads.(0) and ra = tr.Trace.ras.(0) in
-  let push ?(kind = Trace.op_alu) ?(pb = 0) ?(dep1 = Trace.no_dep) ?(dep2 = Trace.no_dep)
+  let push ?(kind = Trace.op_alu) ?(pa = 0) ?(dep1 = Trace.no_dep) ?(dep2 = Trace.no_dep)
       ?(dep3 = Trace.no_dep) () =
-    ignore (Trace.push th ~kind ~pa:max_int ~pb ~dep1 ~dep2 ~dep3)
+    ignore (Trace.push th ~kind ~pa ~dep1 ~dep2 ~dep3)
   in
-  push ~pb:max32 ~dep1:max32 ~dep2:min32 ~dep3:0 ~kind:255 ();
-  let raises fn col v f =
-    Alcotest.check_raises
-      (Printf.sprintf "%s %d" col v)
-      (Invalid_argument (Printf.sprintf "Trace.%s: %s %d does not fit its column" fn col v))
-      f
-  in
-  raises "push" "kind" 256 (fun () -> push ~kind:256 ());
-  raises "push" "kind" (-1) (fun () -> push ~kind:(-1) ());
-  raises "push" "pb" (max32 + 1) (fun () -> push ~pb:(max32 + 1) ());
-  raises "push" "dep1" (max32 + 1) (fun () -> push ~dep1:(max32 + 1) ());
-  raises "push" "dep2" (min32 - 1) (fun () -> push ~dep2:(min32 - 1) ());
-  raises "push" "dep3" max_int (fun () -> push ~dep3:max_int ());
-  raises "push" "dep3" min_int (fun () -> push ~dep3:min_int ());
-  raises "ra_push" "in_seq" (max32 + 1) (fun () ->
+  push ~kind:255 ~pa:max32 ();
+  push ~pa:min32 ~dep1:0 ~dep2:Trace.no_dep ~dep3:0 ();
+  let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
+  let too_wide fn col v f = raises (Printf.sprintf "Trace.%s: %s %d does not fit its column" fn col v) f in
+  let not_before col d f = raises (Printf.sprintf "Trace.push: %s %d is not an op before op 2" col d) f in
+  too_wide "push" "kind" 256 (fun () -> push ~kind:256 ());
+  too_wide "push" "kind" (-1) (fun () -> push ~kind:(-1) ());
+  too_wide "push" "pa" (max32 + 1) (fun () -> push ~pa:(max32 + 1) ());
+  too_wide "push" "pa" (min32 - 1) (fun () -> push ~pa:(min32 - 1) ());
+  too_wide "push" "pa" max_int (fun () -> push ~pa:max_int ());
+  not_before "dep1" 2 (fun () -> push ~dep1:2 ());
+  not_before "dep2" 3 (fun () -> push ~dep2:3 ());
+  not_before "dep3" max_int (fun () -> push ~dep3:max_int ());
+  not_before "dep1" (-2) (fun () -> push ~dep1:(-2) ());
+  not_before "dep2" min_int (fun () -> push ~dep2:min_int ());
+  too_wide "ra_push" "in_seq" (max32 + 1) (fun () ->
       Trace.ra_push ra ~in_seq:(max32 + 1) ~out_seq:0 ~addr:0);
-  raises "ra_push" "out_seq" (min32 - 1) (fun () ->
+  too_wide "ra_push" "out_seq" (min32 - 1) (fun () ->
       Trace.ra_push ra ~in_seq:0 ~out_seq:(min32 - 1) ~addr:0);
-  Alcotest.(check int) "failed pushes append nothing" 1 (Trace.length th);
-  Alcotest.(check int) "failed RA pushes append nothing" 0 (Trace.ra_length ra)
+  too_wide "ra_push" "addr" (max32 + 1) (fun () ->
+      Trace.ra_push ra ~in_seq:0 ~out_seq:0 ~addr:(max32 + 1));
+  too_wide "ra_push" "addr" (min32 - 1) (fun () ->
+      Trace.ra_push ra ~in_seq:0 ~out_seq:0 ~addr:(min32 - 1));
+  Alcotest.(check int) "failed pushes append nothing" 2 (Trace.length th);
+  Alcotest.(check int) "failed RA pushes append nothing" 0 (Trace.ra_length ra);
+  Trace.seal tr;
+  Alcotest.(check (list int)) "sealed fields kept"
+    [ 255; max32; min32; 0; 1; 0; 1 ]
+    [
+      Char.code (Bytes.get th.Trace.kind 0);
+      Int32.to_int (Bytes.get_int32_ne th.Trace.pa 0);
+      Int32.to_int (Bytes.get_int32_ne th.Trace.pa 4);
+      Bytes.get_uint16_ne th.Trace.dep1 0;
+      Bytes.get_uint16_ne th.Trace.dep1 2;
+      Bytes.get_uint16_ne th.Trace.dep2 2;
+      Bytes.get_uint16_ne th.Trace.dep3 2;
+    ];
+  raises "Trace.push: the trace is sealed" (fun () -> push ());
+  raises "Trace.ra_push: the trace is sealed" (fun () ->
+      Trace.ra_push ra ~in_seq:0 ~out_seq:0 ~addr:0)
 
 (* --- validation --- *)
 
@@ -649,7 +739,7 @@ let prop_traversal_matches_interp =
         List.filter_map
           (fun i ->
             if Char.code (Bytes.get th.Trace.kind i) = Trace.op_deq then
-              Some (Int64.to_int (Bytes.get_int64_ne th.Trace.pa (8 * i)))
+              Some (Int32.to_int (Bytes.get_int32_ne th.Trace.pa (4 * i)))
             else None)
           (List.init (Trace.length th) Fun.id)
       in
