@@ -16,12 +16,6 @@
 open Cmdliner
 module Serve = Phloem_serve
 
-let write_stats file server =
-  (* Atomic like the Obs writers: stats are also scraped while live. *)
-  let tmp = file ^ ".tmp" in
-  Phloem_util.Json.to_file tmp (Serve.Server.stats_json server);
-  Sys.rename tmp file
-
 let serve socket tcp jobs queue_limit cache_entries sim_cache max_request
     stats_out metrics_out trace_out slow_ms flush_interval log_level =
   (match Phloem_util.Log.level_of_string log_level with
@@ -60,7 +54,13 @@ let serve socket tcp jobs queue_limit cache_entries sim_cache max_request
   Sys.set_signal Sys.sigint (Sys.Signal_handle shutdown);
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let flush_outputs () =
-    (try Option.iter (fun f -> write_stats f server) stats_out
+    (* stats are scraped while live, so they are written atomically too *)
+    (try
+       Option.iter
+         (fun f ->
+           Serve.Obs.write_atomic f
+             (Phloem_util.Json.to_string (Serve.Server.stats_json server)))
+         stats_out
      with Sys_error _ -> ());
     match obs with
     | None -> ()

@@ -8,9 +8,10 @@
 
 open Phloem_ir.Types
 
-(* The architecture's queue and RA budget (Table III). *)
+(* The architecture's queue and RA budget and queue depth (Table III). *)
 let max_queues = Pipette.Config.(default.max_queues)
 let max_ras = Pipette.Config.(default.max_ras)
+let queue_depth = Pipette.Config.(default.queue_depth)
 
 let decouple : Pass.pass =
   (module struct
@@ -76,11 +77,15 @@ let check_limits : Pass.pass =
    feasible but capacity-sensitive: every in-cycle queue must be able to
    hold the cycle's in-flight tokens, so undersized ones get a warning with
    a minimum-capacity suggestion rather than a rejection (the timing model
-   decides at run time; see Forensics for the run-time counterpart). *)
+   decides at run time; see Forensics for the run-time counterpart).
+   Last, (3) every stage must hold the same set of barrier ids: a barrier
+   releases only once every live stage waits on its id, so a stage that
+   parks on an id another stage never reaches waits for good. *)
 let check_deadlock : Pass.pass =
   (module struct
     let name = "check-deadlock"
-    let describe = "reject communication plans whose queue cycles can never make progress"
+    let describe =
+      "reject communication plans whose queue cycles or barriers can never make progress"
 
     type first_op = F_deq of int | F_enq | F_none
 
@@ -171,7 +176,7 @@ let check_deadlock : Pass.pass =
       let cap q =
         match List.find_opt (fun (d : queue_decl) -> d.q_id = q) p.p_queues with
         | Some d -> d.q_capacity
-        | None -> 24
+        | None -> queue_depth
       in
       List.iter
         (fun scc ->
@@ -218,6 +223,25 @@ let check_deadlock : Pass.pass =
             end
           end)
         !sccs;
+      let barriers (s : stage) =
+        List.fold_left
+          (fold_stmts (fun ids x -> match x with Barrier id -> id :: ids | _ -> ids))
+          []
+          (s.s_body :: List.map (fun h -> h.h_body) s.s_handlers)
+        |> List.sort_uniq compare
+      in
+      let held = List.map (fun s -> (s.s_name, barriers s)) p.p_stages in
+      (match held with
+      | (_, ids) :: rest when List.exists (fun (_, ids') -> ids' <> ids) rest ->
+        let show (name, ids) =
+          Printf.sprintf "%s {%s}" name
+            (String.concat ", " (List.map string_of_int ids))
+        in
+        Pass.reject
+          "check-deadlock: stages hold different barriers (%s); a barrier \
+           releases only once every live stage waits on it"
+          (String.concat ", " (List.map show held))
+      | _ -> ());
       p
 
     let invariants = []

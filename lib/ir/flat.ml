@@ -16,11 +16,13 @@
    ([Interp.push_alu] / [push_branch] / [Trace.push]), the same queue
    runtime and value primitives, and the same deterministic scheduler
    ([Interp.schedule]). The differential suite (test/test_flat.ml)
-   enforces this across every workload. One knowing divergence, affecting
-   only *invalid* programs: the tree path raises "unbound variable" when a
-   variable is read before any assignment, while the flat path reads the
-   register file's initial [Vint 0] — register allocation erases the
-   bound/unbound distinction.
+   enforces this across every workload. One knowing divergence: the tree
+   path raises "unbound variable" when a variable is read before any
+   assignment, while the flat path reads the register file's initial
+   [Vint 0] — register allocation erases the bound/unbound distinction.
+   [Validate] rejects a stage that reads a name it never binds, so the
+   divergence is left to pipelines it rejects and to a read that runs
+   before its name's first assignment on some path of the stage.
 
    Compilation is pure and per-pipeline: the resulting programs hold no
    mutable execution state (that all lives in the per-run register file

@@ -49,7 +49,11 @@ let rec scan_stmt ~stage ~arrays ~use_queue ~loop_depth s =
    - queues with more than one consumer (FIFO matching requires one reader)
    - handlers installed on queues the stage never dequeues
    - break outside loops
-   - RAs whose in/out queues coincide *)
+   - RAs whose in/out queues coincide
+   - a stage reading a name that is neither a param nor bound in that stage
+     (an assignment target, a [for] variable or a handler variable):
+     [Interp] raises on such a read, and [Flat] would read a zeroed
+     register *)
 let check (p : pipeline) =
   let declared = List.map (fun q -> q.q_id) p.p_queues in
   let arrays = List.map (fun a -> a.a_name) p.p_arrays in
@@ -118,4 +122,27 @@ let check (p : pipeline) =
             fail "stage %s: handler on q%d, which the stage never dequeues"
               stg.s_name h.h_queue)
         stg.s_handlers)
+    p.p_stages;
+  List.iter
+    (fun stg ->
+      let blocks = stg.s_body :: List.map (fun h -> h.h_body) stg.s_handlers in
+      let bound = Hashtbl.create 16 in
+      let bind x = Hashtbl.replace bound x () in
+      List.iter (fun (x, _) -> bind x) p.p_params;
+      List.iter (fun h -> bind h.h_cv_var) stg.s_handlers;
+      List.iter
+        (fold_stmts
+           (fun () s ->
+             match s with Assign (x, _) | For (_, x, _, _, _) -> bind x | _ -> ())
+           ())
+        blocks;
+      let read () e =
+        match e with
+        | Var x when not (Hashtbl.mem bound x) ->
+          fail "stage %s reads %s, which it never binds" stg.s_name x
+        | _ -> ()
+      in
+      List.iter
+        (fold_stmts (fun () s -> List.iter (fold_expr read ()) (stmt_exprs s)) ())
+        blocks)
     p.p_stages

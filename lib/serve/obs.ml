@@ -159,7 +159,7 @@ let trace_json t : Json.t =
 
 (* Atomic write (tmp + rename): a scrape or a crash never observes a
    half-written file. *)
-let write_string_file file s =
+let write_atomic file s =
   let tmp = file ^ ".tmp" in
   let oc = open_out tmp in
   Fun.protect
@@ -171,8 +171,8 @@ let write_string_file file s =
 
 let write_metrics_file t file =
   if Filename.check_suffix file ".prom" then
-    write_string_file file (M.to_prometheus (M.snapshot t.ob_metrics))
-  else write_string_file file (Json.to_string (metrics_json t))
+    write_atomic file (M.to_prometheus (M.snapshot t.ob_metrics))
+  else write_atomic file (Json.to_string (metrics_json t))
 
 let write_trace_file t file =
-  write_string_file file (Json.to_string (trace_json t))
+  write_atomic file (Json.to_string (trace_json t))

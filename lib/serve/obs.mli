@@ -58,6 +58,11 @@ val trace_json : t -> Phloem_util.Json.t
     ("phloemd"), one thread per span track, microsecond timestamps
     relative to the earliest span. *)
 
+val write_atomic : string -> string -> unit
+(** [write_atomic file s] writes [s] and a newline to [file] through
+    [file.tmp] and a rename, so a reader scraping [file] or a crash never
+    finds it half written. *)
+
 val write_metrics_file : t -> string -> unit
 (** Atomic (tmp + rename) write: Prometheus text when the filename ends in
     [.prom], the {!metrics_json} JSON otherwise. *)

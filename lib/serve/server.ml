@@ -10,10 +10,10 @@
    the scheduler, runs it, and answers it the moment it finishes, so a
    long job delays neither its neighbours nor the readers. Cache hits,
    stats, pings, and shed responses are answered directly on the reader
-   thread in O(lookup) — they never wait for a job. A worker that takes a
-   job whose content key another worker is already running waits for that
-   run and answers with its result, so concurrent identical misses run
-   once.
+   thread in O(lookup) — they never wait for a job. A worker answers a job
+   through the result cache's [find_or_add], so a job whose content key
+   another worker is running waits for that run, and one queued while it
+   ran finds its payload: identical misses run once at any [jobs].
 
    Failure containment: a job that deadlocks, livelocks, exhausts its
    budget, or raises for any other reason becomes a structured JSON error
@@ -52,10 +52,10 @@ type client = {
   c_fd : Unix.file_descr;
   c_wlock : Mutex.t; (* reader thread and workers both respond *)
   mutable c_open : bool;
-      (* false once the reader has closed [c_fd]. Set and read under
-         [c_wlock]: a response finished after its client hung up is
-         dropped, not written to a later connection that was given the
-         same descriptor number. *)
+      (* false once the client is dropped or the reader has closed [c_fd].
+         Set and read under [c_wlock]: a response finished after its client
+         hung up is dropped, not written to a later connection that was
+         given the same descriptor number. *)
 }
 
 type entry = {
@@ -67,19 +67,12 @@ type entry = {
   en_t0 : float; (* request arrival, Clock seconds (0. when tracing is off) *)
 }
 
-(* One run of a content key: [None] until the worker running it publishes
-   the outcome. *)
-type flight = (string, exn) result option ref
-
 type t = {
   t_opts : opts;
   t_jobs : int; (* worker domains [run] spawns: so_jobs after the clamp *)
   t_cache : (string, string) Fifo_cache.t;
       (* content key -> payload bytes; weight = payload bytes *)
   t_sched : entry Scheduler.t;
-  t_inflight : (string, flight) Hashtbl.t; (* content keys being run *)
-  t_inflight_lock : Mutex.t;
-  t_landed : Condition.t; (* broadcast when a run publishes its outcome *)
   t_stopped : bool Atomic.t;
   t_listeners : Unix.file_descr list;
   t_clients : (int, client) Hashtbl.t;
@@ -97,6 +90,7 @@ type t = {
   t_hits : M.counter;
   t_misses : M.counter;
   t_shed : M.counter;
+  t_dropped : M.counter; (* clients dropped by a failed or timed-out write *)
   t_started : float; (* Clock seconds *)
 }
 
@@ -145,9 +139,6 @@ let create (opts : opts) : t =
     t_cache =
       Fifo_cache.create ~weight:String.length ~capacity:opts.so_cache_entries ();
     t_sched = Scheduler.create ~limit:opts.so_queue_limit ();
-    t_inflight = Hashtbl.create 16;
-    t_inflight_lock = Mutex.create ();
-    t_landed = Condition.create ();
     t_stopped = Atomic.make false;
     t_listeners = listeners;
     t_clients = Hashtbl.create 16;
@@ -160,31 +151,38 @@ let create (opts : opts) : t =
     t_hits = M.counter m "phloemd_cache_hits";
     t_misses = M.counter m "phloemd_cache_misses";
     t_shed = M.counter m "phloemd_shed";
+    t_dropped = M.counter m "phloemd_dropped_clients";
     t_started = Clock.now ();
   }
 
 (* --- responses ---------------------------------------------------------- *)
 
-(* Best-effort write: a client that hung up mid-job must not take the
-   worker answering it down with it. *)
+(* Every accepted socket's send timeout. A client that stops reading fills
+   its socket buffer, and the next write to it would block the writer,
+   which may be a worker, for good; with this timeout such a write fails
+   and the client is dropped. A client that reads drains a response long
+   before it. *)
+let send_timeout = 2.0
+
+(* Best-effort write: a client that hung up or stopped reading must not
+   take the thread answering it down with it. A failed write drops the
+   client: later sends skip it, and the shut socket ends its reader. *)
 let send t (c : client) (line : string) =
   let data = Bytes.of_string (line ^ "\n") in
-  Mutex.lock c.c_wlock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock c.c_wlock)
-    (fun () ->
+  Mutex.protect c.c_wlock (fun () ->
       if c.c_open then
-        try
-          let n = Bytes.length data in
-          let rec loop off =
-            if off < n then
-              let w = Unix.write c.c_fd data off (n - off) in
-              loop (off + w)
-          in
-          loop 0
-        with Unix.Unix_error _ | Sys_error _ ->
-          Log.debug ~component:"phloemd" "client %d write failed (gone?)" c.c_id);
-  ignore t
+        let n = Bytes.length data in
+        let rec loop off =
+          if off < n then loop (off + Unix.write c.c_fd data off (n - off))
+        in
+        try loop 0
+        with Unix.Unix_error (e, _, _) ->
+          Log.debug ~component:"phloemd" "client %d dropped: %s" c.c_id
+            (Unix.error_message e);
+          c.c_open <- false;
+          (try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL
+           with Unix.Unix_error _ -> ());
+          M.incr t.t_dropped)
 
 (* --- stats -------------------------------------------------------------- *)
 
@@ -206,11 +204,12 @@ let stats_json t : Json.t =
       ("ok", Json.Int (M.counter_value t.t_ok));
       ("errors", Json.Int (M.counter_value t.t_errors));
       ("shed", Json.Int (M.counter_value t.t_shed));
+      ("dropped_clients", Json.Int (M.counter_value t.t_dropped));
       ( "result_cache",
         Json.Obj
           [
-            ("hits", Json.Int rc.Fifo_cache.hits);
-            ("misses", Json.Int rc.Fifo_cache.misses);
+            ("hits", Json.Int (M.counter_value t.t_hits));
+            ("misses", Json.Int (M.counter_value t.t_misses));
             ("evictions", Json.Int rc.Fifo_cache.evictions);
             ("entries", Json.Int rc.Fifo_cache.entries);
             ("capacity", Json.Int rc.Fifo_cache.capacity);
@@ -277,34 +276,6 @@ let job_label (job : Protocol.job) =
   Printf.sprintf "%s/%s/%s" job.Protocol.j_bench job.Protocol.j_variant
     job.Protocol.j_input
 
-(* Run a job's content key once across the workers. The first worker to
-   take the key registers it and runs the job; a worker that takes the same
-   key meanwhile waits, holding its slot as a second run would have, and
-   shares the outcome. The payload enters the result cache before the key
-   leaves the table, so a later miss finds one or the other. *)
-let run_once t (en : entry) (run : unit -> string) : (string, exn) result =
-  Mutex.lock t.t_inflight_lock;
-  match Hashtbl.find_opt t.t_inflight en.en_key with
-  | Some (flight : flight) ->
-    while Option.is_none !flight do
-      Condition.wait t.t_landed t.t_inflight_lock
-    done;
-    Mutex.unlock t.t_inflight_lock;
-    Option.get !flight
-  | None ->
-    let flight : flight = ref None in
-    Hashtbl.add t.t_inflight en.en_key flight;
-    Mutex.unlock t.t_inflight_lock;
-    let r = match run () with payload -> Ok payload | exception e -> Error e in
-    (match r with
-    | Ok payload -> Fifo_cache.add t.t_cache en.en_key payload
-    | Error _ -> ());
-    Mutex.protect t.t_inflight_lock (fun () ->
-        flight := Some r;
-        Hashtbl.remove t.t_inflight en.en_key;
-        Condition.broadcast t.t_landed);
-    r
-
 (* Answer one finished job. Every exception [Jobs.run] can raise becomes a
    structured error response: this is what keeps the daemon alive through
    any job, not a swallowed error. *)
@@ -347,11 +318,13 @@ let respond_result t ~track (en : entry) (r : (string, exn) result) =
       ~label:(job_label en.en_job)
 
 (* One worker domain: take a job, run it, answer it, until the scheduler is
-   closed and drained. Nothing here raises ([Jobs.run]'s exceptions become
-   responses, [send] absorbs write errors), so [run]'s [Domain.join] never
-   re-raises. Signals are blocked so that handlers such as phloemd's
-   SIGTERM -> [stop] run on the readers' domain, never inside [take]'s
-   critical section, where [stop] would relock the scheduler's mutex. *)
+   closed and drained. A worker waiting in [find_or_add] for another's run
+   holds its slot as a second run would have. Nothing here raises
+   ([Jobs.run]'s exceptions become responses, [send] absorbs write errors),
+   so [run]'s [Domain.join] never re-raises. Signals are blocked so that
+   handlers such as phloemd's SIGTERM -> [stop] run on the readers' domain,
+   never inside [take]'s critical section, where [stop] would relock the
+   scheduler's mutex. *)
 let worker_loop t =
   ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ]);
   let obs = t.t_opts.so_obs in
@@ -371,7 +344,12 @@ let worker_loop t =
         Obs.record o ~trace:en.en_trace ~track:"queue" ~name:"queue-wait"
           ~start:(taken -. wait) ~stop:taken);
       respond_result t ~track en
-        (run_once t en (fun () -> Jobs.run ?obs ~trace:en.en_trace en.en_job));
+        (match
+           Fifo_cache.find_or_add t.t_cache en.en_key (fun () ->
+               Jobs.run ?obs ~trace:en.en_trace en.en_job)
+         with
+        | payload -> Ok payload
+        | exception e -> Error e);
       loop ()
   in
   loop ()
@@ -495,6 +473,7 @@ let accept_one t lfd =
   match Unix.accept lfd with
   | exception Unix.Unix_error _ -> ()
   | fd, _ ->
+    Unix.setsockopt_float fd Unix.SO_SNDTIMEO send_timeout;
     let c =
       {
         c_id = Atomic.fetch_and_add t.t_next_client 1;

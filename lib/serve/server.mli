@@ -2,12 +2,14 @@
     Unix-domain (and optionally TCP) socket, serves repeated requests from
     the content-addressed result cache in O(lookup), and hands cold jobs
     through a bounded fair {!Scheduler} to worker domains, each running
-    one job at a time and answering it as soon as it finishes; a job whose
-    content key another worker is running waits for that run and shares
-    its result. Per-job
+    one job at a time and answering it as soon as it finishes. Workers run
+    jobs through the result cache's {!Phloem_util.Fifo_cache.find_or_add},
+    so identical misses run once: a duplicate waits for the running job or
+    finds its payload. Per-job
     failures (deadlock, livelock, budget, bad names, any other exception)
     become structured JSON error responses on their own connection; the
-    daemon never dies with a job. *)
+    daemon never dies with a job. A client whose socket takes no bytes for
+    {!send_timeout} seconds is dropped. *)
 
 type opts = {
   so_unix : string option;  (** Unix-domain socket path *)
@@ -32,6 +34,12 @@ val worker_domains : recommended:int -> int -> int
     spawns for [so_jobs = jobs] on a machine whose recommended domain
     count is [recommended]: [jobs] clamped to [1 .. min recommended 127].
     OCaml 5.1 runs at most 128 domains, and the caller's domain is one. *)
+
+val send_timeout : float
+(** Seconds a write to a client may wait for room in its socket buffer
+    (the socket's [SO_SNDTIMEO]); a write that times out drops the client,
+    so a client that stops reading holds the thread answering it for about
+    this long. *)
 
 type t
 
@@ -59,7 +67,8 @@ val stopped : t -> bool
 val stats_json : t -> Phloem_util.Json.t
 (** The stats payload served for [{"kind":"stats"}] requests: the
     effective worker count ([jobs]), request / response counters,
-    result-cache and scheduler stats (including queue-wait totals), and
-    the simulator's memo-cache counters. With observability enabled, an
-    extra ["metrics"] section carries the {!Obs.metrics_json} snapshot —
-    latency histograms with derived percentiles and span counts. *)
+    [dropped_clients], result-cache and scheduler stats (including
+    queue-wait totals), and the simulator's memo-cache counters. With
+    observability enabled, an extra ["metrics"] section carries the
+    {!Obs.metrics_json} snapshot — latency histograms with derived
+    percentiles and span counts. *)

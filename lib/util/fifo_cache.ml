@@ -1,11 +1,15 @@
 (* Bounded FIFO memo table. One mutex guards the table, the insertion-order
-   queue and the counters; taking it on every call is also what publishes
-   a value added on one domain to readers on another. *)
+   queue, the builds in flight and the counters; taking it on every call is
+   also what publishes a value added on one domain to readers on another. *)
+
+(* One [find_or_add] build: [None] until it lands with a value or with the
+   exception it raised. *)
+type 'v flight = ('v, exn * Printexc.raw_backtrace) result option ref
 
 type ('k, 'v) t = {
   lock : Mutex.t;
-  landed : Condition.t; (* broadcast whenever a [find_or_add] build ends *)
-  building : ('k, unit) Hashtbl.t; (* keys a [find_or_add] is building *)
+  landed : Condition.t; (* broadcast whenever a [find_or_add] build lands *)
+  building : ('k, 'v flight) Hashtbl.t; (* keys a [find_or_add] is building *)
   tbl : ('k, 'v) Hashtbl.t;
   order : ('k * int) Queue.t; (* insertion order, with each entry's weight *)
   weigh : 'v -> int;
@@ -57,14 +61,7 @@ let trim (t : (_, _) t) n =
   done
 
 let find (t : (_, _) t) k =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.tbl k with
-      | Some _ as v ->
-        t.hits <- t.hits + 1;
-        v
-      | None ->
-        t.misses <- t.misses + 1;
-        None)
+  Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.tbl k)
 
 (* Caller holds the lock. *)
 let insert (t : (_, _) t) k v =
@@ -76,43 +73,48 @@ let insert (t : (_, _) t) k v =
     t.weight <- t.weight + w
   end
 
-let add (t : (_, _) t) k v = Mutex.protect t.lock (fun () -> insert t k v)
-
-(* Single flight: the first caller to miss [k] builds it outside the lock
-   while later callers for [k] wait on [landed] and then count a hit. A
-   build that raises caches nothing and wakes its waiters, and each of them
-   retries: the first to miss becomes the next builder. *)
+(* Single flight: the first caller to miss [k] builds it outside the lock,
+   and later callers for [k] wait on [landed] for that build's outcome. The
+   outcome is read from the flight, not the table, so a waiter gets it even
+   if the value was evicted before it woke. A raised build caches nothing. *)
 let find_or_add (t : (_, _) t) k build =
-  let rec claim () =
+  let claim () =
     match Hashtbl.find_opt t.tbl k with
-    | Some _ as v ->
+    | Some v ->
       t.hits <- t.hits + 1;
-      v
-    | None when Hashtbl.mem t.building k ->
-      Condition.wait t.landed t.lock;
-      claim ()
-    | None ->
-      t.misses <- t.misses + 1;
-      Hashtbl.replace t.building k ();
-      None
+      Some (Ok v)
+    | None -> (
+      match Hashtbl.find_opt t.building k with
+      | Some flight ->
+        t.hits <- t.hits + 1;
+        while Option.is_none !flight do
+          Condition.wait t.landed t.lock
+        done;
+        !flight
+      | None ->
+        t.misses <- t.misses + 1;
+        Hashtbl.replace t.building k (ref None);
+        None)
   in
-  match Mutex.protect t.lock claim with
-  | Some v -> v
-  | None -> (
-    let finish f =
+  let outcome =
+    match Mutex.protect t.lock claim with
+    | Some outcome -> outcome
+    | None ->
+      let outcome =
+        match build () with
+        | v -> Ok v
+        | exception e -> Error (e, Printexc.get_raw_backtrace ())
+      in
       Mutex.protect t.lock (fun () ->
-          f ();
+          Result.iter (insert t k) outcome;
+          Hashtbl.find t.building k := Some outcome;
           Hashtbl.remove t.building k;
-          Condition.broadcast t.landed)
-    in
-    match build () with
-    | v ->
-      finish (fun () -> insert t k v);
-      v
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      finish ignore;
-      Printexc.raise_with_backtrace e bt)
+          Condition.broadcast t.landed);
+      outcome
+  in
+  match outcome with
+  | Ok v -> v
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 let set_capacity (t : (_, _) t) n =
   check_capacity "Fifo_cache.set_capacity" n;

@@ -21,20 +21,18 @@ val create : ?weight:('v -> int) -> capacity:int -> unit -> ('k, 'v) t
     @raise Invalid_argument if [capacity < 1]. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
-(** Counts a hit or a miss. *)
-
-val add : ('k, 'v) t -> 'k -> 'v -> unit
-(** Insert if [k] is absent, evicting oldest-first to stay within the
-    capacity; if [k] is present the cache is unchanged (concurrent
-    identical misses both compute, and the second insert is dropped). *)
+(** [k]'s resident value. Counts nothing: the counters are
+    {!find_or_add}'s. *)
 
 val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 (** [find_or_add t k build] is [k]'s value, calling [build] (outside the
-    lock) and inserting its result on a miss. Each key is built at most
-    once at a time: a concurrent call for a key being built waits for that
-    build and counts a hit. A [build] that raises caches nothing and wakes
-    its waiters, which retry; the exception reaches its own caller only.
-    [build] must not call [find_or_add] on the same key. *)
+    lock) and inserting its result on a miss; an insert evicts oldest-first
+    to stay within the capacity. Each key is built at most once at a time:
+    a call for a key being built waits for that build and gets its outcome,
+    the value or the exception it raised. A call that builds counts a miss;
+    a call that finds the value resident or waits on a build counts a hit.
+    A [build] that raises caches nothing, so the next call after it lands
+    builds again. [build] must not call [find_or_add] on the same key. *)
 
 val set_capacity : ('k, 'v) t -> int -> unit
 (** Set the entry bound. Shrinking evicts oldest-first immediately, so the

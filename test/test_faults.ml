@@ -216,6 +216,24 @@ let test_check_deadlock_rejects_producerless () =
     Alcotest.(check bool) "names the queue" true (has "q0" msg);
     Alcotest.(check bool) "explains" true (has "ever enqueues" msg)
 
+(* A barrier releases only once every live stage waits on its id, so a
+   stage that holds an id another stage never reaches parks there for good:
+   [a] holds barriers 1 and 2, [b] only 1. *)
+let test_check_deadlock_rejects_barrier_mismatch () =
+  let phases b_barriers =
+    pipeline "phases" ~queues:[ queue 0 ]
+      [
+        stage "a" [ enq 0 (int 1); barrier 1; barrier 2 ];
+        stage "b" (("x" <-- deq 0) :: List.map barrier b_barriers);
+      ]
+  in
+  ignore (run_check (phases [ 1; 2 ]));
+  match run_check (phases [ 1 ]) with
+  | _ -> Alcotest.fail "different barrier sets accepted"
+  | exception Phloem.Pass.Reject msg ->
+    Alcotest.(check bool) ("names the stages and ids: " ^ msg) true
+      (has "a {1, 2}" msg && has "b {1}" msg)
+
 (* --- stall accounting --- *)
 
 (* Every cycle a live thread spends inside a stall window counts, also the
@@ -324,6 +342,8 @@ let () =
             test_check_deadlock_rejects_cycle;
           Alcotest.test_case "rejects producerless dequeue" `Quick
             test_check_deadlock_rejects_producerless;
+          Alcotest.test_case "rejects different barrier sets" `Quick
+            test_check_deadlock_rejects_barrier_mismatch;
         ] );
       ( "degradation",
         [

@@ -602,6 +602,27 @@ let test_validate_break_outside_loop () =
   | () -> Alcotest.fail "expected Invalid"
   | exception Validate.Invalid _ -> ()
 
+(* Every name a stage reads must be a param or bound in that stage: [n] is
+   a param, [i] a [for] variable, [c] a handler variable and [y] assigned,
+   but [x] is assigned only in the other stage. *)
+let test_validate_unbound_read () =
+  let reads x_bound =
+    pipeline "bad4" ~params:[ ("n", Vint 2) ] ~queues:[ queue 0 ]
+      [
+        stage "p" [ "x" <-- int 1; for_ "i" (int 0) (v "n") [ enq 0 (v "i") ] ];
+        stage "c"
+          ~handlers:[ handler ~queue:0 ~cv:"c" [ "y" <-- v "c" ] ]
+          ((if x_bound then [ "x" <-- int 0 ] else [])
+          @ [ "y" <-- deq 0; "y" <-- v "y" +! v "x" ]);
+      ]
+  in
+  Validate.check (reads true);
+  match Validate.check (reads false) with
+  | () -> Alcotest.fail "expected Invalid"
+  | exception Validate.Invalid msg ->
+    Alcotest.(check string) "names the stage and the name"
+      "stage c reads x, which it never binds" msg
+
 (* --- qcheck: random straight-line/loop programs, pipeline == serial --- *)
 
 (* Generates a random two-stage map/filter pipeline and checks it computes
@@ -763,6 +784,7 @@ let suite =
     Alcotest.test_case "validate: multi-consumer" `Quick test_validate_multiconsumer;
     Alcotest.test_case "validate: undeclared queue" `Quick test_validate_undeclared_queue;
     Alcotest.test_case "validate: break outside loop" `Quick test_validate_break_outside_loop;
+    Alcotest.test_case "validate: unbound read" `Quick test_validate_unbound_read;
     QCheck_alcotest.to_alcotest prop_two_stage_equiv;
     QCheck_alcotest.to_alcotest prop_queue_traffic_counts;
     QCheck_alcotest.to_alcotest prop_trace_round_trip;

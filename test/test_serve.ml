@@ -715,6 +715,139 @@ let test_e2e_identical_misses_run_once () =
           Alcotest.(check int) "both result-cache misses" 2
             (stats_int stats [ "result_cache"; "misses" ])))
 
+(* One worker: two more requests for the job the first one's request is
+   running arrive while it runs and queue behind it. The worker that takes
+   them finds the landed payload instead of running the job again, so all
+   three get the same uncached bytes from one execution. *)
+let test_e2e_queued_duplicates_run_once () =
+  let obs = Obs.create () in
+  with_server ~jobs:1 ~obs (fun sock _server ->
+      Pipette.Sim.clear_caches ();
+      Client.with_unix sock (fun fd_a ->
+          start_long_job sock fd_a;
+          let again id fd =
+            Client.send_line fd (Protocol.simulate_request ~id:(Json.Int id) long_job)
+          in
+          Client.with_unix sock (fun fd_b ->
+              Client.with_unix sock (fun fd_c ->
+                  again 2 fd_b;
+                  again 3 fd_c;
+                  let answers =
+                    List.map (fun fd -> Client.recv_line fd) [ fd_a; fd_b; fd_c ]
+                  in
+                  List.iteri
+                    (fun i r ->
+                      let j = Json.of_string r in
+                      Alcotest.(check string) (Printf.sprintf "answer %d ok" i) "ok"
+                        (Protocol.response_status j);
+                      Alcotest.(check bool) (Printf.sprintf "answer %d not cached" i)
+                        false (Protocol.response_cached j))
+                    answers;
+                  (match List.map Protocol.response_payload_raw answers with
+                  | [ Some pa; Some pb; Some pc ] ->
+                    Alcotest.(check string) "second payload bytes" pa pb;
+                    Alcotest.(check string) "third payload bytes" pa pc
+                  | _ -> Alcotest.fail "every response must carry a raw payload");
+                  let executes =
+                    List.filter (fun s -> s.Metrics.sp_name = "execute") (Obs.spans obs)
+                  in
+                  Alcotest.(check int) "one execution for all three" 1
+                    (List.length executes);
+                  let stats = stats_of sock in
+                  Alcotest.(check int) "all three dispatched" 3
+                    (stats_int stats [ "scheduler"; "dispatched" ]);
+                  Alcotest.(check int) "three result-cache misses" 3
+                    (stats_int stats [ "result_cache"; "misses" ])))))
+
+(* The response line to [req] sent on a fresh connection, or [None] when it
+   has not come within [timeout] seconds; and the seconds it took. *)
+let timed_request sock req ~timeout =
+  Client.with_unix sock (fun fd ->
+      let t0 = Unix.gettimeofday () in
+      Client.send_line fd req;
+      match Unix.select [ fd ] [] [] timeout with
+      | [], _, _ -> (None, timeout)
+      | _ ->
+        let r = Client.recv_line fd in
+        (Some r, Unix.gettimeofday () -. t0))
+
+(* phloemd --jobs 1. Client A sends a cold job and then 200k pings, and
+   never reads: its socket fills, so the daemon's reader thread blocks
+   writing A's pongs, and the worker that finishes A's job then waits to
+   write A's answer. The send timeout drops A, so client B's cold job, sent
+   meanwhile, is answered within the timeout (or A's run time, if longer)
+   plus B's own run time, both measured first on a free daemon, and a
+   second of slack; a new client's ping is answered, and the stats count
+   one dropped client. *)
+let test_e2e_client_stops_reading () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  (* A's job runs long enough for A's pongs to fill its socket first *)
+  let a_job = { long_job with Protocol.j_scale = 1.0 } in
+  let b_job = { long_job with Protocol.j_scale = 0.05 } in
+  let run_time job =
+    with_server (fun sock _server ->
+        match timed_request sock (Protocol.simulate_request job) ~timeout:30.0 with
+        | Some _, t -> t
+        | None, _ -> Alcotest.fail "job not answered on a free daemon")
+  in
+  Pipette.Sim.clear_caches ();
+  let a_run = run_time a_job and b_run = run_time b_job in
+  Pipette.Sim.clear_caches ();
+  with_server (fun sock _server ->
+      let fd_a = Client.connect_unix sock in
+      Client.send_line fd_a (Protocol.simulate_request ~id:(Json.Int 1) a_job);
+      let pinger =
+        Thread.create
+          (fun () ->
+            let ping = "{\"kind\":\"ping\"}\n" in
+            let pings =
+              Bytes.of_string (String.concat "" (List.init 200_000 (fun _ -> ping)))
+            in
+            let n = Bytes.length pings in
+            let rec wloop off =
+              if off < n then wloop (off + Unix.write fd_a pings off (n - off))
+            in
+            try wloop 0 with Unix.Unix_error _ -> ())
+          ()
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          (* at a daemon that never drops A this unblocks both A's writer
+             and the daemon's write to A, so the server can stop *)
+          (try Unix.shutdown fd_a Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+          Thread.join pinger;
+          Unix.close fd_a)
+        (fun () ->
+          let bound = Float.max Server.send_timeout a_run +. b_run +. 1.0 in
+          match
+            timed_request sock (Protocol.simulate_request ~id:(Json.Int 2) b_job)
+              ~timeout:bound
+          with
+          | None, _ -> Alcotest.failf "B not answered within %.2f s" bound
+          | Some r, t ->
+            Alcotest.(check string) "B's job ok" "ok"
+              (Protocol.response_status (Json.of_string r));
+            Alcotest.(check bool)
+              (Printf.sprintf "B answered in %.2f s, within %.2f s" t bound)
+              true (t <= bound);
+            let pong, _ =
+              timed_request sock (Protocol.plain_request ~id:(Json.Int 3) "ping")
+                ~timeout:5.0
+            in
+            Alcotest.(check (option string)) "a new client's ping answered"
+              (Some "ok")
+              (Option.map (fun r -> Protocol.response_status (Json.of_string r)) pong);
+            (* the drop comes [send_timeout] after A's socket filled: before
+               B's answer when A's job was still running then, else after *)
+            let deadline = Unix.gettimeofday () +. Server.send_timeout +. 5.0 in
+            while stats_int (stats_of sock) [ "dropped_clients" ] < 1 do
+              if Unix.gettimeofday () > deadline then
+                Alcotest.fail "A not dropped within the send timeout";
+              Thread.delay 0.01
+            done;
+            Alcotest.(check int) "one dropped client" 1
+              (stats_int (stats_of sock) [ "dropped_clients" ])))
+
 (* Observability on: a line rejected before parsing counts in the stats'
    requests and errors and in the metrics' phloemd_requests and
    phloemd_errors alike, because both read the same counters. *)
@@ -855,6 +988,10 @@ let () =
             test_e2e_cold_jobs_independent;
           Alcotest.test_case "identical cold misses run once" `Quick
             test_e2e_identical_misses_run_once;
+          Alcotest.test_case "queued identical misses run once" `Quick
+            test_e2e_queued_duplicates_run_once;
+          Alcotest.test_case "client that stops reading is dropped" `Quick
+            test_e2e_client_stops_reading;
           Alcotest.test_case "stats and metrics counters agree" `Quick
             test_e2e_counters_agree;
           Alcotest.test_case "client vanishes mid-response" `Quick

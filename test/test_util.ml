@@ -230,17 +230,22 @@ let test_span_recorder () =
 (* The daemon's use: payload strings weighed by their length. *)
 let payload_cache ~capacity = Fifo_cache.create ~weight:String.length ~capacity ()
 
+(* Insert [v] under [k] if absent. *)
+let add c k v = ignore (Fifo_cache.find_or_add c k (fun () -> v))
+
+(* [find] only looks; [find_or_add] builds on a miss and counts. *)
 let test_cache_hit_miss () =
   let c = payload_cache ~capacity:4 in
-  Alcotest.(check (option string)) "cold miss" None (Fifo_cache.find c "k1");
-  Fifo_cache.add c "k1" "payload-one";
-  Alcotest.(check (option string)) "hit returns the stored bytes"
+  Alcotest.(check (option string)) "cold lookup" None (Fifo_cache.find c "k1");
+  Alcotest.(check string) "a miss builds" "payload-one"
+    (Fifo_cache.find_or_add c "k1" (fun () -> "payload-one"));
+  Alcotest.(check (option string)) "lookup returns the stored bytes"
     (Some "payload-one") (Fifo_cache.find c "k1");
-  Fifo_cache.add c "k1" "other";
-  Alcotest.(check (option string)) "insert-if-absent keeps the first payload"
-    (Some "payload-one") (Fifo_cache.find c "k1");
+  Alcotest.(check string) "a hit keeps the first payload and builds nothing"
+    "payload-one"
+    (Fifo_cache.find_or_add c "k1" (fun () -> Alcotest.fail "hit rebuilt"));
   let s = Fifo_cache.stats c in
-  Alcotest.(check int) "hits" 2 s.Fifo_cache.hits;
+  Alcotest.(check int) "hits" 1 s.Fifo_cache.hits;
   Alcotest.(check int) "misses" 1 s.Fifo_cache.misses;
   Alcotest.(check int) "entries" 1 s.Fifo_cache.entries;
   Alcotest.(check int) "payload bytes" (String.length "payload-one")
@@ -251,9 +256,9 @@ let test_cache_fifo_eviction () =
     (Invalid_argument "Fifo_cache.create: capacity must be >= 1") (fun () ->
       ignore (payload_cache ~capacity:0));
   let c = payload_cache ~capacity:2 in
-  Fifo_cache.add c "a" "1";
-  Fifo_cache.add c "b" "22";
-  Fifo_cache.add c "c" "333";
+  add c "a" "1";
+  add c "b" "22";
+  add c "c" "333";
   let s = Fifo_cache.stats c in
   Alcotest.(check int) "entries bounded" 2 s.Fifo_cache.entries;
   Alcotest.(check int) "one eviction" 1 s.Fifo_cache.evictions;
@@ -293,8 +298,8 @@ let test_cache_single_flight () =
   Alcotest.(check (pair int int)) "1 miss, 1 hit" (1, 1)
     (s.Fifo_cache.misses, s.Fifo_cache.hits)
 
-(* A build that raises caches nothing and wakes its waiter, which retries
-   and builds; the exception reaches only the failed build's caller. *)
+(* A build that raises caches nothing and hands its exception to the call
+   waiting on it, which builds nothing; the next call after it builds. *)
 let test_cache_single_flight_failure () =
   let c = Fifo_cache.create ~capacity:4 () in
   let builds = Atomic.make 0 and second_calling = Atomic.make false in
@@ -317,28 +322,43 @@ let test_cache_single_flight_failure () =
   done;
   Atomic.set second_calling true;
   let second =
-    Fifo_cache.find_or_add c "k" (fun () ->
-        Atomic.incr builds;
-        "retried")
+    match
+      Fifo_cache.find_or_add c "k" (fun () ->
+          Atomic.incr builds;
+          "rebuilt")
+    with
+    | v -> "returned " ^ v
+    | exception Failure m -> m
   in
   Alcotest.(check string) "failure reaches its caller" "build failed"
     (Domain.join first);
-  Alcotest.(check string) "waiter retries" "retried" second;
+  Alcotest.(check string) "failure reaches the waiter" "build failed" second;
+  Alcotest.(check int) "one build" 1 (Atomic.get builds);
+  let s = Fifo_cache.stats c in
+  Alcotest.(check (pair int int)) "1 miss, 1 hit" (1, 1)
+    (s.Fifo_cache.misses, s.Fifo_cache.hits);
+  Alcotest.(check int) "nothing cached" 0 s.Fifo_cache.entries;
+  Alcotest.(check string) "the next call builds" "rebuilt"
+    (Fifo_cache.find_or_add c "k" (fun () ->
+         Atomic.incr builds;
+         "rebuilt"));
   Alcotest.(check int) "two builds" 2 (Atomic.get builds);
   let s = Fifo_cache.stats c in
-  Alcotest.(check (pair int int)) "2 misses, 0 hits" (2, 0)
+  Alcotest.(check (pair int int)) "2 misses, 1 hit" (2, 1)
     (s.Fifo_cache.misses, s.Fifo_cache.hits);
-  Alcotest.(check int) "only the retry is cached" 1 s.Fifo_cache.entries
+  Alcotest.(check int) "only the rebuild is cached" 1 s.Fifo_cache.entries
 
 type cache_op =
   | Find of int
-  | Add of int * string
+  | Find_or_add of int * string
+  | Find_or_fail of int  (* find_or_add whose build raises *)
   | Set_capacity of int
   | Clear
 
 let show_cache_op = function
   | Find k -> Printf.sprintf "find %d" k
-  | Add (k, v) -> Printf.sprintf "add %d %S" k v
+  | Find_or_add (k, v) -> Printf.sprintf "find_or_add %d %S" k v
+  | Find_or_fail k -> Printf.sprintf "find_or_add %d (raises)" k
   | Set_capacity n -> Printf.sprintf "set_capacity %d" n
   | Clear -> "clear"
 
@@ -357,17 +377,17 @@ let rec model_trim m n =
     model_trim { m with m_entries = rest; m_evictions = m.m_evictions + 1 } n
   | _ -> m
 
-(* The model after [op], and [op]'s answer (only [Find] answers). *)
+(* The model after [op], and [op]'s answer: a value, [Some "raised"] for a
+   build's exception, [None] for no value. *)
 let model_step m = function
-  | Find k -> (
-    match List.assoc_opt k m.m_entries with
-    | Some _ as v -> ({ m with m_hits = m.m_hits + 1 }, v)
-    | None -> ({ m with m_misses = m.m_misses + 1 }, None))
-  | Add (k, v) ->
-    if List.mem_assoc k m.m_entries then (m, None)
-    else
-      let m = model_trim m (m.m_capacity - 1) in
-      ({ m with m_entries = m.m_entries @ [ (k, v) ] }, None)
+  | Find k -> (m, List.assoc_opt k m.m_entries)
+  | (Find_or_add (k, _) | Find_or_fail k) when List.mem_assoc k m.m_entries ->
+    ({ m with m_hits = m.m_hits + 1 }, List.assoc_opt k m.m_entries)
+  | Find_or_add (k, v) ->
+    let m = model_trim m (m.m_capacity - 1) in
+    ( { m with m_entries = m.m_entries @ [ (k, v) ]; m_misses = m.m_misses + 1 },
+      Some v )
+  | Find_or_fail _ -> ({ m with m_misses = m.m_misses + 1 }, Some "raised")
   | Set_capacity n -> (model_trim { m with m_capacity = n } n, None)
   | Clear ->
     ( { m_entries = []; m_capacity = m.m_capacity; m_hits = 0; m_misses = 0;
@@ -386,9 +406,11 @@ let model_stats m =
 
 let cache_step c = function
   | Find k -> Fifo_cache.find c k
-  | Add (k, v) ->
-    Fifo_cache.add c k v;
-    None
+  | Find_or_add (k, v) -> Some (Fifo_cache.find_or_add c k (fun () -> v))
+  | Find_or_fail k -> (
+    match Fifo_cache.find_or_add c k (fun () -> failwith "raised") with
+    | v -> Some v
+    | exception Failure m -> Some m)
   | Set_capacity n ->
     Fifo_cache.set_capacity c n;
     None
@@ -402,12 +424,13 @@ let cache_ops =
   let op =
     frequency
       [
-        (4, map (fun k -> Find k) key);
+        (3, map (fun k -> Find k) key);
         ( 4,
           map2
-            (fun k v -> Add (k, v))
+            (fun k v -> Find_or_add (k, v))
             key
             (string_size ~gen:(char_range 'a' 'c') (int_bound 5)) );
+        (1, map (fun k -> Find_or_fail k) key);
         (1, map (fun n -> Set_capacity n) (int_range 1 4));
         (1, return Clear);
       ]
@@ -417,8 +440,9 @@ let cache_ops =
     ~shrink:QCheck.Shrink.list
     (list_size (int_range 1 60) op)
 
-(* After every step of a random op sequence over a small key space, [find]'s
-   answer and every [stats] field equal the list model's. *)
+(* After every step of a random op sequence over a small key space, the
+   op's answer (a value or a build's exception) and every [stats] field
+   equal the list model's. *)
 let prop_cache_model =
   QCheck.Test.make ~count:300 ~name:"fifo cache matches a list model" cache_ops
     (fun ops ->
